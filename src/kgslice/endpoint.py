@@ -45,10 +45,14 @@ class EndpointConfig:
 class QueryBatchPlan:
     jobs: list[tuple[int, int, int]]  # (branch index, limit, offset)
     batch_size: int
-    estimated_rows: int
+    counts: list[int]  # rows per branch, as the count queries reported them
 
     def __len__(self) -> int:
         return len(self.jobs)
+
+    @property
+    def estimated_rows(self) -> int:
+        return sum(self.counts)
 
 
 class HttpBackend:
@@ -145,37 +149,38 @@ def execution_planner(bgp: BgpQuery, counts, bs: int) -> QueryBatchPlan:
     for index, count in enumerate(counts):
         for offset in range(0, count, bs):
             jobs.append((index, bs, offset))
-    return QueryBatchPlan(jobs=jobs, batch_size=bs, estimated_rows=sum(counts))
+    return QueryBatchPlan(jobs=jobs, batch_size=bs, counts=list(counts))
 
 
 def execute_plan(backend, bgp: BgpQuery, plan: QueryBatchPlan, workers: int = 1):
-    """Run every job, retrying per job; returns the row multiset.
+    """Run every job once; returns the row multiset.
 
-    Workers pull from a shared index; rows are concatenated in job order
-    so even the multiset is schedule-independent. A job that exhausts its
-    retries aborts the extraction with the completed jobs attached for
-    resumability.
+    Rows are id triples from a LocalBackend, surface-string triples from
+    an HttpBackend (whose requests do their own retrying). Workers pull
+    from a shared index; rows are concatenated in job order so even the
+    multiset is schedule-independent. A job that fails, or whose page
+    holds other than ``min(limit, count - offset)`` rows, aborts the
+    extraction with the completed jobs attached.
     """
     if workers < 1:
         raise KgsliceError("workers must be >= 1")
     n_jobs = len(plan.jobs)
-    results: list[list[tuple[str, str, str]] | None] = [None] * n_jobs
+    results: list[list | None] = [None] * n_jobs
     next_job = [0]
     lock = threading.Lock()
     failure: list[JobFailed] = []
 
-    retries = getattr(getattr(backend, "config", None), "retries", 0)
-
     def run_job(job_idx: int) -> None:
-        index, limit, offset = plan.jobs[job_idx]
-        last: Exception | None = None
-        for _ in range(retries + 1):
-            try:
-                results[job_idx] = backend.fetch(bgp, index, limit, offset)
-                return
-            except Exception as exc:  # noqa: BLE001 - every failure counts
-                last = exc
-        raise JobFailed(plan.jobs[job_idx], last)
+        job = plan.jobs[job_idx]
+        index, limit, offset = job
+        try:
+            rows = backend.fetch(bgp, index, limit, offset)
+        except Exception as exc:  # noqa: BLE001 - every failure counts
+            raise JobFailed(job, exc) from exc
+        expected = min(limit, plan.counts[index] - offset)
+        if len(rows) != expected:
+            raise JobFailed(job, f"page returned {len(rows)} rows, expected {expected}")
+        results[job_idx] = rows
 
     def worker() -> None:
         while True:
@@ -205,24 +210,23 @@ def execute_plan(backend, bgp: BgpQuery, plan: QueryBatchPlan, workers: int = 1)
         exc.completed_jobs = [i for i, r in enumerate(results) if r is not None]
         raise exc
 
-    rows: list[tuple[str, str, str]] = []
-    for r in results:
-        rows.extend(r or [])
+    rows: list = []
+    for page in results:
+        rows.extend(page)
     return rows
 
 
 def drop_duplicates(rows, kg: KnowledgeGraph | None = None, provenance=None) -> Subgraph:
     """Deduplicate raw (s, p, o) rows into a Subgraph.
 
-    With a local graph the rows map back into its id space; otherwise a
-    fresh KnowledgeGraph is built from them and the Subgraph spans it.
+    With a local graph the rows are id triples in its id space and go
+    straight to ``subgraph_from_triples``, which dedups and sorts them.
+    Without one they are surface-string rows from an endpoint: a fresh
+    KnowledgeGraph is built from them and the Subgraph spans it.
     """
-    unique = sorted(set(rows))
     if kg is not None:
-        triples = [
-            (kg.vertex_id(s), kg.predicate_id(p), kg.vertex_id(o)) for s, p, o in unique
-        ]
-        return subgraph_from_triples(kg, triples, provenance=provenance)
+        return subgraph_from_triples(kg, rows, provenance=provenance)
+    unique = sorted(set(rows))
     text = "".join(f"{s} {p} {o} .\n" for s, p, o in unique)
     fresh, errors = ingest_ntriples(io.BytesIO(text.encode("utf-8")))
     if errors:

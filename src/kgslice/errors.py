@@ -79,13 +79,9 @@ class QueryRejected(KgsliceError):
 
 
 class JobFailed(KgsliceError):
-    """A paginated sub-query failed after exhausting its retries."""
+    """A page job failed: its request gave up, or its row count was wrong."""
 
     def __init__(self, job, cause):
         super().__init__(f"job {job} failed: {cause}")
         self.job = job
         self.cause = cause
-
-
-class DanglingLabel(KgsliceError):
-    pass

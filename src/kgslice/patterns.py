@@ -4,9 +4,9 @@ A pattern query is a union of independently executable branch
 sub-queries, one per directed hop shape. ``d`` picks the edge direction
 regime (1 = outgoing only, 2 = both), ``h`` the hop radius (1 or 2).
 Each branch can be rendered as standalone SPARQL (for an endpoint) or
-evaluated directly against a local KnowledgeGraph with the same ORDER BY
-and LIMIT/OFFSET semantics, which makes paginated execution testable
-without a server.
+evaluated directly against a local KnowledgeGraph and paged with the same
+LIMIT/OFFSET arithmetic over a fixed row order, which makes paginated
+execution testable without a server.
 
 For link prediction the query joins the per-type sub-patterns of the two
 endpoint types through the task's bridge predicate.
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import UnknownType, UnsupportedParams
-from .graph import RDF_TYPE, KnowledgeGraph, Subgraph
+from .graph import RDF_TYPE, KnowledgeGraph, Subgraph, subgraph_from_triples
 from .tasks import LINK_PREDICTION, NODE_CLASSIFICATION, TaskSpec
 
 # hop shapes; the second edge of a 2-hop shape is the one emitted
@@ -261,9 +261,10 @@ def tokenize_query(text: str) -> list[str]:
 class LocalBackend:
     """Evaluates pattern branches directly on a KnowledgeGraph.
 
-    Branch results are enumerated once, sorted by the dictionary-encoded
-    (s, p, o) triple, and memoized; LIMIT/OFFSET slices that stable order
-    exactly like the endpoint path's ORDER BY does.
+    Branch rows are id triples, enumerated once and memoized. NC rows
+    come out in a fixed order (anchors ascending, adjacency lists sorted)
+    and may repeat; LP rows are distinct and sorted. A LIMIT/OFFSET page
+    is a slice of those rows, so a branch's pages tile it exactly.
     """
 
     def __init__(self, kg: KnowledgeGraph):
@@ -361,7 +362,6 @@ class LocalBackend:
             else:
                 anchors = subjects if branch.side == SUBJECT_SIDE else objects
                 rows = sorted(set(self._emit(anchors, branch.shape)))
-        rows.sort()
         self._cache[key] = rows
         return rows
 
@@ -369,10 +369,8 @@ class LocalBackend:
         return len(self._branch_rows(bgp, index))
 
     def fetch(self, bgp: BgpQuery, index: int, limit: int, offset: int):
-        """Surface-form rows of one LIMIT/OFFSET page of a branch."""
-        kg = self.kg
-        rows = self._branch_rows(bgp, index)[offset : offset + limit]
-        return [(kg.term(s), kg.predicate_term(p), kg.term(o)) for s, p, o in rows]
+        """Id rows of one LIMIT/OFFSET page of a branch."""
+        return self._branch_rows(bgp, index)[offset : offset + limit]
 
 
 def local_bgp_match(kg: KnowledgeGraph, bgp: BgpQuery) -> Subgraph:
@@ -381,8 +379,6 @@ def local_bgp_match(kg: KnowledgeGraph, bgp: BgpQuery) -> Subgraph:
     triples: set[tuple[int, int, int]] = set()
     for i in range(len(bgp.branches)):
         triples.update(backend._branch_rows(bgp, i))
-    from .graph import subgraph_from_triples
-
     return subgraph_from_triples(
         kg,
         triples,

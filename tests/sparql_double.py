@@ -1,10 +1,11 @@
 """In-process SPARQL-protocol stand-in backed by the local matcher.
 
 Speaks just enough of the protocol for the client under test: GET/POST
-with a ``query`` parameter, TSV responses, optional gzip bodies, and
-scripted failures. Incoming query text is matched against the branch
-queries of registered BgpQuery objects and answered from a LocalBackend,
-so the wire path (pagination, retries, headers) is exercised for real.
+with a ``query`` parameter, TSV responses, optional gzip bodies,
+scripted failures and row caps. Incoming query text is matched against
+the branch queries of registered BgpQuery objects and answered from a
+LocalBackend, whose id rows are written out as surface terms, so the
+wire path (pagination, retries, headers) is exercised for real.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ class SparqlDouble:
         self.graph_iri = None
         self.fail_budget = 0  # respond 500 to this many requests
         self.always_fail_pages = False
+        self.max_rows = None  # cap every page at this many rows, like ResultSetMaxRows
         self.seen_headers = []
         self._lock = threading.Lock()
         handler = self._make_handler()
@@ -59,8 +61,12 @@ class SparqlDouble:
                     if m.group("body") == branch.page_query(1, 0, self.graph_iri).rsplit(
                         " order by", 1
                     )[0]:
-                        rows = self.backend.fetch(bgp, i, limit, offset)
-                        return [("?s", "?p", "?o"), *rows]
+                        kg = self.backend.kg
+                        rows = self.backend.fetch(bgp, i, limit, offset)[: self.max_rows]
+                        return [
+                            ("?s", "?p", "?o"),
+                            *((kg.term(s), kg.predicate_term(p), kg.term(o)) for s, p, o in rows),
+                        ]
         return None
 
     def _make_handler(self):

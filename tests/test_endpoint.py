@@ -109,6 +109,44 @@ def test_job_failure_aborts_with_completed_manifest(kg, double):
     assert len(exc.value.completed_jobs) < len(plan.jobs)
 
 
+def test_capped_page_fails_loudly(kg, double):
+    task = nc_pattern()
+    bgp = get_bgp(task, 2, 1)
+    double.register(bgp)
+    double.max_rows = 2
+    backend = HttpBackend(EndpointConfig(url=double.url))
+    counts = get_graph_size(backend, bgp)
+    assert max(counts) > 2
+    with pytest.raises(JobFailed, match="page returned 2 rows, expected 5"):
+        execute_plan(backend, bgp, execution_planner(bgp, counts, bs=5))
+    with pytest.raises(JobFailed):
+        sparql_extract(backend, task, d=2, h=1, bs=5)
+
+
+def test_rejected_page_sent_once(kg, double):
+    bgp = get_bgp(nc_pattern(), 1, 1)
+    # counted locally, never registered: the double answers every page 400
+    plan = execution_planner(bgp, get_graph_size(LocalBackend(kg), bgp), bs=5)
+    backend = HttpBackend(EndpointConfig(url=double.url, retries=2))
+    with pytest.raises(JobFailed) as exc:
+        execute_plan(backend, bgp, plan)
+    assert isinstance(exc.value.cause, QueryRejected) and exc.value.cause.status == 400
+    assert len(double.seen_headers) == 1
+
+
+def test_failing_page_sent_retries_plus_one_times(kg, double):
+    bgp = get_bgp(nc_pattern(), 1, 1)
+    double.register(bgp)
+    backend = HttpBackend(EndpointConfig(url=double.url, retries=2))
+    plan = execution_planner(bgp, get_graph_size(backend, bgp), bs=5)
+    double.seen_headers.clear()
+    double.always_fail_pages = True
+    with pytest.raises(JobFailed) as exc:
+        execute_plan(backend, bgp, plan)
+    assert isinstance(exc.value.cause, QueryRejected) and exc.value.cause.status == 500
+    assert len(double.seen_headers) == 3
+
+
 def test_compression_and_bearer_token(kg, double):
     task = nc_pattern()
     bgp = get_bgp(task, 1, 1)

@@ -222,9 +222,52 @@ def test_local_match_equals_paginated_execution(rng):
     assert set(direct.triples) == set(paged.triples)
 
 
+def d2h2_queries():
+    lp = PatternTask(
+        kind="lp",
+        target_type_iri=f"{EX}T0",
+        target_predicate_iri=f"{EX}p0",
+        object_type_iri=f"{EX}T1",
+    )
+    return [get_bgp(nc_pattern("T0"), 2, 2), get_bgp(lp, 2, 2)]
+
+
+def test_local_fetch_returns_id_triples(rng):
+    kg = make_kg(random_kg_lines(rng, n_vertices=40, n_triples=150, literal_fraction=0.1))
+    bgp = get_bgp(nc_pattern("T0"), 2, 1)
+    page = LocalBackend(kg).fetch(bgp, 0, 10, 0)
+    assert len(page) == 10
+    assert all(type(x) is int for row in page for x in row)
+    assert set(page) <= set(kg.triples)
+
+
+def test_local_pages_tile_memoized_branch_rows(rng):
+    kg = make_kg(random_kg_lines(rng, n_vertices=60, n_triples=300, literal_fraction=0.1))
+    backend = LocalBackend(kg)
+    for bgp in d2h2_queries():
+        counts = get_graph_size(backend, bgp)
+        assert sum(counts) > 0
+        for i, count in enumerate(counts):
+            rows = backend._branch_rows(bgp, i)
+            for bs in (1, 7, max(count, 1)):
+                pages = [backend.fetch(bgp, i, bs, offset) for offset in range(0, count, bs)]
+                assert [row for page in pages for row in page] == rows
+
+
+def test_local_sparql_extract_equals_local_match_at_any_page_size(rng):
+    kg = make_kg(random_kg_lines(rng, n_vertices=60, n_triples=300, literal_fraction=0.1))
+    for bgp in d2h2_queries():
+        direct = local_bgp_match(kg, bgp)
+        counts = get_graph_size(LocalBackend(kg), bgp)
+        for bs in (1, 7, max(counts)):
+            paged = local_sparql_extract(kg, bgp.task, d=2, h=2, bs=bs)
+            assert paged.triples == direct.triples
+            assert paged.vertices == direct.vertices
+
+
 def test_drop_duplicates_collapses_repeats(rng):
     kg = make_kg([nt("a", "p0", "b")])
-    row = (f"<{EX}a>", f"<{EX}p0>", f"<{EX}b>")
+    row = (kg.vertex_id(f"{EX}a"), kg.predicate_id(f"{EX}p0"), kg.vertex_id(f"{EX}b"))
     sg = drop_duplicates([row] * 5, kg=kg)
     assert len(sg.triples) == 1
     sg2 = drop_duplicates([], kg=kg)
@@ -236,7 +279,7 @@ def test_drop_duplicates_matches_sort_unique(rng):
     rows = []
     for s, p, o in kg.triples:
         for _ in range(rng.randrange(1, 4)):
-            rows.append((kg.term(s), kg.predicate_term(p), kg.term(o)))
+            rows.append((s, p, o))
     rng.shuffle(rows)
     sg = drop_duplicates(rows, kg=kg)
     assert list(sg.triples) == sorted(set(kg.triples))
