@@ -182,7 +182,6 @@ def cmd_extract(args) -> int:
             k=args.k,
             params=PprParams(alpha=args.alpha, epsilon=args.epsilon),
             seed=args.seed,
-            workers=args.workers,
         )
     else:
         sg = sparql_extract(
@@ -339,7 +338,8 @@ def build_parser() -> _Parser:
     p.add_argument("--walks-per-seed", type=int, default=1)
     p.add_argument("--direction", choices=("outgoing", "both"), default=BOTH)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="parallel page workers (sparql engine only)")
     p.add_argument("--timeout", type=float, default=60.0)
     p.add_argument("--retries", type=int, default=2)
     p.add_argument("--compress", action="store_true")

@@ -13,6 +13,7 @@ import io
 import logging
 import threading
 from dataclasses import dataclass
+from time import sleep
 
 import requests
 
@@ -21,6 +22,9 @@ from .graph import KnowledgeGraph, Subgraph, ingest_ntriples, subgraph_from_trip
 from .patterns import BgpQuery, LocalBackend, PatternTask, get_bgp
 
 log = logging.getLogger(__name__)
+
+RETRY_BACKOFF_S = 0.5  # pause before the first retry; doubles per retry
+RETRY_BACKOFF_CAP_S = 8.0
 
 
 @dataclass
@@ -77,6 +81,9 @@ class HttpBackend:
         cfg = self.config
         last_exc: Exception | None = None
         for attempt in range(cfg.retries + 1):
+            if attempt:
+                # let an overloaded endpoint recover instead of hammering it
+                sleep(min(RETRY_BACKOFF_S * 2 ** (attempt - 1), RETRY_BACKOFF_CAP_S))
             try:
                 if cfg.use_post:
                     resp = self.session.post(

@@ -18,6 +18,7 @@ import gzip
 import io
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import IoFailure, ParseError, UnknownType, UnknownVertex
 
@@ -43,6 +44,19 @@ _TRIPLE_RE = re.compile(
 )
 
 _GZIP_MAGIC = b"\x1f\x8b"
+
+
+class WalkIndex(NamedTuple):
+    """The walk adjacency as lists indexed by vertex id.
+
+    ``neighbors[v]`` is the sorted walk list of ``v`` (``()`` if none) and
+    ``degree[v]`` its length. ``distinct[v]`` is ``neighbors[v]`` itself
+    when the list has no repeats, else its distinct ids ascending.
+    """
+
+    neighbors: list
+    degree: list[int]
+    distinct: list
 
 
 def term_kind(surface: str) -> str:
@@ -170,6 +184,7 @@ class KnowledgeGraph:
         self.type_predicate: int | None = None
         self.type_predicate_iri: str = RDF_TYPE
         self._walk_adj: dict[str, dict[int, list[int]]] = {}
+        self._walk_index: dict[str, WalkIndex] = {}
 
     # -- dictionary ----------------------------------------------------
 
@@ -305,6 +320,28 @@ class KnowledgeGraph:
             lst.sort()
         self._walk_adj[direction] = adj
         return adj
+
+    def walk_index(self, direction: str) -> WalkIndex:
+        """:meth:`walk_adjacency` indexed by vertex id, sharing its lists.
+
+        Built once per direction and cached.
+        """
+        cached = self._walk_index.get(direction)
+        if cached is not None:
+            return cached
+        adj = self.walk_adjacency(direction)
+        n = len(self._terms)
+        neighbors: list = [()] * n
+        degree = [0] * n
+        distinct: list = [()] * n
+        for v, lst in adj.items():
+            neighbors[v] = lst
+            degree[v] = len(lst)
+            uniq = set(lst)
+            distinct[v] = lst if len(uniq) == len(lst) else sorted(uniq)
+        index = WalkIndex(neighbors, degree, distinct)
+        self._walk_index[direction] = index
+        return index
 
     def induced_subgraph(self, vs, keep_type_triples: bool = True) -> Subgraph:
         """Subgraph of all non-type triples with both endpoints in ``vs``.

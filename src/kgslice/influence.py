@@ -16,7 +16,6 @@ walk graphs.
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .errors import DuplicateTarget, EmptyTargetSet, KgsliceError
@@ -53,72 +52,82 @@ class InfluenceScores:
 def approximate_ppr(kg: KnowledgeGraph, source: int, params: PprParams) -> InfluenceScores:
     """Forward-push PPR estimate from one source vertex."""
     kg._check_vertex(source)
-    adj = kg.walk_adjacency(params.direction)
+    neighbors, degree, distinct = kg.walk_index(params.direction)
     alpha, eps = params.alpha, params.epsilon
+    keep = 1.0 - alpha
+    inf = float("inf")
     p: dict[int, float] = {}
     r: dict[int, float] = {source: 1.0}
+    p_get, r_get = p.get, r.get
+    push, pop = heapq.heappush, heapq.heappop
 
-    def ready(u: int, ru: float) -> bool:
-        deg = len(adj.get(u, ()))
-        return ru > 0.0 if deg == 0 else ru >= eps * deg
-
-    # lazy max-heap on residual/degree ratio, ties by vertex id
+    # lazy max-heap on residual/degree ratio, ties by vertex id; push order
+    # decides the scores bit for bit, so every branch below keeps it
     heap: list[tuple[float, int]] = []
 
     def enqueue(u: int) -> None:
-        ru = r.get(u, 0.0)
-        if ready(u, ru):
-            deg = len(adj.get(u, ()))
-            ratio = ru / deg if deg else float("inf")
-            heapq.heappush(heap, (-ratio, u))
+        ru = r_get(u, 0.0)
+        deg = degree[u]
+        if deg == 0:
+            if ru > 0.0:
+                push(heap, (-inf, u))
+        elif ru >= eps * deg:
+            push(heap, (-(ru / deg), u))
 
     enqueue(source)
     while heap:
-        neg_ratio, u = heapq.heappop(heap)
-        ru = r.get(u, 0.0)
-        nbrs = adj.get(u, ())
-        deg = len(nbrs)
-        if not ready(u, ru):
-            continue  # stale entry
-        current_ratio = ru / deg if deg else float("inf")
-        if current_ratio != -neg_ratio:
-            continue  # stale entry
+        neg_ratio, u = pop(heap)
+        ru = r_get(u, 0.0)
+        deg = degree[u]
         if deg == 0:
+            if not ru > 0.0 or neg_ratio != -inf:
+                continue  # stale entry
             if u == source:
                 # the walk can only teleport home: the whole residual converts
-                p[u] = p.get(u, 0.0) + ru
+                p[u] = p_get(u, 0.0) + ru
                 r[u] = 0.0
             else:
-                p[u] = p.get(u, 0.0) + alpha * ru
+                p[u] = p_get(u, 0.0) + alpha * ru
                 r[u] = 0.0
-                r[source] = r.get(source, 0.0) + (1.0 - alpha) * ru
+                r[source] = r_get(source, 0.0) + keep * ru
                 enqueue(source)
             continue
-        p[u] = p.get(u, 0.0) + alpha * ru
+        if ru < eps * deg or -(ru / deg) != neg_ratio:
+            continue  # stale entry
+        p[u] = p_get(u, 0.0) + alpha * ru
         r[u] = 0.0
-        share = (1.0 - alpha) * ru / deg
-        for w in nbrs:
-            r[w] = r.get(w, 0.0) + share
-        for w in set(nbrs):
-            enqueue(w)
+        share = keep * ru / deg
+        nbrs = neighbors[u]
+        if distinct[u] is nbrs:
+            # each neighbor gets one share, so its residual is final here
+            for w in nbrs:
+                rw = r_get(w, 0.0) + share
+                r[w] = rw
+                dw = degree[w]
+                if dw == 0:
+                    if rw > 0.0:
+                        push(heap, (-inf, w))
+                elif rw >= eps * dw:
+                    push(heap, (-(rw / dw), w))
+        else:
+            # parallel edges: all shares land before any neighbor is enqueued
+            for w in nbrs:
+                r[w] = r_get(w, 0.0) + share
+            for w in distinct[u]:
+                enqueue(w)
 
     residuals = {u: ru for u, ru in r.items() if ru > 0.0}
     scores = {u: pu for u, pu in p.items() if pu > 0.0}
     return InfluenceScores(source=source, scores=scores, residuals=residuals)
 
 
-def influence_scores(
-    kg: KnowledgeGraph, targets, params: PprParams, workers: int = 1
-) -> list[InfluenceScores]:
+def influence_scores(kg: KnowledgeGraph, targets, params: PprParams) -> list[InfluenceScores]:
     """One independent PPR run per target, returned in target order."""
     targets = list(targets)
     if not targets:
         raise EmptyTargetSet("no targets for influence scoring")
     if len(set(targets)) != len(targets):
         raise DuplicateTarget("duplicate target vertices")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda t: approximate_ppr(kg, t, params), targets))
     return [approximate_ppr(kg, t, params) for t in targets]
 
 
@@ -132,9 +141,9 @@ def select_topk(targets, scores: list[InfluenceScores], k: int) -> list[tuple[in
         raise KgsliceError("k must be >= 1")
     pairs: list[tuple[int, int]] = []
     for target, inf in zip(targets, scores):
-        candidates = [(u, s) for u, s in inf.scores.items() if u != target]
-        candidates.sort(key=lambda us: (-us[1], us[0]))
-        pairs.extend((target, u) for u, _ in candidates[:k])
+        # (-score, id) keys are unique, so this is the sorted order's first k
+        candidates = [(-s, u) for u, s in inf.scores.items() if u != target]
+        pairs.extend((target, u) for _, u in heapq.nsmallest(k, candidates))
     return pairs
 
 
@@ -144,23 +153,45 @@ def build_partition(kg: KnowledgeGraph, pairs, bs: int, rng) -> set[int]:
     Starts from a random target, then repeatedly adds the target whose
     neighbor set intersects the accumulated neighbor pool the most (ties
     by vertex id). Returns the chosen targets plus their neighbors.
+
+    Each target's overlap (its gain) is counted incrementally: a neighbor
+    entering the pool raises the gain of every target holding it by one.
     """
     if not pairs:
         raise KgsliceError("no (target, neighbor) pairs to partition")
     neighbor_sets: dict[int, set[int]] = {}
     for t, u in pairs:
         neighbor_sets.setdefault(t, set()).add(u)
-    remaining = sorted(neighbor_sets)
-    start = remaining[rng.randrange(len(remaining))]
-    selected = [start]
-    remaining.remove(start)
-    pool = set(neighbor_sets[start])
-    while remaining and len(selected) < bs:
-        best = max(remaining, key=lambda t: (len(neighbor_sets[t] & pool), -t))
-        remaining.remove(best)
-        selected.append(best)
-        pool |= neighbor_sets[best]
-    return set(selected) | pool
+    holders: dict[int, list[int]] = {}
+    for t, nbrs in neighbor_sets.items():
+        for u in nbrs:
+            holders.setdefault(u, []).append(t)
+    targets = sorted(neighbor_sets)
+    gain = dict.fromkeys(targets, 0)
+    # lazy heap of (-gain, t): gains only grow, so a target's newest entry
+    # pops before its older ones, which are skipped once it is selected
+    heap = [(0, t) for t in targets]  # sorted, hence already a heap
+    selected: set[int] = set()
+    pool: set[int] = set()
+
+    def select(t: int) -> None:
+        selected.add(t)
+        for u in neighbor_sets[t]:
+            if u in pool:
+                continue
+            pool.add(u)
+            for h in holders[u]:
+                if h not in selected:
+                    g = gain[h] + 1
+                    gain[h] = g
+                    heapq.heappush(heap, (-g, h))
+
+    select(targets[rng.randrange(len(targets))])
+    while heap and len(selected) < bs:
+        _, t = heapq.heappop(heap)
+        if t not in selected:
+            select(t)
+    return selected | pool
 
 
 def extract_influence(
@@ -170,7 +201,6 @@ def extract_influence(
     k: int,
     params: PprParams,
     seed: int = 0,
-    workers: int = 1,
 ) -> Subgraph:
     """Influence-based extraction: score, select top-k, partition, induce.
 
@@ -182,7 +212,7 @@ def extract_influence(
     targets = resolve_targets(kg, task)
     if not targets:
         raise EmptyTargetSet("task has no target vertices")
-    scores = influence_scores(kg, targets, params, workers=workers)
+    scores = influence_scores(kg, targets, params)
     pairs = select_topk(targets, scores, k)
     if pairs:
         partition = build_partition(kg, pairs, bs, _derived_rng(seed, "partition"))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import random
+import time
 
 import pytest
 
@@ -9,6 +10,27 @@ from kgslice.graph import KnowledgeGraph, ingest_ntriples
 
 EX = "http://ex/"
 TYPE_IRI = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
+
+
+class Budget:
+    """Fails the enclosed block if it runs longer than ``seconds``."""
+
+    def __init__(self, name: str, seconds: float):
+        self.name = name
+        self.seconds = seconds
+
+    def __enter__(self):
+        self.start = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        elapsed = time.perf_counter() - self.start
+        if exc_type is None:
+            assert elapsed < self.seconds, (
+                f"{self.name} exceeded its {self.seconds}s budget: {elapsed:.2f}s"
+            )
+            print(f"ACCEPTANCE {self.name}: PASS ({elapsed:.3f}s)")
+        return False
 
 
 def iri(name: str) -> str:

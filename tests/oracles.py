@@ -6,6 +6,7 @@ brute-force scans, dense matrices, textbook algorithms. Keep it that way.
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter, deque
 
@@ -136,6 +137,89 @@ def power_iteration_ppr(adj, n_vertices, source, alpha, tol=1e-12, max_iter=1000
             return nxt
         p = nxt
     return p
+
+
+def reference_forward_push(adj, source, alpha, eps):
+    """Forward-push PPR over a dict adjacency: (scores, residuals) dicts.
+
+    Pops by (residual/degree, id) from a lazy heap and enqueues neighbors
+    only after all their shares landed; a degree-0 vertex returns its
+    residual to the source. The package's push must match it bit for bit,
+    since any change in push order shifts the scores.
+    """
+    p: dict[int, float] = {}
+    r: dict[int, float] = {source: 1.0}
+
+    def ready(u: int, ru: float) -> bool:
+        deg = len(adj.get(u, ()))
+        return ru > 0.0 if deg == 0 else ru >= eps * deg
+
+    # lazy max-heap on residual/degree ratio, ties by vertex id
+    heap: list[tuple[float, int]] = []
+
+    def enqueue(u: int) -> None:
+        ru = r.get(u, 0.0)
+        if ready(u, ru):
+            deg = len(adj.get(u, ()))
+            ratio = ru / deg if deg else float("inf")
+            heapq.heappush(heap, (-ratio, u))
+
+    enqueue(source)
+    while heap:
+        neg_ratio, u = heapq.heappop(heap)
+        ru = r.get(u, 0.0)
+        nbrs = adj.get(u, ())
+        deg = len(nbrs)
+        if not ready(u, ru):
+            continue  # stale entry
+        current_ratio = ru / deg if deg else float("inf")
+        if current_ratio != -neg_ratio:
+            continue  # stale entry
+        if deg == 0:
+            if u == source:
+                # the walk can only teleport home: the whole residual converts
+                p[u] = p.get(u, 0.0) + ru
+                r[u] = 0.0
+            else:
+                p[u] = p.get(u, 0.0) + alpha * ru
+                r[u] = 0.0
+                r[source] = r.get(source, 0.0) + (1.0 - alpha) * ru
+                enqueue(source)
+            continue
+        p[u] = p.get(u, 0.0) + alpha * ru
+        r[u] = 0.0
+        share = (1.0 - alpha) * ru / deg
+        for w in nbrs:
+            r[w] = r.get(w, 0.0) + share
+        for w in set(nbrs):
+            enqueue(w)
+
+    residuals = {u: ru for u, ru in r.items() if ru > 0.0}
+    scores = {u: pu for u, pu in p.items() if pu > 0.0}
+    return scores, residuals
+
+
+def rescan_partition(pairs, bs: int, rng) -> set[int]:
+    """Greedy max-overlap batch that rescans every remaining target per pick.
+
+    Starts from a random target, then repeatedly adds the target whose
+    neighbor set intersects the accumulated neighbor pool the most (ties
+    by vertex id). Returns the chosen targets plus their neighbors.
+    """
+    neighbor_sets: dict[int, set[int]] = {}
+    for t, u in pairs:
+        neighbor_sets.setdefault(t, set()).add(u)
+    remaining = sorted(neighbor_sets)
+    start = remaining[rng.randrange(len(remaining))]
+    selected = [start]
+    remaining.remove(start)
+    pool = set(neighbor_sets[start])
+    while remaining and len(selected) < bs:
+        best = max(remaining, key=lambda t: (len(neighbor_sets[t] & pool), -t))
+        remaining.remove(best)
+        selected.append(best)
+        pool |= neighbor_sets[best]
+    return set(selected) | pool
 
 
 def entropy_of_counts(counts) -> float:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 import resource
-import time
 
 import numpy as np
 import pytest
@@ -37,7 +36,7 @@ from kgslice.rgcn import (
 from kgslice.tasks import SplitSpec, TaskSpec, build_labels, make_splits, resolve_targets
 from kgslice.walks import WalkParams, extract_random_walk
 
-from conftest import EX, iri, make_kg, nt, random_kg_lines
+from conftest import EX, Budget, iri, make_kg, nt, random_kg_lines
 from oracles import dense_rgcn_forward, entropy_of_counts, pattern_triples, power_iteration_ppr
 
 REFERENCE_D2H1 = """
@@ -49,25 +48,6 @@ select ?s ?p ?o {
     where  {?v a <TYPE>.
             ?s ?p ?v.} }
 """
-
-
-class Budget:
-    def __init__(self, name: str, seconds: float):
-        self.name = name
-        self.seconds = seconds
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        elapsed = time.perf_counter() - self.start
-        if exc_type is None:
-            assert elapsed < self.seconds, (
-                f"{self.name} exceeded its {self.seconds}s budget: {elapsed:.2f}s"
-            )
-            print(f"ACCEPTANCE {self.name}: PASS ({elapsed:.3f}s)")
-        return False
 
 
 def nc_task(kg, type_name="T0"):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from kgslice import endpoint
 from kgslice.endpoint import (
     EndpointConfig,
     HttpBackend,
@@ -23,6 +24,14 @@ from sparql_double import SparqlDouble
 @pytest.fixture
 def kg(rng):
     return make_kg(random_kg_lines(rng, n_vertices=50, n_triples=200, literal_fraction=0.1))
+
+
+@pytest.fixture(autouse=True)
+def sleeps(monkeypatch):
+    """Retry pauses, recorded instead of slept."""
+    pauses = []
+    monkeypatch.setattr(endpoint, "sleep", pauses.append)
+    return pauses
 
 
 @pytest.fixture
@@ -71,22 +80,24 @@ def test_empty_graph_counts_are_zero(double):
         server.close()
 
 
-def test_transient_500_retried(kg, double):
+def test_transient_500_retried(kg, double, sleeps):
     bgp = get_bgp(nc_pattern(), 1, 1)
     double.register(bgp)
     double.fail_budget = 1
     backend = HttpBackend(EndpointConfig(url=double.url, retries=2))
     counts = get_graph_size(backend, bgp)
     assert counts == [LocalBackend(kg).branch_count(bgp, 0)]
+    assert sleeps == [0.5]
 
 
-def test_client_error_rejected_immediately(kg, double):
+def test_client_error_rejected_immediately(kg, double, sleeps):
     bgp = get_bgp(nc_pattern(), 1, 1)
     # not registered: the double answers 400
     backend = HttpBackend(EndpointConfig(url=double.url, retries=3))
     with pytest.raises(QueryRejected) as exc:
         get_graph_size(backend, bgp)
     assert exc.value.status == 400
+    assert sleeps == []
 
 
 def test_unreachable_endpoint(kg):
@@ -123,7 +134,7 @@ def test_capped_page_fails_loudly(kg, double):
         sparql_extract(backend, task, d=2, h=1, bs=5)
 
 
-def test_rejected_page_sent_once(kg, double):
+def test_rejected_page_sent_once(kg, double, sleeps):
     bgp = get_bgp(nc_pattern(), 1, 1)
     # counted locally, never registered: the double answers every page 400
     plan = execution_planner(bgp, get_graph_size(LocalBackend(kg), bgp), bs=5)
@@ -132,9 +143,10 @@ def test_rejected_page_sent_once(kg, double):
         execute_plan(backend, bgp, plan)
     assert isinstance(exc.value.cause, QueryRejected) and exc.value.cause.status == 400
     assert len(double.seen_headers) == 1
+    assert sleeps == []
 
 
-def test_failing_page_sent_retries_plus_one_times(kg, double):
+def test_failing_page_sent_retries_plus_one_times(kg, double, sleeps):
     bgp = get_bgp(nc_pattern(), 1, 1)
     double.register(bgp)
     backend = HttpBackend(EndpointConfig(url=double.url, retries=2))
@@ -145,6 +157,19 @@ def test_failing_page_sent_retries_plus_one_times(kg, double):
         execute_plan(backend, bgp, plan)
     assert isinstance(exc.value.cause, QueryRejected) and exc.value.cause.status == 500
     assert len(double.seen_headers) == 3
+    assert sleeps == [0.5, 1.0]
+
+
+def test_retry_backoff_doubles_up_to_cap(kg, double, sleeps):
+    bgp = get_bgp(nc_pattern(), 1, 1)
+    double.register(bgp)
+    double.always_fail_pages = True
+    plan = execution_planner(bgp, get_graph_size(LocalBackend(kg), bgp), bs=1000)
+    backend = HttpBackend(EndpointConfig(url=double.url, retries=6))
+    with pytest.raises(JobFailed):
+        execute_plan(backend, bgp, plan)
+    assert len(double.seen_headers) == 7
+    assert sleeps == [0.5, 1.0, 2.0, 4.0, 8.0, 8.0]
 
 
 def test_compression_and_bearer_token(kg, double):

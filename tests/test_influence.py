@@ -6,7 +6,7 @@ import random
 import pytest
 
 from kgslice.errors import DuplicateTarget, EmptyTargetSet
-from kgslice.graph import BOTH
+from kgslice.graph import BOTH, OUTGOING
 from kgslice.influence import (
     InfluenceScores,
     PprParams,
@@ -18,8 +18,8 @@ from kgslice.influence import (
 )
 from kgslice.tasks import TaskSpec
 
-from conftest import EX, make_kg, nt, random_kg
-from oracles import power_iteration_ppr
+from conftest import EX, Budget, make_kg, nt, random_kg
+from oracles import power_iteration_ppr, reference_forward_push, rescan_partition
 
 
 def nc_task(kg, type_name="T"):
@@ -115,12 +115,47 @@ def test_influence_scores_match_standalone(rng):
         assert inf.scores == solo.scores
 
 
-def test_influence_scores_threaded_identical(rng):
-    kg = random_kg(rng, n_vertices=80, n_triples=200)
-    targets = rng.sample(range(kg.vertex_count()), 8)
-    a = influence_scores(kg, targets, PprParams(), workers=1)
-    b = influence_scores(kg, targets, PprParams(), workers=4)
-    assert [x.scores for x in a] == [y.scores for y in b]
+def edge_case_kg():
+    """Parallel edges, a self-loop, a literal, an OUTGOING sink, an isolated vertex."""
+    return make_kg([
+        nt("a", "p0", "b"), nt("a", "p1", "b"), nt("a", "p0", "a"),
+        nt("a", "p0", '"lit"'), nt("b", "p0", "c"), nt("z", "a", "T"),
+    ])
+
+
+def random_push_kg(rng, n=50, m=140):
+    lines = [nt(f"v{v}", "a", "T") for v in range(n)]
+    for _ in range(m):
+        s, o, roll = rng.randrange(n), rng.randrange(n), rng.random()
+        if roll < 0.1:
+            lines.append(nt(f"v{s}", "p0", f'"lit{o % 7}"'))
+        elif roll < 0.2:
+            lines.append(nt(f"v{s}", "p0", f"v{s}"))
+        else:
+            lines.append(nt(f"v{s}", "p0", f"v{o}"))
+            if roll < 0.35:
+                lines.append(nt(f"v{s}", "p1", f"v{o}"))
+    return make_kg(lines)
+
+
+@pytest.mark.parametrize("direction", [BOTH, OUTGOING])
+def test_push_matches_reference_bit_for_bit(direction):
+    kgs = [edge_case_kg()] + [random_push_kg(random.Random(seed)) for seed in range(3)]
+    index = kgs[0].walk_index(direction)
+    a, b, c, z = (kgs[0].vertex_id(f"{EX}{name}") for name in "abcz")
+    assert index.distinct[a] is not index.neighbors[a]  # parallel edges
+    assert index.degree[z] == 0
+    assert index.degree[c] == (0 if direction == OUTGOING else 1)
+    for kg in kgs:
+        adj = kg.walk_adjacency(direction)
+        for params in (PprParams(direction=direction),
+                       PprParams(alpha=0.15, epsilon=1e-5, direction=direction)):
+            for source in range(kg.vertex_count()):
+                inf = approximate_ppr(kg, source, params)
+                scores, residuals = reference_forward_push(
+                    adj, source, params.alpha, params.epsilon)
+                assert inf.scores == scores
+                assert inf.residuals == residuals
 
 
 def test_select_topk_single_entry():
@@ -191,6 +226,31 @@ def test_build_partition_prefers_overlapping_cluster():
 
     best = max(itertools.combinations(neighbor_sets, 3), key=overlap)
     assert set(best) in ({1, 2, 3}, {7, 8, 9})
+
+
+def test_build_partition_matches_rescan_oracle():
+    for trial in range(300):
+        local = random.Random(trial)
+        n_targets = 1 if trial % 50 == 0 else local.randint(2, 30)
+        # targets and neighbors share one id range, so targets are also
+        # other targets' neighbors
+        pairs = [
+            (t, u)
+            for t in local.sample(range(60), n_targets)
+            for u in local.sample(range(60), local.randint(1, 8))
+        ]
+        local.shuffle(pairs)
+        for bs in (1, local.randint(1, n_targets), n_targets, n_targets + 5):
+            got = build_partition(None, pairs, bs, random.Random(trial))
+            assert got == rescan_partition(pairs, bs, random.Random(trial)), (trial, bs)
+
+
+def test_build_partition_budget_20k_targets():
+    local = random.Random(5)
+    pairs = [(t, u) for t in range(20000) for u in local.sample(range(200000), 16)]
+    with Budget("ibs-partition-20k", 10.0):
+        got = build_partition(None, pairs, bs=20000, rng=random.Random(0))
+    assert got == set(range(20000)) | {u for _, u in pairs}
 
 
 def test_extract_isolated_targets():
