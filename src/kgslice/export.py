@@ -43,10 +43,6 @@ class ExportBundle:
     outdir: Path
     manifest: dict
 
-    @property
-    def manifest_path(self) -> Path:
-        return self.outdir / "manifest.json"
-
 
 def _primary_types(sg: Subgraph) -> dict[int, str]:
     kg = sg.kg

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import IoFailure, ParseError, UnknownType, UnknownVertex
+from .errors import IoFailure, ParseError, UnknownPredicate, UnknownType, UnknownVertex
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
@@ -124,13 +124,6 @@ class Subgraph:
         """Sorted non-literal members of the entity view."""
         kg = self.kg
         return sorted(v for v in self.vertices if kg.kind(v) != KIND_LITERAL)
-
-    def literal_vertices(self) -> list[int]:
-        kg = self.kg
-        return sorted(v for v in self.vertices if kg.kind(v) == KIND_LITERAL)
-
-    def triple_count(self) -> int:
-        return len(self.triples)
 
     def restricted(self, keep) -> "Subgraph":
         """This subgraph cut down to the given vertices.
@@ -238,8 +231,6 @@ class KnowledgeGraph:
         surface = iri_or_surface if iri_or_surface.startswith("<") else f"<{iri_or_surface}>"
         pid = self._pred_ids.get(surface)
         if pid is None:
-            from .errors import UnknownPredicate
-
             raise UnknownPredicate(iri_or_surface)
         return pid
 
@@ -491,3 +482,34 @@ def subgraph_from_triples(kg: KnowledgeGraph, triples, provenance=None, base_ver
             vertices.add(s)
             vertices.add(o)
     return Subgraph(kg, tuple(tset), frozenset(vertices), provenance or {})
+
+
+def undirected_adjacency(triples) -> dict[int, set[int]]:
+    """Vertex -> its distinct neighbors over ``triples`` viewed undirected."""
+    adj: dict[int, set[int]] = {}
+    for s, _, o in triples:
+        adj.setdefault(s, set()).add(o)
+        adj.setdefault(o, set()).add(s)
+    return adj
+
+
+def hop_distances(adj, sources, max_hops: int | None = None) -> dict[int, int]:
+    """Hop count from the nearest source to each vertex, breadth first.
+
+    ``adj`` maps a vertex to its neighbors. The result covers every vertex
+    within ``max_hops`` of a source (every reachable one when None);
+    sources are at distance 0.
+    """
+    dist = dict.fromkeys(sources, 0)
+    frontier = list(dist)
+    hops = 0
+    while frontier and hops != max_hops:
+        hops += 1
+        reached = []
+        for u in frontier:
+            for w in adj.get(u, ()):
+                if w not in dist:
+                    dist[w] = hops
+                    reached.append(w)
+        frontier = reached
+    return dist

@@ -19,7 +19,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from .errors import DuplicateTarget, EmptyTargetSet, KgsliceError
-from .graph import BOTH, OUTGOING, KnowledgeGraph, Subgraph
+from .graph import BOTH, OUTGOING, KnowledgeGraph, Subgraph, hop_distances, undirected_adjacency
 from .tasks import TaskSpec, resolve_targets
 from .walks import _derived_rng, get_initial_vertices
 
@@ -147,7 +147,7 @@ def select_topk(targets, scores: list[InfluenceScores], k: int) -> list[tuple[in
     return pairs
 
 
-def build_partition(kg: KnowledgeGraph, pairs, bs: int, rng) -> set[int]:
+def build_partition(pairs, bs: int, rng) -> set[int]:
     """Greedy batch of bs targets whose neighbor sets overlap most.
 
     Starts from a random target, then repeatedly adds the target whose
@@ -215,25 +215,14 @@ def extract_influence(
     scores = influence_scores(kg, targets, params)
     pairs = select_topk(targets, scores, k)
     if pairs:
-        partition = build_partition(kg, pairs, bs, _derived_rng(seed, "partition"))
+        partition = build_partition(pairs, bs, _derived_rng(seed, "partition"))
     else:
         # every target is isolated in the walk graph: plain target batch
         partition = set(get_initial_vertices(bs, targets, seed))
     sg = kg.induced_subgraph(partition, keep_type_triples=True)
 
-    in_sg_targets = set(targets) & sg.vertices
-    adj: dict[int, set[int]] = {}
-    for s, _, o in sg.non_type_triples:
-        adj.setdefault(s, set()).add(o)
-        adj.setdefault(o, set()).add(s)
-    reachable = set(in_sg_targets)
-    frontier = list(in_sg_targets)
-    while frontier:
-        u = frontier.pop()
-        for w in adj.get(u, ()):
-            if w not in reachable:
-                reachable.add(w)
-                frontier.append(w)
+    adj = undirected_adjacency(sg.non_type_triples)
+    reachable = set(hop_distances(adj, set(targets) & sg.vertices))
     if reachable != sg.vertices:
         sg = kg.induced_subgraph(reachable, keep_type_triples=True)
     sg.provenance = {

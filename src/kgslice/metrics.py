@@ -14,11 +14,11 @@ type-annotated extractions are still measured against real vertex types.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import EmptySubgraph
-from .graph import KIND_LITERAL, KnowledgeGraph, Subgraph
+from .graph import KIND_LITERAL, KnowledgeGraph, Subgraph, hop_distances, undirected_adjacency
 from .tasks import TaskSpec, resolve_targets
 
 
@@ -49,26 +49,6 @@ class QualityReport:
         ("avg_distance_to_target", "avg dist to target"),
         ("neighbor_type_entropy", "entropy (bits)"),
     )
-
-
-def _undirected_adjacency(sg: Subgraph) -> dict[int, set[int]]:
-    adj: dict[int, set[int]] = {}
-    for s, _, o in sg.non_type_triples:
-        adj.setdefault(s, set()).add(o)
-        adj.setdefault(o, set()).add(s)
-    return adj
-
-
-def _multi_source_bfs(adj, sources) -> dict[int, int]:
-    dist = {s: 0 for s in sources}
-    queue = deque(sorted(sources))
-    while queue:
-        u = queue.popleft()
-        for w in adj.get(u, ()):
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
 
 
 def neighbor_type_counts(sg: Subgraph) -> dict[int, int]:
@@ -122,7 +102,7 @@ def disconnected_ratio(sg: Subgraph, targets) -> float:
     non_targets = [v for v in sg.vertices if v not in targets]
     if not non_targets:
         return 0.0
-    dist = _multi_source_bfs(_undirected_adjacency(sg), targets)
+    dist = hop_distances(undirected_adjacency(sg.non_type_triples), targets)
     n_disconnected = sum(1 for v in non_targets if v not in dist)
     return 100.0 * n_disconnected / len(non_targets)
 
@@ -134,7 +114,7 @@ def avg_distance_to_target(sg: Subgraph, targets) -> tuple[float, int]:
     disconnected_ratio. A zero count means there was nothing to average.
     """
     targets = set(targets) & sg.vertices
-    dist = _multi_source_bfs(_undirected_adjacency(sg), targets)
+    dist = hop_distances(undirected_adjacency(sg.non_type_triples), targets)
     reached = [d for v, d in dist.items() if v not in targets and v in sg.vertices]
     if not reached:
         return 0.0, 0

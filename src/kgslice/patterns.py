@@ -1,8 +1,10 @@
 """Graph-pattern queries over target neighborhoods.
 
 A pattern query is a union of independently executable branch
-sub-queries, one per directed hop shape. ``d`` picks the edge direction
-regime (1 = outgoing only, 2 = both), ``h`` the hop radius (1 or 2).
+sub-queries, one per hop shape: a tuple of edge directions ("out" or
+"in") walked from a target. ``d`` picks the directions (1 = outgoing
+only, 2 = both), ``h`` the hop radius (1 or 2); the branches cover every
+shape of 1 to h hops. The last hop of a shape is the edge it returns.
 Each branch can be rendered as standalone SPARQL (for an endpoint) or
 evaluated directly against a local KnowledgeGraph and paged with the same
 LIMIT/OFFSET arithmetic over a fixed row order, which makes paginated
@@ -14,20 +16,14 @@ endpoint types through the task's bridge predicate.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
-from .errors import UnknownType, UnsupportedParams
+from .errors import UnknownPredicate, UnknownType, UnsupportedParams
 from .graph import RDF_TYPE, KnowledgeGraph, Subgraph, subgraph_from_triples
 from .tasks import LINK_PREDICTION, NODE_CLASSIFICATION, TaskSpec
 
-# hop shapes; the second edge of a 2-hop shape is the one emitted
-OUT1 = "out"
-IN1 = "in"
-OUT_OUT = "out-out"
-OUT_IN = "out-in"
-IN_OUT = "in-out"
-IN_IN = "in-in"
-BRIDGE = "bridge"
+BRIDGE = "bridge"  # shape of the LP branch that returns the bridge edges
 
 SUBJECT_SIDE = "subject"
 OBJECT_SIDE = "object"
@@ -60,9 +56,9 @@ def pattern_task_for(kg: KnowledgeGraph, task: TaskSpec) -> PatternTask:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Branch:
-    shape: str
+    shape: tuple[str, ...] | str  # hop directions ("out"/"in") in order, or BRIDGE
     side: str | None  # None for NC, else subject/object anchor of an LP task
     select_clause: str
     where_text: str
@@ -92,87 +88,42 @@ class BgpQuery:
     branches: list[Branch] = field(default_factory=list)
 
 
-def _nc_shapes(d: int, h: int) -> list[str]:
-    shapes = [OUT1]
-    if d == 2:
-        shapes.append(IN1)
-    if h == 2:
-        shapes.append(OUT_OUT)
-        if d == 2:
-            shapes.extend([OUT_IN, IN_OUT, IN_IN])
-    return shapes
-
-
 # Expansion hops never traverse the type-assertion predicate and edges
 # arriving at a reached vertex are only retained for real relations:
 # type triples enter a result solely as attributes of reached vertices.
 # That keeps every extracted vertex path-connected to a target (the
 # whole point of the pattern) instead of chaining through class IRIs.
-# The executable branch texts carry the matching FILTERs; the plain h=1
-# display form of the full query text is unaffected.
-_NC_BRANCH = {
-    OUT1: ("select ?v as ?s ?p ?o", "?v a <{T}> . ?v ?p ?o ."),
-    IN1: (
-        "select ?s ?p ?v as ?o",
-        "?v a <{T}> . ?s ?p ?v . filter (?p != <{TP}>)",
-    ),
-    OUT_OUT: (
-        "select ?o1 as ?s ?p ?o",
-        "?v a <{T}> . ?v ?p1 ?o1 . ?o1 ?p ?o . filter (?p1 != <{TP}>)",
-    ),
-    OUT_IN: (
-        "select ?s ?p ?o1 as ?o",
-        "?v a <{T}> . ?v ?p1 ?o1 . ?s ?p ?o1 . filter (?p1 != <{TP}> && ?p != <{TP}>)",
-    ),
-    IN_OUT: (
-        "select ?s1 as ?s ?p ?o",
-        "?v a <{T}> . ?s1 ?p1 ?v . ?s1 ?p ?o . filter (?p1 != <{TP}>)",
-    ),
-    IN_IN: (
-        "select ?s ?p ?s1 as ?o",
-        "?v a <{T}> . ?s1 ?p1 ?v . ?s ?p ?s1 . filter (?p1 != <{TP}> && ?p != <{TP}>)",
-    ),
-}
+# The executable branch texts carry the matching FILTERs; the h=1
+# display form of the NC query and the LP union arms leave them off.
+def _render(shape: tuple[str, ...], anchor: str, tp: str) -> tuple[str, str, str, str]:
+    """SPARQL pieces of a hop shape walked from ``anchor``.
 
-# LP branch pieces; {var} is ?vi or ?vj depending on the anchored side
-_LP_SHAPE_PATTERNS = {
-    OUT1: ("select distinct {var} as ?s ?p ?o", "{var} ?p ?o ."),
-    IN1: (
-        "select distinct ?s ?p {var} as ?o",
-        "?s ?p {var} . filter (?p != <{TP}>)",
-    ),
-    OUT_OUT: (
-        "select distinct ?o1 as ?s ?p ?o",
-        "{var} ?p1 ?o1 . ?o1 ?p ?o . filter (?p1 != <{TP}>)",
-    ),
-    OUT_IN: (
-        "select distinct ?s ?p ?o1 as ?o",
-        "{var} ?p1 ?o1 . ?s ?p ?o1 . filter (?p1 != <{TP}> && ?p != <{TP}>)",
-    ),
-    IN_OUT: (
-        "select distinct ?s1 as ?s ?p ?o",
-        "?s1 ?p1 {var} . ?s1 ?p ?o . filter (?p1 != <{TP}>)",
-    ),
-    IN_IN: (
-        "select distinct ?s ?p ?s1 as ?o",
-        "?s1 ?p1 {var} . ?s ?p ?s1 . filter (?p1 != <{TP}> && ?p != <{TP}>)",
-    ),
-}
-
-_LP_UNION_ARMS = {
-    (SUBJECT_SIDE, OUT1): "{ ?vi ?p ?o . bind (?vi as ?s) }",
-    (SUBJECT_SIDE, IN1): "{ ?s ?p ?vi . bind (?vi as ?o) }",
-    (SUBJECT_SIDE, OUT_OUT): "{ ?vi ?p1 ?o1 . ?o1 ?p ?o . bind (?o1 as ?s) }",
-    (SUBJECT_SIDE, OUT_IN): "{ ?vi ?p1 ?o1 . ?s ?p ?o1 . bind (?o1 as ?o) }",
-    (SUBJECT_SIDE, IN_OUT): "{ ?s1 ?p1 ?vi . ?s1 ?p ?o . bind (?s1 as ?s) }",
-    (SUBJECT_SIDE, IN_IN): "{ ?s1 ?p1 ?vi . ?s ?p ?s1 . bind (?s1 as ?o) }",
-    (OBJECT_SIDE, OUT1): "{ ?vj ?p ?o . bind (?vj as ?s) }",
-    (OBJECT_SIDE, IN1): "{ ?s ?p ?vj . bind (?vj as ?o) }",
-    (OBJECT_SIDE, OUT_OUT): "{ ?vj ?p1 ?o1 . ?o1 ?p ?o . bind (?o1 as ?s) }",
-    (OBJECT_SIDE, OUT_IN): "{ ?vj ?p1 ?o1 . ?s ?p ?o1 . bind (?o1 as ?o) }",
-    (OBJECT_SIDE, IN_OUT): "{ ?s1 ?p1 ?vj . ?s1 ?p ?o . bind (?s1 as ?s) }",
-    (OBJECT_SIDE, IN_IN): "{ ?s1 ?p1 ?vj . ?s ?p ?s1 . bind (?s1 as ?o) }",
-}
+    Returns (projection, bind, triple patterns, FILTER). Expansion hop i
+    binds ``?pi`` and ``?oi`` (outgoing) or ``?si`` (incoming); the last
+    hop matches ``?s ?p ?o`` with the vertex it leaves from standing in for
+    ``?s`` or ``?o``, which ``bind`` states as ``"?x as ?s"`` or
+    ``"?x as ?o"``. The FILTER is empty or starts with a space.
+    """
+    var, patterns, conditions = anchor, [], []
+    for i, hop in enumerate(shape[:-1], 1):
+        if hop == "out":
+            patterns.append(f"{var} ?p{i} ?o{i} .")
+            var = f"?o{i}"
+        else:
+            patterns.append(f"?s{i} ?p{i} {var} .")
+            var = f"?s{i}"
+        conditions.append(f"?p{i} != <{tp}>")
+    if shape[-1] == "out":
+        patterns.append(f"{var} ?p ?o .")
+        bind = f"{var} as ?s"
+        projection = f"{bind} ?p ?o"
+    else:
+        patterns.append(f"?s ?p {var} .")
+        conditions.append(f"?p != <{tp}>")
+        bind = f"{var} as ?o"
+        projection = f"?s ?p {bind}"
+    filt = f" filter ({' && '.join(conditions)})" if conditions else ""
+    return projection, bind, " ".join(patterns), filt
 
 
 def get_bgp(task: PatternTask, d: int, h: int) -> BgpQuery:
@@ -181,25 +132,18 @@ def get_bgp(task: PatternTask, d: int, h: int) -> BgpQuery:
         raise UnsupportedParams(f"d must be 1 or 2, got {d}")
     if h not in (1, 2):
         raise UnsupportedParams(f"h must be 1 or 2, got {h}")
+    dirs = ("out",) if d == 1 else ("out", "in")
+    shapes = [shape for n in range(1, h + 1) for shape in itertools.product(dirs, repeat=n)]
+    tp = task.type_predicate_iri
 
     if task.kind == NODE_CLASSIFICATION:
-        t = task.target_type_iri
-        tp = task.type_predicate_iri
-        branches = []
-        for shape in _nc_shapes(d, h):
-            select_clause, body = _NC_BRANCH[shape]
-            branches.append(
-                Branch(shape, None, select_clause, body.replace("{T}", t).replace("{TP}", tp))
-            )
-        if h == 1:
-            # reference display form: plain one-hop patterns, no filters
-            display = {
-                OUT1: "select ?v as ?s ?p ?o where { ?v a <{T}> . ?v ?p ?o . }",
-                IN1: "select ?s ?p ?v as ?o where { ?v a <{T}> . ?s ?p ?v . }",
-            }
-            parts = [display[b.shape].replace("{T}", t) for b in branches]
-        else:
-            parts = [b.text for b in branches]
+        prefix = f"?v a <{task.target_type_iri}> ."
+        branches, display = [], []
+        for shape in shapes:
+            projection, _, patterns, filt = _render(shape, "?v", tp)
+            branches.append(Branch(shape, None, f"select {projection}", f"{prefix} {patterns}{filt}"))
+            display.append(f"select {projection} where {{ {prefix} {patterns} }}")
+        parts = display if h == 1 else [b.text for b in branches]
         full = "select ?s ?p ?o { " + " union ".join(parts) + " }"
         return BgpQuery(task=task, d=d, h=h, full_text=full, branches=branches)
 
@@ -208,37 +152,21 @@ def get_bgp(task: PatternTask, d: int, h: int) -> BgpQuery:
     if task.target_predicate_iri is None:
         raise UnsupportedParams("link prediction pattern needs a bridge predicate")
 
-    ti = task.target_type_iri
     pt = task.target_predicate_iri
-    tp = task.type_predicate_iri
-    prefix = f"?vi a <{ti}> . "
+    prefix = f"?vi a <{task.target_type_iri}> . "
     if task.object_type_iri:
         prefix += f"?vj a <{task.object_type_iri}> . "
     prefix += f"?vi <{pt}> ?vj ."
 
-    branches = [
-        Branch(
-            BRIDGE,
-            None,
-            f"select ?vi as ?s <{pt}> as ?p ?vj as ?o",
-            prefix,
-        )
-    ]
-    shapes = _nc_shapes(d, h)
+    branches = [Branch(BRIDGE, None, f"select ?vi as ?s <{pt}> as ?p ?vj as ?o", prefix)]
     arms = ["{ bind (?vi as ?s) bind (<" + pt + "> as ?p) bind (?vj as ?o) }"]
     for side, var in ((SUBJECT_SIDE, "?vi"), (OBJECT_SIDE, "?vj")):
         for shape in shapes:
-            select_clause, body = _LP_SHAPE_PATTERNS[shape]
-            body = body.replace("{var}", var).replace("{TP}", tp)
+            projection, bind, patterns, filt = _render(shape, var, tp)
             branches.append(
-                Branch(
-                    shape,
-                    side,
-                    select_clause.replace("{var}", var),
-                    f"{prefix} {body}",
-                )
+                Branch(shape, side, f"select distinct {projection}", f"{prefix} {patterns}{filt}")
             )
-            arms.append(_LP_UNION_ARMS[(side, shape)])
+            arms.append(f"{{ {patterns} bind ({bind}) }}")
     full = "select ?s ?p ?o where { " + prefix + " " + " union ".join(arms) + " }"
     return BgpQuery(task=task, d=d, h=h, full_text=full, branches=branches)
 
@@ -269,8 +197,7 @@ class LocalBackend:
 
     def __init__(self, kg: KnowledgeGraph):
         self.kg = kg
-        self._cache: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        self._pinned: list[BgpQuery] = []  # keeps cache keys' id()s valid
+        self._cache: dict[Branch, list[tuple[int, int, int]]] = {}
 
     def describe(self) -> str:
         return "local"
@@ -287,7 +214,7 @@ class LocalBackend:
         task = bgp.task
         try:
             pt = kg.predicate_id(task.target_predicate_iri)
-        except Exception:
+        except UnknownPredicate:
             return [], [], []
         subj_ok = set(self._type_instances(task.target_type_iri))
         obj_ok = (
@@ -304,53 +231,24 @@ class LocalBackend:
         objects = sorted({o for _, o in pairs})
         return subjects, objects, sorted(pairs)
 
-    def _emit(self, anchors, shape: str) -> list[tuple[int, int, int]]:
-        out = self.kg.out_index
-        inx = self.kg.in_index
-        tp = self.kg.type_predicate
-        rows: list[tuple[int, int, int]] = []
-        if shape == OUT1:
-            for v in anchors:
-                rows.extend((v, p, o) for p, o in out.get(v, ()))
-        elif shape == IN1:
-            for v in anchors:
-                rows.extend((s, p, v) for p, s in inx.get(v, ()) if p != tp)
-        elif shape == OUT_OUT:
-            for v in anchors:
-                for p1, o1 in out.get(v, ()):
-                    if p1 == tp:
-                        continue
-                    rows.extend((o1, p, o) for p, o in out.get(o1, ()))
-        elif shape == OUT_IN:
-            for v in anchors:
-                for p1, o1 in out.get(v, ()):
-                    if p1 == tp:
-                        continue
-                    rows.extend((s, p, o1) for p, s in inx.get(o1, ()) if p != tp)
-        elif shape == IN_OUT:
-            for v in anchors:
-                for p1, s1 in inx.get(v, ()):
-                    if p1 == tp:
-                        continue
-                    rows.extend((s1, p, o) for p, o in out.get(s1, ()))
-        elif shape == IN_IN:
-            for v in anchors:
-                for p1, s1 in inx.get(v, ()):
-                    if p1 == tp:
-                        continue
-                    rows.extend((s, p, s1) for p, s in inx.get(s1, ()) if p != tp)
-        else:
-            raise ValueError(f"bad shape {shape!r}")
-        return rows
+    def _emit(self, anchors, shape: tuple[str, ...]) -> list[tuple[int, int, int]]:
+        """Rows of ``shape`` walked from ``anchors``, with the FILTERs of _render."""
+        kg = self.kg
+        tp = kg.type_predicate
+        for hop in shape[:-1]:
+            index = kg.out_index if hop == "out" else kg.in_index
+            anchors = [x for v in anchors for p, x in index.get(v, ()) if p != tp]
+        if shape[-1] == "out":
+            out = kg.out_index
+            return [(v, p, o) for v in anchors for p, o in out.get(v, ())]
+        inx = kg.in_index
+        return [(s, p, v) for v in anchors for p, s in inx.get(v, ()) if p != tp]
 
     def _branch_rows(self, bgp: BgpQuery, index: int) -> list[tuple[int, int, int]]:
-        key = (id(bgp), index)
-        cached = self._cache.get(key)
+        branch = bgp.branches[index]
+        cached = self._cache.get(branch)
         if cached is not None:
             return cached
-        if not any(existing is bgp for existing in self._pinned):
-            self._pinned.append(bgp)
-        branch = bgp.branches[index]
         if bgp.task.kind == NODE_CLASSIFICATION:
             anchors = self._type_instances(bgp.task.target_type_iri)
             rows = self._emit(anchors, branch.shape)
@@ -362,7 +260,7 @@ class LocalBackend:
             else:
                 anchors = subjects if branch.side == SUBJECT_SIDE else objects
                 rows = sorted(set(self._emit(anchors, branch.shape)))
-        self._cache[key] = rows
+        self._cache[branch] = rows
         return rows
 
     def branch_count(self, bgp: BgpQuery, index: int) -> int:

@@ -17,13 +17,12 @@ built or pruned.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import MissingFeature
-from .graph import KIND_LITERAL, Subgraph
+from .graph import KIND_LITERAL, Subgraph, hop_distances
 
 
 def _derived_array(seed: int, scope: tuple, shape: tuple[int, ...]) -> np.ndarray:
@@ -123,17 +122,7 @@ def message_reach(sg: Subgraph, targets, hops: int, inverse_relations: bool = Tr
         senders.setdefault(o, set()).add(s)
         if inverse_relations:
             senders.setdefault(s, set()).add(o)
-    reach = set(targets) & set(sg.vertices)
-    frontier = deque((t, 0) for t in sorted(reach))
-    while frontier:
-        v, d = frontier.popleft()
-        if d == hops:
-            continue
-        for w in senders.get(v, ()):
-            if w not in reach:
-                reach.add(w)
-                frontier.append((w, d + 1))
-    return reach
+    return set(hop_distances(senders, set(targets) & sg.vertices, hops))
 
 
 def prune_outside_reach(

@@ -33,7 +33,11 @@ class SparqlDouble:
         self._lock = threading.Lock()
         handler = self._make_handler()
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        # serve_forever checks for shutdown once per poll; the default 0.5 s
+        # would make every close() wait up to that long
+        self.thread = threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
         self.thread.start()
 
     @property

@@ -11,17 +11,21 @@ from kgslice.graph import (
     BOTH,
     INCOMING,
     OUTGOING,
+    hop_distances,
     ingest_ntriples,
     load_ntriples,
+    undirected_adjacency,
 )
 
 from conftest import EX, iri, make_kg, nt, random_kg, random_kg_lines
 from oracles import (
+    bfs_distances,
     filter_induced,
     scan_neighbors,
     scan_vertices_of_type,
     surface_triples,
 )
+from oracles import undirected_adjacency as oracle_undirected_adjacency
 
 
 def test_empty_stream():
@@ -270,3 +274,16 @@ def test_subgraph_csv_output(rng):
     lines = out.getvalue().splitlines()
     assert lines[0] == "s,p,o"
     assert len(lines) == len(sg.triples) + 1
+
+
+def test_hop_distances_match_bfs_oracle(rng):
+    for _ in range(20):
+        kg = random_kg(rng, n_vertices=rng.randrange(10, 80), n_triples=rng.randrange(5, 200))
+        adj = undirected_adjacency(t for t in kg.triples if t[1] != kg.type_predicate)
+        assert adj == oracle_undirected_adjacency(kg)
+        sources = rng.sample(range(kg.vertex_count()), rng.randrange(0, 4))
+        dist = bfs_distances(adj, sources)
+        assert hop_distances(adj, sources) == dist
+        for max_hops in range(4):
+            near = {v: d for v, d in dist.items() if d <= max_hops}
+            assert hop_distances(adj, sources, max_hops) == near

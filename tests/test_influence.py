@@ -187,15 +187,13 @@ def test_select_topk_matches_sort_oracle(rng):
 
 def test_build_partition_takes_everything():
     pairs = [(1, 10), (1, 11), (2, 11), (2, 12)]
-    kg = make_kg([nt("a", "p0", "b")])
-    got = build_partition(kg, pairs, bs=10, rng=random.Random(0))
+    got = build_partition(pairs, bs=10, rng=random.Random(0))
     assert got == {1, 2, 10, 11, 12}
 
 
 def test_build_partition_bs_one():
     pairs = [(1, 10), (1, 11), (2, 12)]
-    kg = make_kg([nt("a", "p0", "b")])
-    got = build_partition(kg, pairs, bs=1, rng=random.Random(0))
+    got = build_partition(pairs, bs=1, rng=random.Random(0))
     assert got in ({1, 10, 11}, {2, 12})
 
 
@@ -207,9 +205,8 @@ def test_build_partition_prefers_overlapping_cluster():
         pairs += [(t, 100), (t, 101), (t, 102)]
     for t in (7, 8, 9):
         pairs += [(t, 200), (t, 201), (t, 202)]
-    kg = make_kg([nt("a", "p0", "b")])
     for seed in range(6):
-        got = build_partition(kg, pairs, bs=3, rng=random.Random(seed))
+        got = build_partition(pairs, bs=3, rng=random.Random(seed))
         assert got in (
             {1, 2, 3, 100, 101, 102},
             {7, 8, 9, 200, 201, 202},
@@ -241,7 +238,7 @@ def test_build_partition_matches_rescan_oracle():
         ]
         local.shuffle(pairs)
         for bs in (1, local.randint(1, n_targets), n_targets, n_targets + 5):
-            got = build_partition(None, pairs, bs, random.Random(trial))
+            got = build_partition(pairs, bs, random.Random(trial))
             assert got == rescan_partition(pairs, bs, random.Random(trial)), (trial, bs)
 
 
@@ -249,7 +246,7 @@ def test_build_partition_budget_20k_targets():
     local = random.Random(5)
     pairs = [(t, u) for t in range(20000) for u in local.sample(range(200000), 16)]
     with Budget("ibs-partition-20k", 10.0):
-        got = build_partition(None, pairs, bs=20000, rng=random.Random(0))
+        got = build_partition(pairs, bs=20000, rng=random.Random(0))
     assert got == set(range(20000)) | {u for _, u in pairs}
 
 

@@ -22,7 +22,7 @@ from kgslice.patterns import (
     tokenize_query,
 )
 
-from conftest import EX, make_kg, nt, random_kg_lines
+from conftest import EX, TYPE_IRI, make_kg, nt, random_kg_lines
 from oracles import pattern_triples, surface_triples
 
 PAPER_D2H1 = """
@@ -93,6 +93,90 @@ def test_lp_query_contains_bridge_once():
     assert tokenize_query(bgp.full_text) == tokenize_query(LP_D2H1_GOLDEN)
     assert bgp.branches[0].shape == BRIDGE
     assert len(bgp.branches) == 5
+
+
+# <TP> stands for the type predicate, <PREFIX> for the LP anchor pattern
+NC_D2H2_BRANCHES = [
+    "select ?v as ?s ?p ?o where { ?v a <http://ex/T> . ?v ?p ?o . }",
+    "select ?s ?p ?v as ?o where { ?v a <http://ex/T> . ?s ?p ?v . filter (?p != <TP>) }",
+    "select ?o1 as ?s ?p ?o where { ?v a <http://ex/T> . ?v ?p1 ?o1 . ?o1 ?p ?o . "
+    "filter (?p1 != <TP>) }",
+    "select ?s ?p ?o1 as ?o where { ?v a <http://ex/T> . ?v ?p1 ?o1 . ?s ?p ?o1 . "
+    "filter (?p1 != <TP> && ?p != <TP>) }",
+    "select ?s1 as ?s ?p ?o where { ?v a <http://ex/T> . ?s1 ?p1 ?v . ?s1 ?p ?o . "
+    "filter (?p1 != <TP>) }",
+    "select ?s ?p ?s1 as ?o where { ?v a <http://ex/T> . ?s1 ?p1 ?v . ?s ?p ?s1 . "
+    "filter (?p1 != <TP> && ?p != <TP>) }",
+]
+
+LP_PREFIX = "?vi a <http://ex/T> . ?vj a <http://ex/U> . ?vi <http://ex/linked> ?vj ."
+LP_D2H2_BRANCHES = [
+    "select ?vi as ?s <http://ex/linked> as ?p ?vj as ?o where { <PREFIX> }",
+    "select distinct ?vi as ?s ?p ?o where { <PREFIX> ?vi ?p ?o . }",
+    "select distinct ?s ?p ?vi as ?o where { <PREFIX> ?s ?p ?vi . filter (?p != <TP>) }",
+    "select distinct ?o1 as ?s ?p ?o where { <PREFIX> ?vi ?p1 ?o1 . ?o1 ?p ?o . "
+    "filter (?p1 != <TP>) }",
+    "select distinct ?s ?p ?o1 as ?o where { <PREFIX> ?vi ?p1 ?o1 . ?s ?p ?o1 . "
+    "filter (?p1 != <TP> && ?p != <TP>) }",
+    "select distinct ?s1 as ?s ?p ?o where { <PREFIX> ?s1 ?p1 ?vi . ?s1 ?p ?o . "
+    "filter (?p1 != <TP>) }",
+    "select distinct ?s ?p ?s1 as ?o where { <PREFIX> ?s1 ?p1 ?vi . ?s ?p ?s1 . "
+    "filter (?p1 != <TP> && ?p != <TP>) }",
+    "select distinct ?vj as ?s ?p ?o where { <PREFIX> ?vj ?p ?o . }",
+    "select distinct ?s ?p ?vj as ?o where { <PREFIX> ?s ?p ?vj . filter (?p != <TP>) }",
+    "select distinct ?o1 as ?s ?p ?o where { <PREFIX> ?vj ?p1 ?o1 . ?o1 ?p ?o . "
+    "filter (?p1 != <TP>) }",
+    "select distinct ?s ?p ?o1 as ?o where { <PREFIX> ?vj ?p1 ?o1 . ?s ?p ?o1 . "
+    "filter (?p1 != <TP> && ?p != <TP>) }",
+    "select distinct ?s1 as ?s ?p ?o where { <PREFIX> ?s1 ?p1 ?vj . ?s1 ?p ?o . "
+    "filter (?p1 != <TP>) }",
+    "select distinct ?s ?p ?s1 as ?o where { <PREFIX> ?s1 ?p1 ?vj . ?s ?p ?s1 . "
+    "filter (?p1 != <TP> && ?p != <TP>) }",
+]
+
+LP_D2H2_ARMS = (
+    "{ bind (?vi as ?s) bind (<http://ex/linked> as ?p) bind (?vj as ?o) } "
+    "union { ?vi ?p ?o . bind (?vi as ?s) } "
+    "union { ?s ?p ?vi . bind (?vi as ?o) } "
+    "union { ?vi ?p1 ?o1 . ?o1 ?p ?o . bind (?o1 as ?s) } "
+    "union { ?vi ?p1 ?o1 . ?s ?p ?o1 . bind (?o1 as ?o) } "
+    "union { ?s1 ?p1 ?vi . ?s1 ?p ?o . bind (?s1 as ?s) } "
+    "union { ?s1 ?p1 ?vi . ?s ?p ?s1 . bind (?s1 as ?o) } "
+    "union { ?vj ?p ?o . bind (?vj as ?s) } "
+    "union { ?s ?p ?vj . bind (?vj as ?o) } "
+    "union { ?vj ?p1 ?o1 . ?o1 ?p ?o . bind (?o1 as ?s) } "
+    "union { ?vj ?p1 ?o1 . ?s ?p ?o1 . bind (?o1 as ?o) } "
+    "union { ?s1 ?p1 ?vj . ?s1 ?p ?o . bind (?s1 as ?s) } "
+    "union { ?s1 ?p1 ?vj . ?s ?p ?s1 . bind (?s1 as ?o) }"
+)
+
+
+def golden(texts, tp=TYPE_IRI):
+    return [t.replace("<TP>", f"<{tp}>").replace("<PREFIX>", LP_PREFIX) for t in texts]
+
+
+@pytest.mark.parametrize("tp", [TYPE_IRI, f"{EX}isA"])
+def test_golden_d2h2_nc_branch_texts(tp):
+    bgp = get_bgp(PatternTask(kind="nc", target_type_iri=f"{EX}T", type_predicate_iri=tp), 2, 2)
+    texts = [b.text for b in bgp.branches]
+    assert texts == golden(NC_D2H2_BRANCHES, tp)
+    assert bgp.full_text == "select ?s ?p ?o { " + " union ".join(texts) + " }"
+
+
+@pytest.mark.parametrize("tp", [TYPE_IRI, f"{EX}isA"])
+def test_golden_d2h2_lp_branch_texts(tp):
+    task = PatternTask("lp", f"{EX}T", f"{EX}linked", f"{EX}U", type_predicate_iri=tp)
+    bgp = get_bgp(task, 2, 2)
+    assert [b.text for b in bgp.branches] == golden(LP_D2H2_BRANCHES, tp)
+
+
+def test_golden_d2h2_lp_full_text_with_and_without_object_type():
+    with_type = get_bgp(lp_pattern(), 2, 2)
+    assert with_type.full_text == f"select ?s ?p ?o where {{ {LP_PREFIX} {LP_D2H2_ARMS} }}"
+    without = get_bgp(lp_pattern(obj_type=None), 2, 2)
+    prefix = "?vi a <http://ex/T> . ?vi <http://ex/linked> ?vj ."
+    assert without.full_text == f"select ?s ?p ?o where {{ {prefix} {LP_D2H2_ARMS} }}"
+    assert without.branches[1].text == f"select distinct ?vi as ?s ?p ?o where {{ {prefix} ?vi ?p ?o . }}"
 
 
 def test_lp_without_object_type():

@@ -18,7 +18,7 @@ from kgslice.rgcn import (
 )
 
 from conftest import EX, make_kg, nt, random_kg
-from oracles import dense_rgcn_forward, dense_rgcn_jacobian
+from oracles import bfs_distances, dense_rgcn_forward, dense_rgcn_jacobian
 
 
 def full_subgraph(kg):
@@ -113,6 +113,33 @@ def test_locality_perturbation_outside_neighborhood(rng):
     moved = rgcn_forward(model, sg, bumped)
     for t in targets:
         assert np.array_equal(base[t], moved[t])
+
+
+@pytest.mark.parametrize("inverse", [True, False])
+@pytest.mark.parametrize("hops", [0, 1, 2, 3])
+def test_message_reach_matches_bfs_oracle(hops, inverse):
+    rng = random.Random(700 + 10 * hops + inverse)
+    for _ in range(15):
+        kg = random_kg(
+            rng,
+            n_vertices=rng.randrange(20, 70),
+            n_triples=rng.randrange(20, 150),
+            literal_fraction=0.15,
+        )
+        kept = [t for t in kg.triples if rng.random() < 0.7]
+        sg = subgraph_from_triples(kg, kept)
+        targets = rng.sample(range(kg.vertex_count()), rng.randrange(1, 6))
+        # who sends messages to whom, from the raw triples
+        senders: dict[int, set[int]] = {}
+        for s, p, o in sg.triples:
+            if p == kg.type_predicate or "literal" in (kg.kind(s), kg.kind(o)):
+                continue
+            senders.setdefault(o, set()).add(s)
+            if inverse:
+                senders.setdefault(s, set()).add(o)
+        dist = bfs_distances(senders, [t for t in targets if t in sg.vertices])
+        expected = {v for v, d in dist.items() if d <= hops}
+        assert message_reach(sg, targets, hops, inverse_relations=inverse) == expected
 
 
 def test_influence_positive_for_self():
