@@ -139,7 +139,6 @@ def cmd_extract(args) -> int:
             graph_iri=args.graph,
             timeout=args.timeout,
             retries=args.retries,
-            compression=args.compress,
             workers=args.workers,
         )
         try:
@@ -342,7 +341,6 @@ def build_parser() -> _Parser:
                    help="parallel page workers (sparql engine only)")
     p.add_argument("--timeout", type=float, default=60.0)
     p.add_argument("--retries", type=int, default=2)
-    p.add_argument("--compress", action="store_true")
     p.add_argument("--keep-label-edges", action="store_true")
     p.set_defaults(func=cmd_extract)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import logging
+import re
 import threading
 from dataclasses import dataclass
 from time import sleep
@@ -27,13 +28,37 @@ RETRY_BACKOFF_S = 0.5  # pause before the first retry; doubles per retry
 RETRY_BACKOFF_CAP_S = 8.0
 
 
+_XSD = "http://www.w3.org/2001/XMLSchema#"
+
+# SPARQL 1.1 TSV may write numeric and boolean literals in their abbreviated
+# SPARQL/Turtle form; patterns follow the SPARQL 1.1 grammar's INTEGER,
+# DECIMAL, DOUBLE and BooleanLiteral productions (signed variants included)
+_ABBREVIATED = (
+    (re.compile(r"[+-]?[0-9]+"), "integer"),
+    (re.compile(r"[+-]?[0-9]*\.[0-9]+"), "decimal"),
+    (re.compile(r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)[eE][+-]?[0-9]+"), "double"),
+    (re.compile(r"true|false"), "boolean"),
+)
+
+
+def _expand_abbreviated(term: str) -> str:
+    """The N-Triples form of an abbreviated numeric or boolean literal.
+
+    ``42`` becomes ``"42"^^<http://www.w3.org/2001/XMLSchema#integer>``;
+    any other term is returned unchanged.
+    """
+    for pattern, datatype in _ABBREVIATED:
+        if pattern.fullmatch(term):
+            return f'"{term}"^^<{_XSD}{datatype}>'
+    return term
+
+
 @dataclass
 class EndpointConfig:
     url: str
     graph_iri: str | None = None
     timeout: float = 60.0
     retries: int = 2
-    compression: bool = False
     workers: int = 1
     bearer_token: str | None = None
     use_post: bool = False
@@ -70,9 +95,8 @@ class HttpBackend:
         return self.config.url
 
     def _headers(self) -> dict[str, str]:
+        # requests already offers gzip and deflate in Accept-Encoding
         headers = {"Accept": "text/tab-separated-values"}
-        if self.config.compression:
-            headers["Accept-Encoding"] = "gzip"
         if self.config.bearer_token:
             headers["Authorization"] = f"Bearer {self.config.bearer_token}"
         return headers
@@ -123,7 +147,10 @@ class HttpBackend:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise QueryRejected(200, f"malformed TSV row: {line!r}")
-            rows.append(tuple(parts))
+            s, p, o = parts
+            if o[:1] not in ("<", '"', "_"):
+                o = _expand_abbreviated(o)
+            rows.append((s, p, o))
         return rows
 
     def branch_count(self, bgp: BgpQuery, index: int) -> int:

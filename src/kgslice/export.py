@@ -24,6 +24,7 @@ import io
 import json
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 from .errors import IoFailure
@@ -60,8 +61,22 @@ def _primary_types(sg: Subgraph) -> dict[int, str]:
     return primary
 
 
-def _checksum(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+_CHUNK_LINES = 8192  # lines encoded per write: one file is never held whole
+
+
+def _write(path: Path, lines) -> str:
+    """Write ``lines``, each ending in a newline, as UTF-8.
+
+    Returns the sha256 of the bytes written.
+    """
+    digest = hashlib.sha256()
+    lines = iter(lines)
+    with open(path, "wb") as fh:
+        while chunk := "".join(islice(lines, _CHUNK_LINES)):
+            data = chunk.encode("utf-8")
+            fh.write(data)
+            digest.update(data)
+    return digest.hexdigest()
 
 
 def export_bundle(
@@ -90,37 +105,44 @@ def export_bundle(
     for v in sg.vertices:
         by_type.setdefault(primary[v], []).append(v)
     dense: dict[int, int] = {}
-    with open(outdir / "nodes.tsv", "w", encoding="utf-8") as fh:
-        for type_name in sorted(by_type):
-            members = sorted(by_type[type_name], key=kg.term)
-            for i, v in enumerate(members):
-                dense[v] = i
-                fh.write(f"{type_name}\t{i}\t{kg.term(v)}\n")
+    members_by_type = []
+    for type_name in sorted(by_type):
+        members = sorted(by_type[type_name], key=kg.term)
+        for i, v in enumerate(members):
+            dense[v] = i
+        members_by_type.append((type_name, members))
+    checksums = {}
+    checksums["nodes.tsv"] = _write(
+        outdir / "nodes.tsv",
+        (f"{t}\t{i}\t{kg.term(v)}\n" for t, vs in members_by_type for i, v in enumerate(vs)),
+    )
 
     type_rows = sorted(
         (kg.term(s), kg.lexical(o)) for s, _, o in sg.type_triples
     )
-    with open(outdir / "types.tsv", "w", encoding="utf-8") as fh:
-        for term, type_iri in type_rows:
-            fh.write(f"{term}\t{type_iri}\n")
+    checksums["types.tsv"] = _write(
+        outdir / "types.tsv", (f"{term}\t{type_iri}\n" for term, type_iri in type_rows)
+    )
 
     labeled = labels.labels if labels is not None else {}
-    edge_groups: dict[tuple[str, str, str], list[tuple[int, int]]] = {}
+    by_predicate_id: dict[tuple[str, int, str], list[tuple[int, int]]] = {}
     excluded_edges = 0
     for s, p, o in sg.non_type_triples:
         if exclude_label_edges and p == label_predicate and s in labeled:
             excluded_edges += 1
             continue
-        key = (primary[s], kg.predicate_iri(p), primary[o])
-        edge_groups.setdefault(key, []).append((dense[s], dense[o]))
+        by_predicate_id.setdefault((primary[s], p, primary[o]), []).append((dense[s], dense[o]))
+    # predicate ids and IRIs correspond one to one, so no two groups merge
+    edge_groups = {
+        (src_type, kg.predicate_iri(p), dst_type): pairs
+        for (src_type, p, dst_type), pairs in by_predicate_id.items()
+    }
 
     edge_files = {}
     for i, key in enumerate(sorted(edge_groups)):
         name = f"edges_{i:03d}.tsv"
         rows = sorted(edge_groups[key])
-        with open(outdir / name, "w", encoding="utf-8") as fh:
-            for src, dst in rows:
-                fh.write(f"{src}\t{dst}\n")
+        checksums[name] = _write(outdir / name, (f"{src}\t{dst}\n" for src, dst in rows))
         edge_files[name] = {
             "src_type": key[0],
             "predicate": key[1],
@@ -138,18 +160,18 @@ def export_bundle(
             continue
         label_rows.append((kg.term(v), label_id))
     label_rows.sort()
-    with open(outdir / "labels.tsv", "w", encoding="utf-8") as fh:
-        for term, label_id in label_rows:
-            fh.write(f"{term}\t{label_id}\n")
+    checksums["labels.tsv"] = _write(
+        outdir / "labels.tsv", (f"{term}\t{label_id}\n" for term, label_id in label_rows)
+    )
 
     split_rows = []
     for v, part in (splits or {}).items():
         if v in dense:
             split_rows.append((kg.term(v), part))
     split_rows.sort()
-    with open(outdir / "splits.tsv", "w", encoding="utf-8") as fh:
-        for term, part in split_rows:
-            fh.write(f"{term}\t{part}\n")
+    checksums["splits.tsv"] = _write(
+        outdir / "splits.tsv", (f"{term}\t{part}\n" for term, part in split_rows)
+    )
 
     manifest = {
         "provenance": sg.provenance,
@@ -162,8 +184,7 @@ def export_bundle(
         "excluded_label_edges": excluded_edges,
         "label_dictionary": list(labels.label_terms) if labels is not None else [],
     }
-    files = ["nodes.tsv", "types.tsv", "labels.tsv", "splits.tsv", *edge_files]
-    manifest["checksums"] = {name: _checksum(outdir / name) for name in sorted(files)}
+    manifest["checksums"] = dict(sorted(checksums.items()))
     with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -18,7 +18,10 @@ import gzip
 import io
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import IoFailure, ParseError, UnknownPredicate, UnknownType, UnknownVertex
 
@@ -96,10 +99,28 @@ class Subgraph:
         tp = self.kg.type_predicate
         self._non_type = tuple(t for t in self.triples if t[1] != tp)
         self._type_triples = tuple(t for t in self.triples if t[1] == tp)
+        self._edges: tuple[np.ndarray, np.ndarray] | None = None
+        self._entity: np.ndarray | None = None
 
     @property
     def non_type_triples(self) -> tuple[tuple[int, int, int], ...]:
         return self._non_type
+
+    def non_type_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Subjects and objects of the non-type triples as read-only int64 arrays."""
+        if self._edges is None:
+            m = len(self._non_type)
+            flat = np.fromiter(chain.from_iterable(self._non_type), dtype=np.int64, count=3 * m)
+            spo = flat.reshape(m, 3)
+            s, o = spo[:, 0].copy(), spo[:, 2].copy()
+            s.flags.writeable = o.flags.writeable = False
+            self._edges = (s, o)
+        return self._edges
+
+    def undirected_distances(self, sources) -> dict[int, int]:
+        """:func:`hop_distances` from ``sources`` over the non-type triples viewed undirected."""
+        s, o = self.non_type_edges()
+        return hop_distances(np.concatenate([s, o]), np.concatenate([o, s]), sources)
 
     @property
     def type_triples(self) -> tuple[tuple[int, int, int], ...]:
@@ -122,8 +143,12 @@ class Subgraph:
 
     def entity_vertices(self) -> list[int]:
         """Sorted non-literal members of the entity view."""
-        kg = self.kg
-        return sorted(v for v in self.vertices if kg.kind(v) != KIND_LITERAL)
+        if self._entity is None:
+            vs = np.fromiter(self.vertices, dtype=np.int64, count=len(self.vertices))
+            vs = vs[~self.kg.literal_mask()[vs]]
+            vs.sort()
+            self._entity = vs
+        return self._entity.tolist()
 
     def restricted(self, keep) -> "Subgraph":
         """This subgraph cut down to the given vertices.
@@ -178,6 +203,7 @@ class KnowledgeGraph:
         self.type_predicate_iri: str = RDF_TYPE
         self._walk_adj: dict[str, dict[int, list[int]]] = {}
         self._walk_index: dict[str, WalkIndex] = {}
+        self._literal_mask: np.ndarray | None = None
 
     # -- dictionary ----------------------------------------------------
 
@@ -208,6 +234,18 @@ class KnowledgeGraph:
 
     def kind(self, v: int) -> str:
         return term_kind(self._terms[v])
+
+    def literal_mask(self) -> np.ndarray:
+        """Read-only boolean array over vertex ids, True for literals.
+
+        Built once and cached.
+        """
+        if self._literal_mask is None:
+            n = len(self._terms)
+            mask = np.fromiter((t[0] == '"' for t in self._terms), dtype=bool, count=n)
+            mask.flags.writeable = False
+            self._literal_mask = mask
+        return self._literal_mask
 
     def lexical(self, v: int) -> str:
         return term_lexical(self._terms[v])
@@ -424,7 +462,12 @@ def ingest_ntriples(
     else:
         text = raw
 
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # N-Triples ends lines at CR and LF only; str.splitlines would also split
+    # at characters a literal may hold raw (\x0b, \x0c, \x1c-\x1e, \x85,
+    # \u2028, \u2029)
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -484,30 +527,38 @@ def subgraph_from_triples(kg: KnowledgeGraph, triples, provenance=None, base_ver
     return Subgraph(kg, tuple(tset), frozenset(vertices), provenance or {})
 
 
-def undirected_adjacency(triples) -> dict[int, set[int]]:
-    """Vertex -> its distinct neighbors over ``triples`` viewed undirected."""
-    adj: dict[int, set[int]] = {}
-    for s, _, o in triples:
-        adj.setdefault(s, set()).add(o)
-        adj.setdefault(o, set()).add(s)
-    return adj
-
-
-def hop_distances(adj, sources, max_hops: int | None = None) -> dict[int, int]:
+def hop_distances(tails, heads, sources, max_hops: int | None = None) -> dict[int, int]:
     """Hop count from the nearest source to each vertex, breadth first.
 
-    ``adj`` maps a vertex to its neighbors. The result covers every vertex
-    within ``max_hops`` of a source (every reachable one when None);
-    sources are at distance 0.
+    Edge ``i`` leads from ``tails[i]`` to ``heads[i]``; pass both
+    orientations of each edge for an undirected view. Duplicate edges and
+    self-loops are harmless. The result covers every vertex within
+    ``max_hops`` of a source (every reachable one when None); sources are
+    at distance 0.
+
+    The edges become a CSR over vertex ids (a stable argsort by tail,
+    offsets from a bincount). The level-by-level loop then runs in Python
+    over the CSR converted to lists, so the work is O(n + E) for the
+    largest vertex id n. (A numpy frontier vectorised per level was far
+    slower on long paths: one round of array calls per level.)
     """
+    tails = np.asarray(tails, dtype=np.int64)
+    heads = np.asarray(heads, dtype=np.int64)
+    if tails.shape != heads.shape:
+        raise ValueError(f"{len(tails)} tails but {len(heads)} heads")
+    n = int(max(tails.max(), heads.max())) + 1 if len(tails) else 0
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=n), out=offsets[1:])
+    offsets = offsets.tolist()
+    nbrs = heads[np.argsort(tails, kind="stable")].tolist()
     dist = dict.fromkeys(sources, 0)
-    frontier = list(dist)
+    frontier = [u for u in dist if u < n]
     hops = 0
     while frontier and hops != max_hops:
         hops += 1
         reached = []
         for u in frontier:
-            for w in adj.get(u, ()):
+            for w in nbrs[offsets[u]:offsets[u + 1]]:
                 if w not in dist:
                     dist[w] = hops
                     reached.append(w)

@@ -19,7 +19,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from .errors import DuplicateTarget, EmptyTargetSet, KgsliceError
-from .graph import BOTH, OUTGOING, KnowledgeGraph, Subgraph, hop_distances, undirected_adjacency
+from .graph import BOTH, OUTGOING, KnowledgeGraph, Subgraph
 from .tasks import TaskSpec, resolve_targets
 from .walks import _derived_rng, get_initial_vertices
 
@@ -221,8 +221,7 @@ def extract_influence(
         partition = set(get_initial_vertices(bs, targets, seed))
     sg = kg.induced_subgraph(partition, keep_type_triples=True)
 
-    adj = undirected_adjacency(sg.non_type_triples)
-    reachable = set(hop_distances(adj, set(targets) & sg.vertices))
+    reachable = set(sg.undirected_distances(set(targets) & sg.vertices))
     if reachable != sg.vertices:
         sg = kg.induced_subgraph(reachable, keep_type_triples=True)
     sg.provenance = {

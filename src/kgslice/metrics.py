@@ -16,9 +16,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .errors import EmptySubgraph
-from .graph import KIND_LITERAL, KnowledgeGraph, Subgraph, hop_distances, undirected_adjacency
+from .graph import KnowledgeGraph, Subgraph
 from .tasks import TaskSpec, resolve_targets
 
 
@@ -51,6 +54,22 @@ class QualityReport:
     )
 
 
+def _types_by_vertex(kg: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Node types per vertex id: (first offset, count, flat type ids)."""
+    n = kg.vertex_count()
+    m = len(kg.type_of)
+    typed = np.fromiter(kg.type_of, dtype=np.int64, count=m)
+    lens = np.fromiter(map(len, kg.type_of.values()), dtype=np.int64, count=m)
+    flat = np.fromiter(
+        chain.from_iterable(kg.type_of.values()), dtype=np.int64, count=int(lens.sum())
+    )
+    first = np.zeros(n, dtype=np.int64)
+    count = np.zeros(n, dtype=np.int64)
+    first[typed] = np.cumsum(lens) - lens
+    count[typed] = lens
+    return first, count, flat
+
+
 def neighbor_type_counts(sg: Subgraph) -> dict[int, int]:
     """Distinct node types among each entity vertex's neighbors.
 
@@ -59,18 +78,20 @@ def neighbor_type_counts(sg: Subgraph) -> dict[int, int]:
     themselves.
     """
     kg = sg.kg
-    type_of = kg.type_of
-    nbr_types: dict[int, set[int]] = {}
-    literal = {v for v in sg.vertices if kg.kind(v) == KIND_LITERAL}
-    for s, _, o in sg.non_type_triples:
-        if o not in literal and s not in literal:
-            nbr_types.setdefault(s, set()).update(type_of.get(o, ()))
-            nbr_types.setdefault(o, set()).update(type_of.get(s, ()))
-    return {
-        v: len(nbr_types.get(v, ()))
-        for v in sg.vertices
-        if v not in literal
-    }
+    s, o = sg.non_type_edges()
+    vertex = np.concatenate([s, o])
+    neighbor = np.concatenate([o, s])
+    # one row per (edge end, type of the other end); distinct (vertex, type) pairs
+    first, count, flat = _types_by_vertex(kg)
+    k = count[neighbor]
+    starts = np.cumsum(k) - k
+    # row r of edge end i reads flat[first[neighbor[i]] + r - starts[i]]
+    pos = np.arange(int(k.sum())) - np.repeat(starts - first[neighbor], k)
+    n_types = max(kg.type_count(), 1)
+    pairs = np.unique(np.repeat(vertex, k) * n_types + flat[pos])
+    n_distinct = np.bincount(pairs // n_types, minlength=kg.vertex_count()).tolist()
+    is_literal = kg.literal_mask().tolist()
+    return {v: n_distinct[v] for v in sg.vertices if not is_literal[v]}
 
 
 def neighbor_type_entropy(sg: Subgraph) -> float:
@@ -96,25 +117,33 @@ def target_stats(sg: Subgraph, targets) -> tuple[float, int, int]:
     return ratio, len(sg.node_type_ids), len(sg.predicate_ids)
 
 
-def disconnected_ratio(sg: Subgraph, targets) -> float:
-    """Percent of non-target vertices with no undirected path to a target."""
+def disconnected_ratio(sg: Subgraph, targets, dist: dict[int, int] | None = None) -> float:
+    """Percent of non-target vertices with no undirected path to a target.
+
+    ``dist``, when given, is ``sg.undirected_distances(targets)``.
+    """
     targets = set(targets) & sg.vertices
     non_targets = [v for v in sg.vertices if v not in targets]
     if not non_targets:
         return 0.0
-    dist = hop_distances(undirected_adjacency(sg.non_type_triples), targets)
+    if dist is None:
+        dist = sg.undirected_distances(targets)
     n_disconnected = sum(1 for v in non_targets if v not in dist)
     return 100.0 * n_disconnected / len(non_targets)
 
 
-def avg_distance_to_target(sg: Subgraph, targets) -> tuple[float, int]:
+def avg_distance_to_target(
+    sg: Subgraph, targets, dist: dict[int, int] | None = None
+) -> tuple[float, int]:
     """Mean hop distance of connected non-target vertices to any target.
 
     Returns (mean, connected count); disconnected vertices are left to
     disconnected_ratio. A zero count means there was nothing to average.
+    ``dist``, when given, is ``sg.undirected_distances(targets)``.
     """
     targets = set(targets) & sg.vertices
-    dist = hop_distances(undirected_adjacency(sg.non_type_triples), targets)
+    if dist is None:
+        dist = sg.undirected_distances(targets)
     reached = [d for v, d in dist.items() if v not in targets and v in sg.vertices]
     if not reached:
         return 0.0, 0
@@ -140,7 +169,8 @@ def quality_report(sg: Subgraph, task: TaskSpec, kg: KnowledgeGraph) -> QualityR
             empty=True,
         )
     ratio, n_types, n_preds = target_stats(sg, targets)
-    avg, n_connected = avg_distance_to_target(sg, targets)
+    dist = sg.undirected_distances(targets)
+    avg, n_connected = avg_distance_to_target(sg, targets, dist)
     try:
         entropy = neighbor_type_entropy(sg)
     except EmptySubgraph:
@@ -153,7 +183,7 @@ def quality_report(sg: Subgraph, task: TaskSpec, kg: KnowledgeGraph) -> QualityR
         target_ratio=ratio,
         node_type_count=n_types,
         edge_type_count=n_preds,
-        target_disconnected_ratio=disconnected_ratio(sg, targets),
+        target_disconnected_ratio=disconnected_ratio(sg, targets, dist),
         avg_distance_to_target=avg,
         no_connected_non_targets=n_connected == 0,
         neighbor_type_entropy=entropy,

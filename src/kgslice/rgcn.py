@@ -117,12 +117,14 @@ def rgcn_forward(
 
 def message_reach(sg: Subgraph, targets, hops: int, inverse_relations: bool = True) -> set[int]:
     """Vertices with a message-passing path of <= hops into a target."""
-    senders: dict[int, set[int]] = {}
-    for s, _, o in _entity_triples(sg):
-        senders.setdefault(o, set()).add(s)
-        if inverse_relations:
-            senders.setdefault(s, set()).add(o)
-    return set(hop_distances(senders, set(targets) & sg.vertices, hops))
+    s, o = sg.non_type_edges()
+    literal = sg.kg.literal_mask()
+    keep = ~(literal[s] | literal[o])
+    s, o = s[keep], o[keep]
+    # a message runs from subject to object: search from the receiving end
+    if inverse_relations:
+        s, o = np.concatenate([s, o]), np.concatenate([o, s])
+    return set(hop_distances(o, s, set(targets) & sg.vertices, hops))
 
 
 def prune_outside_reach(

@@ -324,3 +324,73 @@ def dense_rgcn_jacobian(model, sg, feats, v, u):
         h = np.maximum(z, 0.0)
         jac = zjac * mask[:, :, None]
     return jac[pos[u]]
+
+
+def reference_quality_report(sg, task, kg):
+    """quality_report as first written: dict-of-sets adjacency, one BFS per indicator.
+
+    Returns a kgslice.metrics.QualityReport, so the fast version can be
+    compared with ``==``, float for float.
+    """
+    from kgslice.metrics import QualityReport
+    from kgslice.tasks import resolve_targets
+
+    def entity_vertices():
+        return sorted(v for v in sg.vertices if kg.kind(v) != "literal")
+
+    def distances(targets):
+        adj: dict[int, set[int]] = {}
+        for s, _, o in sg.non_type_triples:
+            adj.setdefault(s, set()).add(o)
+            adj.setdefault(o, set()).add(s)
+        return bfs_distances(adj, list(targets))
+
+    def neighbor_type_counts():
+        type_of = sg.kg.type_of
+        nbr_types: dict[int, set[int]] = {}
+        literal = {v for v in sg.vertices if sg.kg.kind(v) == "literal"}
+        for s, _, o in sg.non_type_triples:
+            if o not in literal and s not in literal:
+                nbr_types.setdefault(s, set()).update(type_of.get(o, ()))
+                nbr_types.setdefault(o, set()).update(type_of.get(s, ()))
+        return {v: len(nbr_types.get(v, ())) for v in sg.vertices if v not in literal}
+
+    def entropy():
+        counts = neighbor_type_counts()
+        if not counts:
+            return 0.0
+        hist = Counter(counts.values())
+        n = len(counts)
+        h = 0.0
+        for c in hist.values():
+            p = c / n
+            h -= p * math.log2(p)
+        return h
+
+    targets = set(resolve_targets(kg, task)) & sg.vertices
+    if not sg.vertices and not sg.triples:
+        return QualityReport(0, 0, 0, 0, 0.0, 0, 0, 0.0, 0.0, True, 0.0, empty=True)
+    entity = entity_vertices()
+    ratio = 100.0 * len(targets) / len(entity) if entity else 0.0
+    dist = distances(targets)
+    reached = [d for v, d in dist.items() if v not in targets and v in sg.vertices]
+    avg = sum(reached) / len(reached) if reached else 0.0
+    non_targets = [v for v in sg.vertices if v not in targets]
+    disconnected = (
+        100.0 * sum(1 for v in non_targets if v not in dist) / len(non_targets)
+        if non_targets
+        else 0.0
+    )
+    return QualityReport(
+        vertex_count=len(sg.vertices),
+        vertex_count_no_literals=len(entity),
+        triple_count=len(sg.triples),
+        target_count=len(targets),
+        target_ratio=ratio,
+        node_type_count=len(sg.node_type_ids),
+        edge_type_count=len(sg.predicate_ids),
+        target_disconnected_ratio=disconnected,
+        avg_distance_to_target=avg,
+        no_connected_non_targets=not reached,
+        neighbor_type_entropy=entropy(),
+    )

@@ -2,10 +2,11 @@
 
 Speaks just enough of the protocol for the client under test: GET/POST
 with a ``query`` parameter, TSV responses, optional gzip bodies,
-scripted failures and row caps. Incoming query text is matched against
-the branch queries of registered BgpQuery objects and answered from a
-LocalBackend, whose id rows are written out as surface terms, so the
-wire path (pagination, retries, headers) is exercised for real.
+scripted failures, row caps and, on request, numeric and boolean
+literals in their abbreviated TSV form. Incoming query text is matched
+against the branch queries of registered BgpQuery objects and answered
+from a LocalBackend, whose id rows are written out as surface terms, so
+the wire path (pagination, retries, headers) is exercised for real.
 """
 
 from __future__ import annotations
@@ -20,6 +21,26 @@ from kgslice.patterns import LocalBackend
 
 _PAGE_RE = re.compile(r"^(?P<body>.*) order by \?s \?p \?o limit (?P<limit>\d+) offset (?P<offset>\d+)$")
 
+_XSD = "http://www.w3.org/2001/XMLSchema#"
+# lexical forms SPARQL 1.1 TSV may write bare, by datatype
+_ABBREVIABLE = {
+    f"{_XSD}integer": re.compile(r"[+-]?\d+"),
+    f"{_XSD}decimal": re.compile(r"[+-]?\d*\.\d+"),
+    f"{_XSD}double": re.compile(r"[+-]?(\d+\.\d*|\.\d+|\d+)[eE][+-]?\d+"),
+    f"{_XSD}boolean": re.compile(r"true|false"),
+}
+_TYPED_RE = re.compile(r'^"([^"\\]*)"\^\^<([^>]*)>$')
+
+
+def abbreviate(term: str) -> str:
+    """``"42"^^<xsd:integer>`` as ``42``, and so on; other terms unchanged."""
+    m = _TYPED_RE.match(term)
+    if m:
+        pattern = _ABBREVIABLE.get(m.group(2))
+        if pattern is not None and pattern.fullmatch(m.group(1)):
+            return m.group(1)
+    return term
+
 
 class SparqlDouble:
     def __init__(self, kg):
@@ -29,6 +50,7 @@ class SparqlDouble:
         self.fail_budget = 0  # respond 500 to this many requests
         self.always_fail_pages = False
         self.max_rows = None  # cap every page at this many rows, like ResultSetMaxRows
+        self.abbreviate_literals = False  # write typed numbers and booleans bare
         self.seen_headers = []
         self._lock = threading.Lock()
         handler = self._make_handler()
@@ -67,9 +89,12 @@ class SparqlDouble:
                     )[0]:
                         kg = self.backend.kg
                         rows = self.backend.fetch(bgp, i, limit, offset)[: self.max_rows]
+                        obj_term = kg.term
+                        if self.abbreviate_literals:
+                            obj_term = lambda v: abbreviate(kg.term(v))  # noqa: E731
                         return [
                             ("?s", "?p", "?o"),
-                            *((kg.term(s), kg.predicate_term(p), kg.term(o)) for s, p, o in rows),
+                            *((kg.term(s), kg.predicate_term(p), obj_term(o)) for s, p, o in rows),
                         ]
         return None
 

@@ -18,7 +18,7 @@ from kgslice.patterns import LocalBackend, PatternTask, get_bgp
 
 from conftest import EX, make_kg, random_kg_lines
 from oracles import surface_triples
-from sparql_double import SparqlDouble
+from sparql_double import SparqlDouble, abbreviate
 
 
 @pytest.fixture
@@ -176,7 +176,7 @@ def test_compression_and_bearer_token(kg, double):
     task = nc_pattern()
     bgp = get_bgp(task, 1, 1)
     double.register(bgp)
-    cfg = EndpointConfig(url=double.url, compression=True, bearer_token="sesame")
+    cfg = EndpointConfig(url=double.url, bearer_token="sesame")
     backend = HttpBackend(cfg)
     sg = sparql_extract(backend, task, d=1, h=1, bs=1000)
     local = local_sparql_extract(kg, task, 1, 1)
@@ -211,3 +211,57 @@ def test_lp_over_http(kg, double):
     sg = sparql_extract(backend, task, d=2, h=1, bs=9, workers=2)
     local = local_sparql_extract(kg, task, 2, 1)
     assert surface_triples(sg.kg, sg.triples) == surface_triples(kg, local.triples)
+
+
+XSD = "http://www.w3.org/2001/XMLSchema#"
+ABBREVIABLE = [
+    f'"42"^^<{XSD}integer>',
+    f'"-7"^^<{XSD}integer>',
+    f'"+3"^^<{XSD}integer>',
+    f'"1.5"^^<{XSD}decimal>',
+    f'".5"^^<{XSD}decimal>',
+    f'"1e3"^^<{XSD}double>',
+    f'"-2.5E-3"^^<{XSD}double>',
+    f'"true"^^<{XSD}boolean>',
+    f'"false"^^<{XSD}boolean>',
+]
+NOT_ABBREVIABLE = [
+    f'"1.5"^^<{XSD}double>',
+    f'"NaN"^^<{XSD}double>',
+    f'"1"^^<{XSD}boolean>',
+    f'"42"^^<{XSD}string>',
+    '"42"',
+    '"true"@en',
+]
+
+
+def test_abbreviated_tsv_literals_expand():
+    body = "?s\t?p\t?o\n" + "".join(
+        f"<{EX}a>\t<{EX}p>\t{abbreviate(t)}\n" for t in ABBREVIABLE + NOT_ABBREVIABLE
+    )
+    assert [abbreviate(t) for t in ABBREVIABLE] == [
+        "42", "-7", "+3", "1.5", ".5", "1e3", "-2.5E-3", "true", "false"
+    ]
+    assert [abbreviate(t) for t in NOT_ABBREVIABLE] == NOT_ABBREVIABLE
+    rows = HttpBackend._parse_rows(body)
+    assert [o for _, _, o in rows] == ABBREVIABLE + NOT_ABBREVIABLE
+
+
+def test_abbreviating_endpoint_matches_local(rng):
+    lines = random_kg_lines(rng, n_vertices=40, n_triples=120)
+    objects = ABBREVIABLE + NOT_ABBREVIABLE
+    lines += [f"<{EX}v{rng.randrange(40)}> <{EX}p9> {o} ." for o in objects for _ in range(2)]
+    kg = make_kg(lines)
+    server = SparqlDouble(kg)
+    server.abbreviate_literals = True
+    try:
+        for d, h in ((1, 1), (2, 1), (2, 2)):
+            task = nc_pattern()
+            server.register(get_bgp(task, d, h))
+            backend = HttpBackend(EndpointConfig(url=server.url))
+            sg = sparql_extract(backend, task, d=d, h=h, bs=13, workers=2)
+            local = local_sparql_extract(kg, task, d, h)
+            assert surface_triples(sg.kg, sg.triples) == surface_triples(kg, local.triples)
+        assert any(sg.kg.term(o) in ABBREVIABLE for _, _, o in sg.triples)
+    finally:
+        server.close()

@@ -4,6 +4,7 @@ import gzip
 import io
 import random
 
+import numpy as np
 import pytest
 
 from kgslice.errors import ParseError, UnknownType, UnknownVertex
@@ -14,7 +15,6 @@ from kgslice.graph import (
     hop_distances,
     ingest_ntriples,
     load_ntriples,
-    undirected_adjacency,
 )
 
 from conftest import EX, iri, make_kg, nt, random_kg, random_kg_lines
@@ -91,6 +91,27 @@ def test_comments_and_blank_lines_skipped():
     kg, errors = ingest_ntriples(text.encode("utf-8"))
     assert not errors
     assert kg.triple_count() == 1
+
+
+@pytest.mark.parametrize(
+    "char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_literal_keeps_non_newline_line_breaks(char):
+    # N-Triples ends a line at CR or LF only; these may stand raw in a literal
+    lines = [f'{iri("a")} {iri("p0")} "x{char}y" .', "not a triple", nt("a", "p0", "b")]
+    kg, errors = ingest_ntriples(("\n".join(lines) + "\n").encode("utf-8"))
+    assert [e.line for e in errors] == [2]
+    assert kg.triple_count() == 2
+    assert f'"x{char}y"' in {kg.term(o) for _, _, o in kg.triples}
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_and_lone_cr_end_lines(newline):
+    lines = [nt("a", "p0", "b"), "", "not a triple", nt("b", "p0", "c")]
+    kg, errors = ingest_ntriples((newline.join(lines) + newline).encode("utf-8"))
+    assert [e.line for e in errors] == [3]
+    assert errors[0].text == "not a triple"
+    assert kg.triple_count() == 2
 
 
 def test_vertices_of_type_star():
@@ -279,11 +300,49 @@ def test_subgraph_csv_output(rng):
 def test_hop_distances_match_bfs_oracle(rng):
     for _ in range(20):
         kg = random_kg(rng, n_vertices=rng.randrange(10, 80), n_triples=rng.randrange(5, 200))
-        adj = undirected_adjacency(t for t in kg.triples if t[1] != kg.type_predicate)
-        assert adj == oracle_undirected_adjacency(kg)
+        edges = [(s, o) for s, p, o in kg.triples if p != kg.type_predicate]
+        tails = [s for s, _ in edges] + [o for _, o in edges]
+        heads = [o for _, o in edges] + [s for s, _ in edges]
+        adj = oracle_undirected_adjacency(kg)
         sources = rng.sample(range(kg.vertex_count()), rng.randrange(0, 4))
         dist = bfs_distances(adj, sources)
-        assert hop_distances(adj, sources) == dist
+        assert hop_distances(tails, heads, sources) == dist
         for max_hops in range(4):
             near = {v: d for v, d in dist.items() if d <= max_hops}
-            assert hop_distances(adj, sources, max_hops) == near
+            assert hop_distances(tails, heads, sources, max_hops) == near
+
+
+def test_hop_distances_on_random_edge_arrays(rng):
+    # one-way and both-way edges, repeats, self-loops, sources without edges
+    for _ in range(200):
+        n = rng.randrange(1, 40)
+        tails, heads = [], []
+        for _ in range(rng.randrange(0, 3 * n)):
+            u, w = rng.randrange(n), rng.randrange(n)
+            if rng.random() < 0.1:
+                w = u
+            for _ in range(rng.choice((1, 1, 2))):
+                tails.append(u)
+                heads.append(w)
+                if rng.random() < 0.5:
+                    tails.append(w)
+                    heads.append(u)
+        adj: dict[int, list[int]] = {}
+        for u, w in zip(tails, heads):
+            adj.setdefault(u, []).append(w)
+        sources = rng.sample(range(n + 5), rng.randrange(0, 5))
+        dist = bfs_distances(adj, sources)
+        arrays = np.array(tails, dtype=np.int64), np.array(heads, dtype=np.int64)
+        assert hop_distances(*arrays, sources) == dist
+        assert hop_distances(tails, heads, set(sources)) == dist
+        for max_hops in range(4):
+            near = {v: d for v, d in dist.items() if d <= max_hops}
+            assert hop_distances(*arrays, sources, max_hops) == near
+
+
+def test_hop_distances_follow_edge_direction():
+    # 0 -> 1 -> 2, 3 -> 1
+    tails, heads = [0, 1, 3], [1, 2, 1]
+    assert hop_distances(tails, heads, [0]) == {0: 0, 1: 1, 2: 2}
+    assert hop_distances(heads, tails, [2]) == {2: 0, 1: 1, 0: 2, 3: 2}
+    assert hop_distances([], [], [7]) == {7: 0}

@@ -23,8 +23,8 @@ from kgslice.patterns import PatternTask
 from kgslice.tasks import TaskSpec
 from kgslice.walks import WalkParams, extract_random_walk
 
-from conftest import EX, make_kg, nt, random_kg, random_kg_lines
-from oracles import UnionFind, bfs_distances, entropy_of_counts
+from conftest import EX, Budget, make_kg, nt, random_kg, random_kg_lines
+from oracles import UnionFind, bfs_distances, entropy_of_counts, reference_quality_report
 
 
 def full_subgraph(kg):
@@ -205,6 +205,61 @@ def test_quality_report_pure_function(rng):
     r1 = quality_report(full_subgraph(kg1), nc_task(kg1, "T0"), kg1)
     r2 = quality_report(full_subgraph(kg2), nc_task(kg2, "T0"), kg2)
     assert r1 == r2
+
+
+def report_slices(rng, kg):
+    """Full, induced, restricted, triple-free and empty slices of ``kg``."""
+    n = kg.vertex_count()
+    full = full_subgraph(kg)
+    yield full
+    yield subgraph_from_triples(kg, [])
+    yield subgraph_from_triples(kg, [], base_vertices=rng.sample(range(n), min(n, 3)))
+    for _ in range(3):
+        keep = rng.sample(range(n), rng.randrange(0, n + 1))
+        yield kg.induced_subgraph(keep, keep_type_triples=rng.random() < 0.5)
+        yield full.restricted(keep)
+    yield subgraph_from_triples(kg, rng.sample(kg.triples, len(kg.triples) // 2))
+
+
+def test_quality_report_matches_reference_oracle(rng):
+    # literals, untyped and multi-typed vertices
+    for _ in range(40):
+        lines = random_kg_lines(
+            rng,
+            n_vertices=rng.randrange(5, 60),
+            n_types=rng.randrange(1, 5),
+            n_triples=rng.randrange(0, 150),
+            typed_fraction=rng.choice((0.0, 0.5, 0.9)),
+            literal_fraction=rng.choice((0.0, 0.3)),
+            multi_type_fraction=0.3,
+        )
+        kg = make_kg(lines + [nt("v0", "a", "T0")])
+        task = TaskSpec(kind="nc", target_type=rng.randrange(kg.type_count()), target_predicate=0)
+        for sg in report_slices(rng, kg):
+            assert quality_report(sg, task, kg) == reference_quality_report(sg, task, kg)
+
+
+def test_distance_indicators_accept_precomputed_distances(rng):
+    kg = random_kg(rng, n_vertices=60, n_triples=150, literal_fraction=0.2)
+    targets = kg.vertices_of_type(kg.type_id(f"{EX}T0"))
+    for sg in report_slices(rng, kg):
+        dist = sg.undirected_distances(set(targets) & sg.vertices)
+        assert disconnected_ratio(sg, targets, dist) == disconnected_ratio(sg, targets)
+        assert avg_distance_to_target(sg, targets, dist) == avg_distance_to_target(sg, targets)
+
+
+def test_quality_report_on_200k_vertex_path():
+    n = 200_000
+    kg = make_kg([nt("v0", "a", "T")] + [nt(f"v{i}", "p0", f"v{i + 1}") for i in range(n - 1)])
+    sg = full_subgraph(kg)
+    with Budget("quality-report-200k-path", 5.0):
+        report = quality_report(sg, nc_task(kg), kg)
+    assert report.vertex_count == n
+    assert report.target_count == 1
+    assert report.target_disconnected_ratio == 0.0
+    assert report.avg_distance_to_target == n / 2
+    # only v1 has a typed neighbor
+    assert report.neighbor_type_entropy == entropy_of_counts([1] + [0] * (n - 1))
 
 
 def test_extractors_report_zero_disconnection(rng):
