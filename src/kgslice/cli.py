@@ -20,7 +20,15 @@ import numpy as np
 from . import export as export_mod
 from .endpoint import EndpointConfig, HttpBackend, sparql_extract
 from .errors import JobFailed, KgsliceError, ParseError
-from .graph import BOTH, RDF_TYPE, KnowledgeGraph, Subgraph, load_ntriples, subgraph_from_triples
+from .graph import (
+    BOTH,
+    RDF_TYPE,
+    Subgraph,
+    load_ntriples,
+    open_maybe_gzip,
+    read_ntriples,
+    subgraph_from_triples,
+)
 from .influence import PprParams, extract_influence
 from .metrics import quality_report, render_reports, reports_tsv
 from .patterns import LocalBackend, PatternTask, pattern_task_for
@@ -46,12 +54,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _load_kg(path, type_predicate=RDF_TYPE, strict=False):
-    kg, errors = load_ntriples(path, type_predicate_iri=type_predicate, strict=strict)
+def _warn_parse_errors(path, errors) -> None:
     for err in errors[:20]:
         log.warning("%s: %s", path, err)
     if len(errors) > 20:
         log.warning("%s: %d more parse errors", path, len(errors) - 20)
+
+
+def _load_kg(path, type_predicate=RDF_TYPE, strict=False):
+    kg, errors = load_ntriples(path, type_predicate_iri=type_predicate, strict=strict)
+    _warn_parse_errors(path, errors)
     return kg, errors
 
 
@@ -73,19 +85,31 @@ def _write_subgraph(sg: Subgraph, outdir: Path) -> None:
         fh.write("\n")
 
 
-def _subgraph_from_file(path, kg: KnowledgeGraph | None):
-    """Load an extracted subgraph; map into ``kg``'s id space when given."""
-    loaded, _ = _load_kg(path)
-    if kg is None:
-        return subgraph_from_triples(loaded, loaded.triples), loaded
-    rows = [
-        (loaded.term(s), loaded.predicate_term(p), loaded.term(o))
-        for s, p, o in loaded.triples
-    ]
-    triples = [
-        (kg.vertex_id(s), kg.predicate_id(p), kg.vertex_id(o)) for s, p, o in rows
-    ]
-    return subgraph_from_triples(kg, triples), kg
+def _load_slices(args, paths):
+    """Read the slice files and the task config for metrics, compare, validate, export.
+
+    Slices are read strictly. With ``--kg`` each statement maps straight
+    into that graph's id space, and a term the graph lacks is an error;
+    without it each slice is a graph of its own, typed by
+    ``--type-predicate``. Returns one (subgraph, task) pair per path, and
+    the config.
+    """
+    cfg = read_config(args.config)
+    kg = _load_kg(args.kg, type_predicate=args.type_predicate)[0] if args.kg else None
+    slices = []
+    for path in paths:
+        if kg is None:
+            own, _ = load_ntriples(path, type_predicate_iri=args.type_predicate, strict=True)
+            sg = subgraph_from_triples(own, own.triples)
+        else:
+            with open_maybe_gzip(path) as fh:
+                triples = [
+                    (kg.vertex_id(s), kg.predicate_id(p), kg.vertex_id(o))
+                    for s, p, o in read_ntriples(fh)
+                ]
+            sg = subgraph_from_triples(kg, triples)
+        slices.append((sg, task_from_config(sg.kg, cfg)))
+    return slices, cfg
 
 
 def _strip_label_edges(sg: Subgraph, target_type: int, label_predicate: int) -> Subgraph:
@@ -199,29 +223,13 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def _reports_for(args, paths):
-    kg = None
-    if args.kg:
-        kg, _ = _load_kg(args.kg, type_predicate=args.type_predicate)
-    named = []
-    for path in paths:
-        sg, backing = _subgraph_from_file(path, kg)
-        cfg = read_config(args.config)
-        task = task_from_config(backing, cfg)
-        named.append((Path(path).name, quality_report(sg, task, backing)))
-    return named
-
-
 def cmd_metrics(args) -> int:
-    named = _reports_for(args, [args.subgraph])
-    sys.stdout.write(render_reports(named))
-    if args.tsv:
-        Path(args.tsv).write_text(reports_tsv(named), encoding="utf-8")
-    return 0
-
-
-def cmd_compare(args) -> int:
-    named = _reports_for(args, args.subgraphs)
+    paths = [args.subgraph] if args.command == "metrics" else args.subgraphs
+    slices, _ = _load_slices(args, paths)
+    named = [
+        (Path(path).name, quality_report(sg, task, sg.kg))
+        for path, (sg, task) in zip(paths, slices)
+    ]
     sys.stdout.write(render_reports(named))
     if args.tsv:
         Path(args.tsv).write_text(reports_tsv(named), encoding="utf-8")
@@ -229,13 +237,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    kg = None
-    if args.kg:
-        kg, _ = _load_kg(args.kg, type_predicate=args.type_predicate)
-    sg, backing = _subgraph_from_file(args.subgraph, kg)
-    cfg = read_config(args.config)
-    task = task_from_config(backing, cfg)
-    targets = set(resolve_targets(backing, task)) & sg.vertices
+    [(sg, task)], _ = _load_slices(args, [args.subgraph])
+    targets = set(resolve_targets(sg.kg, task)) & sg.vertices
     model = RgcnReferenceModel(layers=args.layers, dim=args.dim, seed=args.seed)
     feats = random_features(sg.entity_vertices(), args.dim, seed=args.seed)
     full = rgcn_forward(model, sg, feats)
@@ -254,12 +257,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_export(args) -> int:
-    kg = None
-    if args.kg:
-        kg, _ = _load_kg(args.kg, type_predicate=args.type_predicate)
-    sg, backing = _subgraph_from_file(args.subgraph, kg)
-    cfg = read_config(args.config)
-    task = task_from_config(backing, cfg)
+    [(sg, task)], cfg = _load_slices(args, [args.subgraph])
+    backing = sg.kg
     labels = None
     splits = None
     if task.kind == NODE_CLASSIFICATION:
@@ -280,15 +279,14 @@ def cmd_export(args) -> int:
 
 
 def cmd_diff_versions(args) -> int:
-    old_kg, _ = _load_kg(args.old)
-    new_kg, _ = _load_kg(args.new)
+    def statements(path):
+        errors = []
+        with open_maybe_gzip(path) as fh:
+            found = set(read_ntriples(fh, errors))
+        _warn_parse_errors(path, errors)
+        return found
 
-    def surface(kg):
-        return {
-            (kg.term(s), kg.predicate_term(p), kg.term(o)) for s, p, o in kg.triples
-        }
-
-    old_set, new_set = surface(old_kg), surface(new_kg)
+    old_set, new_set = statements(args.old), statements(args.new)
     added = sorted(new_set - old_set)
     removed = sorted(old_set - new_set)
     print(f"added\t{len(added)}")
@@ -358,7 +356,7 @@ def build_parser() -> _Parser:
     p.add_argument("--kg")
     add_type_predicate(p)
     p.add_argument("--tsv")
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("validate", help="message-passing pruning invariance check")
     p.add_argument("--subgraph", required=True)

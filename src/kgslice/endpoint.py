@@ -109,20 +109,14 @@ class HttpBackend:
                 # let an overloaded endpoint recover instead of hammering it
                 sleep(min(RETRY_BACKOFF_S * 2 ** (attempt - 1), RETRY_BACKOFF_CAP_S))
             try:
-                if cfg.use_post:
-                    resp = self.session.post(
-                        cfg.url,
-                        data={"query": query},
-                        headers=self._headers(),
-                        timeout=cfg.timeout,
-                    )
-                else:
-                    resp = self.session.get(
-                        cfg.url,
-                        params={"query": query},
-                        headers=self._headers(),
-                        timeout=cfg.timeout,
-                    )
+                resp = self.session.request(
+                    "POST" if cfg.use_post else "GET",
+                    cfg.url,
+                    params=None if cfg.use_post else {"query": query},
+                    data={"query": query} if cfg.use_post else None,
+                    headers=self._headers(),
+                    timeout=cfg.timeout,
+                )
             except requests.RequestException as exc:
                 last_exc = exc
                 log.warning("request failed (attempt %d): %s", attempt + 1, exc)

@@ -20,7 +20,6 @@ inputs produce byte-identical bundles.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import warnings
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ from itertools import islice
 from pathlib import Path
 
 from .errors import IoFailure
-from .graph import KIND_LITERAL, KnowledgeGraph, Subgraph, ingest_ntriples
+from .graph import KIND_LITERAL, KnowledgeGraph, Subgraph, build_graph
 from .tasks import LabelMap
 
 UNTYPED = "__untyped__"
@@ -192,31 +191,37 @@ def export_bundle(
 
 
 def rebuild_bundle(outdir) -> KnowledgeGraph:
-    """Reconstruct a KnowledgeGraph from an exported bundle."""
+    """Reconstruct a KnowledgeGraph from an exported bundle.
+
+    Raises IoFailure when a term or predicate in the bundle is not valid
+    N-Triples where it occurs.
+    """
     outdir = Path(outdir)
     manifest = json.loads((outdir / "manifest.json").read_text())
     term_of: dict[tuple[str, int], str] = {}
     with open(outdir / "nodes.tsv", encoding="utf-8") as fh:
         for line in fh:
-            type_name, dense_s, term = line.rstrip("\n").split("\t")
+            # a literal term may hold a raw tab, so split at the first two only
+            type_name, dense_s, term = line.rstrip("\n").split("\t", 2)
             term_of[(type_name, int(dense_s))] = term
-
-    buf = io.StringIO()
     type_pred = manifest["type_predicate"]
-    with open(outdir / "types.tsv", encoding="utf-8") as fh:
-        for line in fh:
-            term, type_iri = line.rstrip("\n").split("\t")
-            buf.write(f"{term} <{type_pred}> <{type_iri}> .\n")
-    for name, info in manifest["edge_files"].items():
-        with open(outdir / name, encoding="utf-8") as fh:
+
+    def statements():
+        with open(outdir / "types.tsv", encoding="utf-8") as fh:
             for line in fh:
-                src_s, dst_s = line.rstrip("\n").split("\t")
-                s = term_of[(info["src_type"], int(src_s))]
-                o = term_of[(info["dst_type"], int(dst_s))]
-                buf.write(f"{s} <{info['predicate']}> {o} .\n")
-    kg, errors = ingest_ntriples(
-        buf.getvalue().encode("utf-8"), type_predicate_iri=type_pred
-    )
-    if errors:
-        raise IoFailure(f"bundle does not round-trip: {errors[0]}")
+                term, type_iri = line.rstrip("\n").rsplit("\t", 1)
+                yield term, f"<{type_pred}>", f"<{type_iri}>"
+        for name, info in manifest["edge_files"].items():
+            predicate = f"<{info['predicate']}>"
+            with open(outdir / name, encoding="utf-8") as fh:
+                for line in fh:
+                    src_s, dst_s = line.rstrip("\n").split("\t")
+                    s = term_of[(info["src_type"], int(src_s))]
+                    o = term_of[(info["dst_type"], int(dst_s))]
+                    yield s, predicate, o
+
+    kg = build_graph(statements(), type_predicate_iri=type_pred)
+    bad = kg.malformed_term()
+    if bad is not None:
+        raise IoFailure(f"bundle does not round-trip: {bad!r} is not valid N-Triples there")
     return kg

@@ -39,12 +39,17 @@ _IRI = r"<[^<>\"{}|^`\\\x00-\x20]*>"
 _BLANK = r"_:[A-Za-z0-9][A-Za-z0-9._\-]*"
 _LITERAL = r'"(?:[^"\\]|\\.)*"(?:\^\^' + _IRI + r"|@[A-Za-z]+(?:-[A-Za-z0-9]+)*)?"
 
+_SUBJECT = _IRI + r"|" + _BLANK
+_OBJECT = _SUBJECT + r"|" + _LITERAL
+
 _TRIPLE_RE = re.compile(
-    r"^[ \t]*(" + _IRI + r"|" + _BLANK + r")"
+    r"^[ \t]*(" + _SUBJECT + r")"
     r"[ \t]+(" + _IRI + r")"
-    r"[ \t]+(" + _IRI + r"|" + _BLANK + r"|" + _LITERAL + r")"
+    r"[ \t]+(" + _OBJECT + r")"
     r"[ \t]*\.[ \t]*$"
 )
+_TERM_RE = re.compile(_OBJECT)
+_PREDICATE_RE = re.compile(_IRI)
 
 _GZIP_MAGIC = b"\x1f\x8b"
 
@@ -182,46 +187,55 @@ class Subgraph:
 class KnowledgeGraph:
     """Immutable index-backed triple store.
 
-    Construction happens through :func:`ingest_ntriples`; afterwards the
-    instance is read-only and safe to share across threads.
+    Construction happens through :func:`build_graph` (which
+    :func:`ingest_ntriples` calls); afterwards the instance is read-only
+    and safe to share across threads.
     """
 
-    def __init__(self):
-        self._term_ids: dict[str, int] = {}
-        self._terms: list[str] = []
-        self._pred_ids: dict[str, int] = {}
-        self._preds: list[str] = []
-        self._type_ids: dict[int, int] = {}  # class vertex id -> NodeTypeId
-        self._type_vertex: list[int] = []  # NodeTypeId -> class vertex id
-        self.triples: list[tuple[int, int, int]] = []
+    def __init__(
+        self, term_ids: dict[str, int], pred_ids: dict[str, int], triples, type_predicate_iri: str
+    ):
+        # each dictionary numbers its surfaces 0, 1, ... in insertion order
+        self._term_ids = term_ids
+        self._terms: list[str] = list(term_ids)
+        self._pred_ids = pred_ids
+        self._preds: list[str] = list(pred_ids)
+        self.type_predicate_iri: str = type_predicate_iri
+        self.type_predicate: int | None = pred_ids.get(f"<{type_predicate_iri}>")
+        self.triples: list[tuple[int, int, int]] = sorted(triples)
         self.out_index: dict[int, list[tuple[int, int]]] = {}
         self.in_index: dict[int, list[tuple[int, int]]] = {}
         self.pred_index: dict[int, list[tuple[int, int, int]]] = {}
+        for s, p, o in self.triples:
+            self.out_index.setdefault(s, []).append((p, o))
+            self.in_index.setdefault(o, []).append((p, s))
+            self.pred_index.setdefault(p, []).append((s, p, o))
+        for lst in self.out_index.values():
+            lst.sort()
+        for lst in self.in_index.values():
+            lst.sort()
+        self._type_ids: dict[int, int] = {}  # class vertex id -> NodeTypeId
+        self._type_vertex: list[int] = []  # NodeTypeId -> class vertex id
         self.type_of: dict[int, tuple[int, ...]] = {}
         self.by_type: dict[int, list[int]] = {}
-        self.type_predicate: int | None = None
-        self.type_predicate_iri: str = RDF_TYPE
+        type_sets: dict[int, set[int]] = {}
+        for s, _, o in self.pred_index.get(self.type_predicate, ()):
+            tid = self._type_ids.get(o)
+            if tid is None:
+                tid = len(self._type_vertex)
+                self._type_ids[o] = tid
+                self._type_vertex.append(o)
+            type_sets.setdefault(s, set()).add(tid)
+        for v, tids in type_sets.items():
+            self.type_of[v] = tuple(sorted(tids))
+        for v in sorted(type_sets):
+            for tid in self.type_of[v]:
+                self.by_type.setdefault(tid, []).append(v)
         self._walk_adj: dict[str, dict[int, list[int]]] = {}
         self._walk_index: dict[str, WalkIndex] = {}
         self._literal_mask: np.ndarray | None = None
 
     # -- dictionary ----------------------------------------------------
-
-    def _intern_term(self, surface: str) -> int:
-        tid = self._term_ids.get(surface)
-        if tid is None:
-            tid = len(self._terms)
-            self._term_ids[surface] = tid
-            self._terms.append(surface)
-        return tid
-
-    def _intern_pred(self, surface: str) -> int:
-        pid = self._pred_ids.get(surface)
-        if pid is None:
-            pid = len(self._preds)
-            self._pred_ids[surface] = pid
-            self._preds.append(surface)
-        return pid
 
     def vertex_count(self) -> int:
         return len(self._terms)
@@ -294,6 +308,21 @@ class KnowledgeGraph:
 
     def predicate_count(self) -> int:
         return len(self._preds)
+
+    def malformed_term(self) -> str | None:
+        """The first term N-Triples forbids where it occurs, or None.
+
+        Checks each distinct term once: vertices against the term grammar,
+        predicates against the IRI grammar, and that no literal has an
+        outgoing triple (a literal is never a subject).
+        """
+        for v, surface in enumerate(self._terms):
+            if not _TERM_RE.fullmatch(surface) or (surface[0] == '"' and v in self.out_index):
+                return surface
+        for surface in self._preds:
+            if not _PREDICATE_RE.fullmatch(surface):
+                return surface
+        return None
 
     # -- queries ---------------------------------------------------------
 
@@ -404,53 +433,14 @@ class KnowledgeGraph:
         for vid, surface in enumerate(self._terms):
             fh.write(f"{vid}\t{term_kind(surface)}\t{term_lexical(surface)}\n")
 
-    # -- construction ----------------------------------------------------
 
-    def _finalize(self) -> None:
-        self.triples.sort()
-        for s, p, o in self.triples:
-            self.out_index.setdefault(s, []).append((p, o))
-            self.in_index.setdefault(o, []).append((p, s))
-            self.pred_index.setdefault(p, []).append((s, p, o))
-        for lst in self.out_index.values():
-            lst.sort()
-        for lst in self.in_index.values():
-            lst.sort()
-        tp = self.type_predicate
-        if tp is not None:
-            type_sets: dict[int, set[int]] = {}
-            for s, _, o in self.pred_index.get(tp, ()):
-                tid = self._type_ids.get(o)
-                if tid is None:
-                    tid = len(self._type_vertex)
-                    self._type_ids[o] = tid
-                    self._type_vertex.append(o)
-                type_sets.setdefault(s, set()).add(tid)
-            for v, tids in type_sets.items():
-                self.type_of[v] = tuple(sorted(tids))
-            for v in sorted(type_sets):
-                for tid in self.type_of[v]:
-                    self.by_type.setdefault(tid, []).append(v)
+def read_ntriples(source, errors: list[ParseError] | None = None):
+    """Yield the (subject, predicate, object) surface forms of each statement.
 
-
-def ingest_ntriples(
-    source,
-    type_predicate_iri: str = RDF_TYPE,
-    strict: bool = False,
-) -> tuple[KnowledgeGraph, list[ParseError]]:
-    """Parse an N-Triples byte or text stream into a KnowledgeGraph.
-
-    Duplicate statements collapse to one triple. Malformed lines are
-    collected as :class:`ParseError` records and skipped unless ``strict``
-    is set, in which case the first one is raised. Blank lines and
-    ``#`` comments are ignored.
+    ``source`` is bytes or a binary or text stream. Blank lines and ``#``
+    comments are skipped. A malformed line is appended to ``errors`` as a
+    :class:`ParseError` and skipped, or raised when ``errors`` is None.
     """
-    kg = KnowledgeGraph()
-    kg.type_predicate_iri = type_predicate_iri
-    type_pred_surface = f"<{type_predicate_iri}>"
-    errors: list[ParseError] = []
-    seen: set[tuple[int, int, int]] = set()
-
     if isinstance(source, bytes):
         source = io.BytesIO(source)
     raw = source.read()
@@ -474,22 +464,47 @@ def ingest_ntriples(
         m = _TRIPLE_RE.match(line)
         if m is None:
             err = ParseError(lineno, "not a valid N-Triples statement", line)
-            if strict:
+            if errors is None:
                 raise err
             errors.append(err)
             continue
-        s_surf, p_surf, o_surf = m.groups()
-        s = kg._intern_term(s_surf)
-        p = kg._intern_pred(p_surf)
-        o = kg._intern_term(o_surf)
-        if p_surf == type_pred_surface and kg.type_predicate is None:
-            kg.type_predicate = p
-        t = (s, p, o)
-        if t not in seen:
-            seen.add(t)
-            kg.triples.append(t)
+        yield m.groups()
 
-    kg._finalize()
+
+def build_graph(statements, type_predicate_iri: str = RDF_TYPE) -> KnowledgeGraph:
+    """A KnowledgeGraph from (subject, predicate, object) surface forms.
+
+    Terms and predicates get dense ids in first-encounter order, each in
+    its own id space; duplicate statements collapse to one triple. The
+    surfaces are taken as they are: :meth:`KnowledgeGraph.malformed_term`
+    checks them when they come from anywhere but :func:`read_ntriples`.
+    """
+    terms: dict[str, int] = {}
+    preds: dict[str, int] = {}
+    # a dict, not a set: first-encounter order is partly sorted already, so
+    # the sort that indexing starts with runs faster than over a set's order
+    triples: dict[tuple[int, int, int], None] = {}
+    for s, p, o in statements:
+        s_id = terms.setdefault(s, len(terms))
+        p_id = preds.setdefault(p, len(preds))
+        triples[s_id, p_id, terms.setdefault(o, len(terms))] = None
+    return KnowledgeGraph(terms, preds, triples, type_predicate_iri)
+
+
+def ingest_ntriples(
+    source,
+    type_predicate_iri: str = RDF_TYPE,
+    strict: bool = False,
+) -> tuple[KnowledgeGraph, list[ParseError]]:
+    """Parse an N-Triples byte or text stream into a KnowledgeGraph.
+
+    Duplicate statements collapse to one triple. Malformed lines are
+    collected as :class:`ParseError` records and skipped unless ``strict``
+    is set, in which case the first one is raised. Blank lines and
+    ``#`` comments are ignored.
+    """
+    errors: list[ParseError] = []
+    kg = build_graph(read_ntriples(source, None if strict else errors), type_predicate_iri)
     return kg, errors
 
 

@@ -171,21 +171,6 @@ def get_bgp(task: PatternTask, d: int, h: int) -> BgpQuery:
     return BgpQuery(task=task, d=d, h=h, full_text=full, branches=branches)
 
 
-def tokenize_query(text: str) -> list[str]:
-    """Whitespace-insensitive token stream for query comparisons."""
-    text = text.replace("{", " { ").replace("}", " } ")
-    tokens: list[str] = []
-    for raw in text.split():
-        tail = []
-        while raw != "." and raw.endswith("."):
-            raw = raw[:-1]
-            tail.append(".")
-        if raw:
-            tokens.append(raw)
-        tokens.extend(tail)
-    return tokens
-
-
 class LocalBackend:
     """Evaluates pattern branches directly on a KnowledgeGraph.
 

@@ -51,10 +51,6 @@ def random_features(vertices, dim: int, seed: int = 0) -> dict[int, np.ndarray]:
     return {v: _derived_array(seed, ("feat", v), (dim,)) for v in vertices}
 
 
-def constant_features(vertices, dim: int, value: float = 1.0) -> dict[int, np.ndarray]:
-    return {v: np.full(dim, value) for v in vertices}
-
-
 def _entity_triples(sg: Subgraph):
     kg = sg.kg
     for s, p, o in sg.non_type_triples:

@@ -4,6 +4,7 @@ import io
 import random
 import time
 
+import numpy as np
 import pytest
 
 from kgslice.graph import KnowledgeGraph, ingest_ntriples
@@ -81,6 +82,25 @@ def random_kg_lines(
 
 def random_kg(rng: random.Random, **kwargs) -> KnowledgeGraph:
     return make_kg(random_kg_lines(rng, **kwargs))
+
+
+def tokenize_query(text: str) -> list[str]:
+    """Whitespace-insensitive token stream for query comparisons."""
+    text = text.replace("{", " { ").replace("}", " } ")
+    tokens: list[str] = []
+    for raw in text.split():
+        tail = []
+        while raw != "." and raw.endswith("."):
+            raw = raw[:-1]
+            tail.append(".")
+        if raw:
+            tokens.append(raw)
+        tokens.extend(tail)
+    return tokens
+
+
+def constant_features(vertices, dim: int, value: float = 1.0) -> dict[int, np.ndarray]:
+    return {v: np.full(dim, value) for v in vertices}
 
 
 @pytest.fixture

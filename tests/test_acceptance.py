@@ -24,7 +24,7 @@ from kgslice.metrics import (
     quality_report,
     target_stats,
 )
-from kgslice.patterns import LocalBackend, PatternTask, get_bgp, tokenize_query
+from kgslice.patterns import LocalBackend, PatternTask, get_bgp
 from kgslice.rgcn import (
     RgcnReferenceModel,
     influence_fd,
@@ -36,7 +36,7 @@ from kgslice.rgcn import (
 from kgslice.tasks import SplitSpec, TaskSpec, build_labels, make_splits, resolve_targets
 from kgslice.walks import WalkParams, extract_random_walk
 
-from conftest import EX, Budget, iri, make_kg, nt, random_kg_lines
+from conftest import EX, Budget, iri, make_kg, nt, random_kg_lines, tokenize_query
 from oracles import dense_rgcn_forward, entropy_of_counts, pattern_triples, power_iteration_ppr
 
 REFERENCE_D2H1 = """

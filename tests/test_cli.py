@@ -6,7 +6,7 @@ import pytest
 
 from kgslice.cli import main
 
-from conftest import EX, nt
+from conftest import EX, TYPE_IRI, nt
 
 
 @pytest.fixture
@@ -195,6 +195,55 @@ def test_validate_passes(mini_kg, task_cfg, tmp_path, capsys):
     captured = capsys.readouterr().out
     assert rc == 0
     assert "PASS" in captured
+
+
+def test_slice_without_kg_uses_type_predicate(mini_kg, task_cfg, tmp_path):
+    slice_path = tmp_path / "isa.nt"
+    slice_path.write_text(
+        mini_kg.read_text(encoding="utf-8").replace(f"<{TYPE_IRI}>", f"<{EX}isa>"),
+        encoding="utf-8",
+    )
+    tsv = tmp_path / "report.tsv"
+    rc = main(
+        [
+            "metrics", "--subgraph", str(slice_path), "--config", str(task_cfg),
+            "--type-predicate", f"{EX}isa", "--tsv", str(tsv),
+        ]
+    )
+    assert rc == 0
+    report = dict(line.split("\t") for line in tsv.read_text().splitlines()[1:])
+    assert report["target_count"] == "30"
+
+
+@pytest.mark.parametrize("command", ["metrics", "validate", "export"])
+@pytest.mark.parametrize("with_kg", [False, True])
+def test_malformed_slice_line_exits_two(mini_kg, task_cfg, tmp_path, capsys, command, with_kg):
+    slice_path = tmp_path / "broken.nt"
+    slice_path.write_text(
+        mini_kg.read_text(encoding="utf-8") + f"<{EX}v0> <{EX}cites>\n", encoding="utf-8"
+    )
+    argv = [command, "--subgraph", str(slice_path), "--config", str(task_cfg)]
+    if with_kg:
+        argv += ["--kg", str(mini_kg)]
+    if command == "export":
+        argv += ["--out", str(tmp_path / "bundle")]
+    assert main(argv) == 2
+    assert "line 121" in capsys.readouterr().err
+    assert not (tmp_path / "bundle").exists()
+
+
+@pytest.mark.parametrize("line", [nt("stranger", "cites", "v0"), nt("v0", "stranger", "v1")])
+def test_slice_term_absent_from_kg_exits_two(mini_kg, task_cfg, tmp_path, capsys, line):
+    slice_path = tmp_path / "stranger.nt"
+    slice_path.write_text(mini_kg.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+    rc = main(
+        [
+            "validate", "--subgraph", str(slice_path), "--config", str(task_cfg),
+            "--kg", str(mini_kg),
+        ]
+    )
+    assert rc == 2
+    assert f"{EX}stranger" in capsys.readouterr().err
 
 
 def test_diff_versions(tmp_path, capsys):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from kgslice.errors import IoFailure
 from kgslice.export import DanglingLabelWarning, export_bundle, rebuild_bundle
 from kgslice.graph import subgraph_from_triples
 from kgslice.tasks import LabelMap, SplitSpec, TaskSpec, build_labels, make_splits, resolve_targets
@@ -68,6 +69,31 @@ def test_round_trip_isomorphism(rng, tmp_path):
     export_bundle(sg, None, None, tmp_path)
     rebuilt = rebuild_bundle(tmp_path)
     assert surface_triples(rebuilt) == surface_triples(kg, sg.triples)
+
+
+def test_round_trip_literal_with_raw_tab(tmp_path):
+    kg = make_kg([nt("a", "a", "T"), nt("a", "p0", '"x\ty"'), nt("a", "p0", "b")])
+    export_bundle(full_subgraph(kg), None, None, tmp_path)
+    assert surface_triples(rebuild_bundle(tmp_path)) == surface_triples(kg)
+
+
+@pytest.mark.parametrize(
+    "name,old,new",
+    [
+        ("nodes.tsv", f"<{EX}b>", "<a b>"),  # an IRI may not hold a space
+        ("nodes.tsv", f"<{EX}a>", '"a"'),  # a literal may not be a subject
+        ("manifest.json", f"{EX}p0", f"{EX}p 0"),  # nor may a predicate IRI
+    ],
+)
+def test_corrupt_bundle_fails_rebuild(tmp_path, name, old, new):
+    kg = make_kg([nt("a", "a", "T"), nt("a", "p0", "b")])
+    export_bundle(full_subgraph(kg), None, None, tmp_path)
+    path = tmp_path / name
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    with pytest.raises(IoFailure):
+        rebuild_bundle(tmp_path)
 
 
 def test_label_edges_excluded(rng, tmp_path):

@@ -19,10 +19,9 @@ from kgslice.patterns import (
     PatternTask,
     get_bgp,
     local_bgp_match,
-    tokenize_query,
 )
 
-from conftest import EX, TYPE_IRI, make_kg, nt, random_kg_lines
+from conftest import EX, TYPE_IRI, make_kg, nt, random_kg_lines, tokenize_query
 from oracles import pattern_triples, surface_triples
 
 PAPER_D2H1 = """

@@ -9,7 +9,6 @@ from kgslice.errors import MissingFeature
 from kgslice.graph import subgraph_from_triples
 from kgslice.rgcn import (
     RgcnReferenceModel,
-    constant_features,
     influence_fd,
     message_reach,
     prune_outside_reach,
@@ -17,7 +16,7 @@ from kgslice.rgcn import (
     rgcn_forward,
 )
 
-from conftest import EX, make_kg, nt, random_kg
+from conftest import EX, constant_features, make_kg, nt, random_kg
 from oracles import bfs_distances, dense_rgcn_forward, dense_rgcn_jacobian
 
 
