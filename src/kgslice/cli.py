@@ -279,12 +279,10 @@ def cmd_export(args) -> int:
 
 
 def cmd_diff_versions(args) -> int:
+    # strict: a malformed line would otherwise drop statements from the diff
     def statements(path):
-        errors = []
         with open_maybe_gzip(path) as fh:
-            found = set(read_ntriples(fh, errors))
-        _warn_parse_errors(path, errors)
-        return found
+            return set(read_ntriples(fh))
 
     old_set, new_set = statements(args.old), statements(args.new)
     added = sorted(new_set - old_set)

@@ -122,7 +122,12 @@ class HttpBackend:
                 log.warning("request failed (attempt %d): %s", attempt + 1, exc)
                 continue
             if resp.status_code == 200:
-                return resp.text
+                # SPARQL TSV results are UTF-8; resp.text would fall back to
+                # ISO-8859-1 for a text/* type that names no charset
+                try:
+                    return resp.content.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise QueryRejected(200, f"response is not valid UTF-8: {exc}") from exc
             if 400 <= resp.status_code < 500:
                 raise QueryRejected(resp.status_code, resp.text)
             last_exc = QueryRejected(resp.status_code, resp.text)
@@ -134,8 +139,11 @@ class HttpBackend:
     @staticmethod
     def _parse_rows(text: str) -> list[tuple[str, str, str]]:
         rows = []
-        lines = text.splitlines()
-        for line in lines[1:]:  # first line is the header
+        # only LF ends a row: str.splitlines would also split at characters
+        # an N-Triples literal may hold raw (\x85, \u2028, ...)
+        for line in text.split("\n")[1:]:  # first line is the header
+            if line.endswith("\r"):
+                line = line[:-1]
             if not line:
                 continue
             parts = line.split("\t")

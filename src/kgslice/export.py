@@ -46,17 +46,14 @@ class ExportBundle:
 
 def _primary_types(sg: Subgraph) -> dict[int, str]:
     kg = sg.kg
-    asserted: dict[int, list[str]] = {}
-    for s, _, o in sg.type_triples:
-        asserted.setdefault(s, []).append(kg.lexical(o))
-    primary = {}
+    primary: dict[int, str] = {}
+    for s, _, o in sg.type_triples:  # the smallest asserted type
+        lexical = kg.lexical(o)
+        if s not in primary or lexical < primary[s]:
+            primary[s] = lexical
     for v in sg.vertices:
-        if v in asserted:
-            primary[v] = min(asserted[v])
-        elif kg.kind(v) == KIND_LITERAL:
-            primary[v] = LITERAL_TYPE
-        else:
-            primary[v] = UNTYPED
+        if v not in primary:
+            primary[v] = LITERAL_TYPE if kg.kind(v) == KIND_LITERAL else UNTYPED
     return primary
 
 

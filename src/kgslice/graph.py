@@ -2,8 +2,11 @@
 
 Terms are dictionary-encoded into dense integer handles in first-encounter
 order, so two ingestions of the same byte stream produce identical handles
-and identical iteration order everywhere downstream. Adjacency lists are
-kept sorted by (predicate, endpoint).
+and identical iteration order everywhere downstream. Each triple is stored
+once, as one (s, p, o) tuple; three lists hold the same tuples in (s, p, o),
+(o, p, s) and (p, s, o) order, each with CSR offsets over vertex or
+predicate ids, so the triples of one subject, object or predicate are one
+slice of a list (the permutation indexes of RDF-3X, Neumann & Weikum 2008).
 
 Vertices cover IRIs, blank nodes, and literals (literals keep their full
 N-Triples surface form including datatype/language tags and never have
@@ -19,6 +22,7 @@ import io
 import re
 from dataclasses import dataclass, field
 from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -185,7 +189,13 @@ class Subgraph:
 
 
 class KnowledgeGraph:
-    """Immutable index-backed triple store.
+    """Immutable dictionary-encoded triple store.
+
+    ``triples`` lists every (s, p, o) id triple once, sorted. Two more
+    lists hold the same tuple objects sorted by (o, p, s) and (p, s, o);
+    with CSR offsets over vertex and predicate ids they serve
+    :meth:`out_triples`, :meth:`in_triples` and :meth:`predicate_triples`,
+    through which every reader gets a vertex's or a predicate's triples.
 
     Construction happens through :func:`build_graph` (which
     :func:`ingest_ntriples` calls); afterwards the instance is read-only
@@ -203,23 +213,20 @@ class KnowledgeGraph:
         self.type_predicate_iri: str = type_predicate_iri
         self.type_predicate: int | None = pred_ids.get(f"<{type_predicate_iri}>")
         self.triples: list[tuple[int, int, int]] = sorted(triples)
-        self.out_index: dict[int, list[tuple[int, int]]] = {}
-        self.in_index: dict[int, list[tuple[int, int]]] = {}
-        self.pred_index: dict[int, list[tuple[int, int, int]]] = {}
-        for s, p, o in self.triples:
-            self.out_index.setdefault(s, []).append((p, o))
-            self.in_index.setdefault(o, []).append((p, s))
-            self.pred_index.setdefault(p, []).append((s, p, o))
-        for lst in self.out_index.values():
-            lst.sort()
-        for lst in self.in_index.values():
-            lst.sort()
+        # stable sorts by one column: (s, p, o) order sorted by p gives
+        # (p, s, o), and that sorted by o gives (o, p, s)
+        self._by_predicate = sorted(self.triples, key=itemgetter(1))
+        self._by_object = sorted(self._by_predicate, key=itemgetter(2))
+        n = len(self._terms)
+        self._subject_offsets = _csr_offsets(self.triples, 0, n)
+        self._object_offsets = _csr_offsets(self._by_object, 2, n)
+        self._predicate_offsets = _csr_offsets(self._by_predicate, 1, len(self._preds))
         self._type_ids: dict[int, int] = {}  # class vertex id -> NodeTypeId
         self._type_vertex: list[int] = []  # NodeTypeId -> class vertex id
         self.type_of: dict[int, tuple[int, ...]] = {}
         self.by_type: dict[int, list[int]] = {}
         type_sets: dict[int, set[int]] = {}
-        for s, _, o in self.pred_index.get(self.type_predicate, ()):
+        for s, _, o in self.predicate_triples(self.type_predicate):
             tid = self._type_ids.get(o)
             if tid is None:
                 tid = len(self._type_vertex)
@@ -317,7 +324,7 @@ class KnowledgeGraph:
         outgoing triple (a literal is never a subject).
         """
         for v, surface in enumerate(self._terms):
-            if not _TERM_RE.fullmatch(surface) or (surface[0] == '"' and v in self.out_index):
+            if not _TERM_RE.fullmatch(surface) or (surface[0] == '"' and self.out_triples(v)):
                 return surface
         for surface in self._preds:
             if not _PREDICATE_RE.fullmatch(surface):
@@ -336,6 +343,23 @@ class KnowledgeGraph:
             raise UnknownType(c)
         return list(self.by_type.get(c, []))
 
+    def out_triples(self, v: int) -> list[tuple[int, int, int]]:
+        """The triples with subject ``v``, sorted by (predicate, object)."""
+        offsets = self._subject_offsets
+        return self.triples[offsets[v]:offsets[v + 1]]
+
+    def in_triples(self, v: int) -> list[tuple[int, int, int]]:
+        """The triples with object ``v``, sorted by (predicate, subject)."""
+        offsets = self._object_offsets
+        return self._by_object[offsets[v]:offsets[v + 1]]
+
+    def predicate_triples(self, p: int | None) -> list[tuple[int, int, int]]:
+        """The triples with predicate ``p``, sorted by (subject, object); [] for None."""
+        if p is None:
+            return []
+        offsets = self._predicate_offsets
+        return self._by_predicate[offsets[p]:offsets[p + 1]]
+
     def neighbors(self, v: int, direction: str = BOTH) -> list[tuple[int, int]]:
         """(predicate, endpoint) pairs incident to ``v``.
 
@@ -343,13 +367,14 @@ class KnowledgeGraph:
         internally by (predicate, endpoint).
         """
         self._check_vertex(v)
-        if direction == OUTGOING:
-            return list(self.out_index.get(v, ()))
-        if direction == INCOMING:
-            return list(self.in_index.get(v, ()))
-        if direction == BOTH:
-            return list(self.out_index.get(v, ())) + list(self.in_index.get(v, ()))
-        raise ValueError(f"bad direction {direction!r}")
+        if direction not in (OUTGOING, INCOMING, BOTH):
+            raise ValueError(f"bad direction {direction!r}")
+        pairs = []
+        if direction != INCOMING:
+            pairs += [(p, o) for _, p, o in self.out_triples(v)]
+        if direction != OUTGOING:
+            pairs += [(p, s) for s, p, _ in self.in_triples(v)]
+        return pairs
 
     def walk_adjacency(self, direction: str) -> dict[int, list[int]]:
         """Entity-to-entity adjacency used by the samplers.
@@ -412,16 +437,14 @@ class KnowledgeGraph:
         for v in vsset:
             self._check_vertex(v)
         tp = self.type_predicate
-        retained = []
-        for v in sorted(vsset):
-            for p, o in self.out_index.get(v, ()):
-                if p == tp:
-                    if keep_type_triples:
-                        retained.append((v, p, o))
-                elif o in vsset:
-                    retained.append((v, p, o))
-        retained.sort()
-        return Subgraph(self, tuple(retained), frozenset(vsset))
+        # ascending subjects with each slice in (p, o) order: already sorted
+        retained = tuple(
+            t
+            for v in sorted(vsset)
+            for t in self.out_triples(v)
+            if (keep_type_triples if t[1] == tp else t[2] in vsset)
+        )
+        return Subgraph(self, retained, frozenset(vsset))
 
     # -- serialization ---------------------------------------------------
 
@@ -432,6 +455,17 @@ class KnowledgeGraph:
     def write_dictionary_tsv(self, fh) -> None:
         for vid, surface in enumerate(self._terms):
             fh.write(f"{vid}\t{term_kind(surface)}\t{term_lexical(surface)}\n")
+
+
+def _csr_offsets(triples, column: int, n: int) -> list[int]:
+    """Offsets of ``triples``, sorted on ``column``, over the ids 0..n-1.
+
+    The triples whose ``column`` holds id i are ``triples[offsets[i]:offsets[i + 1]]``.
+    """
+    ids = np.fromiter(map(itemgetter(column), triples), dtype=np.int64, count=len(triples))
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ids, minlength=n), out=offsets[1:])
+    return offsets.tolist()
 
 
 def read_ntriples(source, errors: list[ParseError] | None = None):

@@ -209,7 +209,7 @@ class LocalBackend:
         )
         pairs = [
             (s, o)
-            for s, _, o in kg.pred_index.get(pt, ())
+            for s, _, o in kg.predicate_triples(pt)
             if s in subj_ok and (obj_ok is None or o in obj_ok)
         ]
         subjects = sorted({s for s, _ in pairs})
@@ -221,13 +221,11 @@ class LocalBackend:
         kg = self.kg
         tp = kg.type_predicate
         for hop in shape[:-1]:
-            index = kg.out_index if hop == "out" else kg.in_index
-            anchors = [x for v in anchors for p, x in index.get(v, ()) if p != tp]
+            step, far = (kg.out_triples, 2) if hop == "out" else (kg.in_triples, 0)
+            anchors = [t[far] for v in anchors for t in step(v) if t[1] != tp]
         if shape[-1] == "out":
-            out = kg.out_index
-            return [(v, p, o) for v in anchors for p, o in out.get(v, ())]
-        inx = kg.in_index
-        return [(s, p, v) for v in anchors for p, s in inx.get(v, ()) if p != tp]
+            return list(itertools.chain.from_iterable(map(kg.out_triples, anchors)))
+        return [t for v in anchors for t in kg.in_triples(v) if t[1] != tp]
 
     def _branch_rows(self, bgp: BgpQuery, index: int) -> list[tuple[int, int, int]]:
         branch = bgp.branches[index]

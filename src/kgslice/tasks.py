@@ -91,7 +91,7 @@ def resolve_targets(kg: KnowledgeGraph, task: TaskSpec) -> list[int]:
     if task.kind == NODE_CLASSIFICATION:
         targets = of_type
     else:
-        subjects = {s for s, _, _ in kg.pred_index.get(task.target_predicate, ())}
+        subjects = {s for s, _, _ in kg.predicate_triples(task.target_predicate)}
         targets = sorted(set(of_type) & subjects)
     if not targets:
         warnings.warn("task resolves to an empty target set", EmptyTargetSetWarning)
@@ -112,7 +112,7 @@ def build_labels(kg: KnowledgeGraph, task: TaskSpec) -> LabelMap:
     pairs: dict[int, list[int]] = {}
     freq: Counter[int] = Counter()
     for v in sorted(targets):
-        for p, o in kg.out_index.get(v, ()):
+        for _, p, o in kg.out_triples(v):
             if p == task.target_predicate:
                 pairs.setdefault(v, []).append(o)
                 freq[o] += 1
@@ -168,7 +168,7 @@ def _compare_key(a, b):
 def _time_of(kg: KnowledgeGraph, v: int, time_predicate: int):
     values = [
         parse_time_value(kg.term(o))
-        for p, o in kg.out_index.get(v, ())
+        for _, p, o in kg.out_triples(v)
         if p == time_predicate
     ]
     if not values:

@@ -266,6 +266,17 @@ def test_diff_versions(tmp_path, capsys):
     assert "c" in removed.read_text()
 
 
+def test_diff_versions_rejects_truncated_dump(mini_kg, tmp_path, capsys):
+    text = mini_kg.read_text(encoding="utf-8")
+    cut = tmp_path / "cut.nt"
+    cut.write_text(text[: len(text) // 2 + 10], encoding="utf-8")
+    added = tmp_path / "added.nt"
+    rc = main(["diff-versions", str(mini_kg), str(cut), "--added-out", str(added)])
+    assert rc == 2
+    assert "not a valid N-Triples statement" in capsys.readouterr().err
+    assert not added.exists()
+
+
 def test_extract_via_http_endpoint(mini_kg, task_cfg, tmp_path, rng):
     from kgslice.graph import load_ntriples
     from kgslice.patterns import PatternTask, get_bgp

@@ -265,3 +265,23 @@ def test_abbreviating_endpoint_matches_local(rng):
         assert any(sg.kg.term(o) in ABBREVIABLE for _, _, o in sg.triples)
     finally:
         server.close()
+
+
+def test_raw_line_separators_in_literals_over_http(rng):
+    # N-Triples lets a literal hold U+0085 and U+2028 raw; only LF ends a TSV row
+    lines = random_kg_lines(rng, n_vertices=30, n_triples=80)
+    lines += [f'<{EX}v{i}> <{EX}p9> "a\x85b\u2028c{i}" .' for i in range(5)]
+    kg = make_kg(lines)
+    server = SparqlDouble(kg)
+    try:
+        task = nc_pattern()
+        server.register(get_bgp(task, 1, 1))
+        backend = HttpBackend(EndpointConfig(url=server.url))
+        sg = sparql_extract(backend, task, d=1, h=1, bs=11, workers=2)
+        local = local_sparql_extract(kg, task, 1, 1)
+        assert surface_triples(sg.kg, sg.triples) == surface_triples(kg, local.triples)
+        assert any("\u2028" in sg.kg.term(o) for _, _, o in sg.triples)
+    finally:
+        server.close()
+    body = f'?s\t?p\t?o\r\n<{EX}a>\t<{EX}p>\t"x\x85y"\r\n'
+    assert HttpBackend._parse_rows(body) == [(f"<{EX}a>", f"<{EX}p>", '"x\x85y"')]

@@ -236,10 +236,10 @@ def test_round_trip_serialization(rng):
 def test_index_consistency(rng):
     kg = random_kg(rng, n_vertices=60, n_triples=200, literal_fraction=0.1)
     for s, p, o in kg.triples:
-        assert (p, o) in kg.out_index[s]
-        assert (p, s) in kg.in_index[o]
-    n_out = sum(len(v) for v in kg.out_index.values())
-    n_in = sum(len(v) for v in kg.in_index.values())
+        assert (s, p, o) in kg.out_triples(s)
+        assert (s, p, o) in kg.in_triples(o)
+    n_out = sum(len(kg.out_triples(v)) for v in range(kg.vertex_count()))
+    n_in = sum(len(kg.in_triples(v)) for v in range(kg.vertex_count()))
     assert n_out == n_in == kg.triple_count()
 
 
@@ -248,7 +248,9 @@ def test_deterministic_ingestion(rng):
     kg1, _ = ingest_ntriples(io.BytesIO(text))
     kg2, _ = ingest_ntriples(io.BytesIO(text))
     assert kg1.triples == kg2.triples
-    assert kg1.out_index == kg2.out_index
+    assert [kg1.out_triples(v) for v in range(kg1.vertex_count())] == [
+        kg2.out_triples(v) for v in range(kg2.vertex_count())
+    ]
     assert kg1._terms == kg2._terms
 
 

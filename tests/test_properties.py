@@ -8,7 +8,7 @@ import warnings
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgslice.graph import ingest_ntriples
+from kgslice.graph import RDF_TYPE, ingest_ntriples
 from kgslice.tasks import LabelMap, SmallLabelWarning, SplitSpec, make_splits
 
 from oracles import surface_triples
@@ -44,7 +44,41 @@ def test_ingestion_is_deterministic(triples):
     kg1, _ = ingest_ntriples(io.BytesIO(blob))
     kg2, _ = ingest_ntriples(io.BytesIO(blob))
     assert kg1.triples == kg2.triples
-    assert kg1.out_index == kg2.out_index
+    assert [kg1.out_triples(v) for v in range(kg1.vertex_count())] == [
+        kg2.out_triples(v) for v in range(kg2.vertex_count())
+    ]
+
+
+_small = st.integers(min_value=0, max_value=8)
+# a small vertex range makes parallel edges and self-loops common; an
+# object is a vertex or one of a few literals
+_edge = st.tuples(_small, st.integers(min_value=0, max_value=3), st.one_of(_small, _small.map(str)))
+
+
+@given(st.lists(_edge, max_size=80), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_accessors_equal_brute_force_filters(edges, typed):
+    """Each accessor is the matching filter of ``kg.triples`` in its documented order."""
+    lines = []
+    for s, p, o in edges:
+        pred = RDF_TYPE if typed and p == 0 else f"http://ex/p{p}"
+        obj = f'"lit{o}"' if isinstance(o, str) else f"<http://ex/v{o}>"
+        lines.append(f"<http://ex/v{s}> <{pred}> {obj} .")
+    kg, errors = ingest_ntriples(("\n".join(lines) + "\n").encode())
+    assert not errors
+    assert (kg.type_predicate is not None) == (typed and any(p == 0 for _, p, _ in edges))
+    for v in range(kg.vertex_count()):
+        assert kg.out_triples(v) == sorted(
+            (t for t in kg.triples if t[0] == v), key=lambda t: (t[1], t[2])
+        )
+        assert kg.in_triples(v) == sorted(
+            (t for t in kg.triples if t[2] == v), key=lambda t: (t[1], t[0])
+        )
+    for p in range(kg.predicate_count()):
+        assert kg.predicate_triples(p) == sorted(
+            (t for t in kg.triples if t[1] == p), key=lambda t: (t[0], t[2])
+        )
+    assert kg.predicate_triples(None) == []
 
 
 @given(
