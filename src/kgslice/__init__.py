@@ -53,7 +53,6 @@ from .patterns import (
     LocalBackend,
     PatternTask,
     get_bgp,
-    local_bgp_match,
     pattern_task_for,
 )
 from .rgcn import (
@@ -117,7 +116,6 @@ __all__ = [
     "influence_scores",
     "ingest_ntriples",
     "load_ntriples",
-    "local_bgp_match",
     "local_sparql_extract",
     "make_splits",
     "message_reach",

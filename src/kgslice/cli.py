@@ -19,7 +19,7 @@ import numpy as np
 
 from . import export as export_mod
 from .endpoint import EndpointConfig, HttpBackend, sparql_extract
-from .errors import JobFailed, KgsliceError, ParseError
+from .errors import JobFailed, KgsliceError, ParseError, UnknownPredicate, UnknownType
 from .graph import (
     BOTH,
     RDF_TYPE,
@@ -112,19 +112,31 @@ def _load_slices(args, paths):
     return slices, cfg
 
 
-def _strip_label_edges(sg: Subgraph, target_type: int, label_predicate: int) -> Subgraph:
-    """Drop label-predicate triples whose subject is a target (leakage)."""
+def _strip_label_edges(sg: Subgraph, target_type_iri: str, label_predicate_iri: str) -> Subgraph:
+    """Drop label-predicate triples whose subject is a target (leakage).
+
+    The target type and the label predicate are looked up in the slice's
+    own graph, which is the input graph or, for an endpoint extraction,
+    the graph of the returned rows.
+    """
     kg = sg.kg
-    target_vertices = {
-        s
-        for s, p, o in sg.type_triples
-        if kg.type_id_of_vertex(o) == target_type
-    }
-    kept = [
-        t
-        for t in sg.triples
-        if not (t[1] == label_predicate and t[0] in target_vertices)
-    ]
+    kept = sg.triples
+    try:
+        target_type = kg.type_id(target_type_iri)
+        label_predicate = kg.predicate_id(label_predicate_iri)
+    except (UnknownType, UnknownPredicate):
+        pass  # without the target type or the label predicate there is no label edge
+    else:
+        target_vertices = {
+            s
+            for s, p, o in sg.type_triples
+            if kg.type_id_of_vertex(o) == target_type
+        }
+        kept = [
+            t
+            for t in sg.triples
+            if not (t[1] == label_predicate and t[0] in target_vertices)
+        ]
     # vertices that only carried label edges drop out with them
     out = subgraph_from_triples(kg, kept, provenance=dict(sg.provenance))
     out.provenance["label_edges_excluded"] = len(sg.triples) - len(kept)
@@ -147,42 +159,40 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def cmd_extract(args) -> int:
-    cfg = read_config(args.config)
-    outdir = Path(args.out)
-
-    if args.engine == "sparql" and args.endpoint:
-        task = PatternTask(
-            kind=cfg.get("task", NODE_CLASSIFICATION).lower(),
-            target_type_iri=cfg["target_type"],
-            target_predicate_iri=cfg.get("target_predicate"),
-            object_type_iri=cfg.get("object_type"),
+def _endpoint_extract(args, cfg, outdir: Path) -> Subgraph:
+    """Pattern extraction against ``--endpoint``; a failed job leaves partial.json."""
+    task = PatternTask(
+        kind=cfg.get("task", NODE_CLASSIFICATION).lower(),
+        target_type_iri=cfg["target_type"],
+        target_predicate_iri=cfg.get("target_predicate"),
+        object_type_iri=cfg.get("object_type"),
+        type_predicate_iri=args.type_predicate,
+    )
+    endpoint = EndpointConfig(
+        url=args.endpoint,
+        graph_iri=args.graph,
+        timeout=args.timeout,
+        retries=args.retries,
+        workers=args.workers,
+    )
+    try:
+        return sparql_extract(
+            HttpBackend(endpoint), task, args.d, args.h, args.bs, workers=args.workers
         )
-        endpoint = EndpointConfig(
-            url=args.endpoint,
-            graph_iri=args.graph,
-            timeout=args.timeout,
-            retries=args.retries,
-            workers=args.workers,
-        )
-        try:
-            sg = sparql_extract(
-                HttpBackend(endpoint), task, args.d, args.h, args.bs, workers=args.workers
-            )
-        except JobFailed as exc:
-            outdir.mkdir(parents=True, exist_ok=True)
-            partial = {
-                "failed_job": list(exc.job),
-                "completed_jobs": getattr(exc, "completed_jobs", []),
-                "cause": str(exc.cause),
-            }
-            with open(outdir / "partial.json", "w", encoding="utf-8") as fh:
-                json.dump(partial, fh, indent=2)
-            raise
-        _write_subgraph(sg, outdir)
-        print(f"extracted {len(sg.triples)} triples to {outdir}")
-        return 0
+    except JobFailed as exc:
+        outdir.mkdir(parents=True, exist_ok=True)
+        partial = {
+            "failed_job": list(exc.job),
+            "completed_jobs": getattr(exc, "completed_jobs", []),
+            "cause": str(exc.cause),
+        }
+        with open(outdir / "partial.json", "w", encoding="utf-8") as fh:
+            json.dump(partial, fh, indent=2)
+        raise
 
+
+def _local_extract(args, cfg) -> Subgraph:
+    """Extraction from the ``--kg`` input with the chosen engine."""
     if not args.kg:
         raise KgsliceError("--kg is required unless --engine sparql uses --endpoint")
     kg, _ = _load_kg(args.kg, type_predicate=args.type_predicate)
@@ -196,9 +206,9 @@ def cmd_extract(args) -> int:
             seed=args.seed,
             direction=args.direction,
         )
-        sg = extract_random_walk(kg, task, params)
-    elif args.engine == "ibs":
-        sg = extract_influence(
+        return extract_random_walk(kg, task, params)
+    if args.engine == "ibs":
+        return extract_influence(
             kg,
             task,
             bs=args.bs,
@@ -206,17 +216,23 @@ def cmd_extract(args) -> int:
             params=PprParams(alpha=args.alpha, epsilon=args.epsilon),
             seed=args.seed,
         )
-    else:
-        sg = sparql_extract(
-            LocalBackend(kg), pattern_task_for(kg, task), args.d, args.h, args.bs,
-            workers=args.workers,
-        )
+    return sparql_extract(
+        LocalBackend(kg), pattern_task_for(kg, task), args.d, args.h, args.bs,
+        workers=args.workers,
+    )
 
-    exclude = task.kind == NODE_CLASSIFICATION and not args.keep_label_edges
-    if "exclude_label_edges" in cfg:
-        exclude = cfg["exclude_label_edges"].lower() in ("1", "true", "yes")
-    if exclude and task.target_predicate is not None:
-        sg = _strip_label_edges(sg, task.target_type, task.target_predicate)
+
+def cmd_extract(args) -> int:
+    cfg = read_config(args.config)
+    outdir = Path(args.out)
+    if args.engine == "sparql" and args.endpoint:
+        sg = _endpoint_extract(args, cfg, outdir)
+    else:
+        sg = _local_extract(args, cfg)
+
+    nc = cfg.get("task", NODE_CLASSIFICATION).lower() == NODE_CLASSIFICATION
+    if nc and "target_predicate" in cfg and not args.keep_label_edges:
+        sg = _strip_label_edges(sg, cfg["target_type"], cfg["target_predicate"])
 
     _write_subgraph(sg, outdir)
     print(f"extracted {len(sg.triples)} triples to {outdir}")

@@ -19,7 +19,7 @@ from time import sleep
 import requests
 
 from .errors import EndpointUnreachable, JobFailed, KgsliceError, QueryRejected
-from .graph import KnowledgeGraph, Subgraph, ingest_ntriples, subgraph_from_triples
+from .graph import RDF_TYPE, KnowledgeGraph, Subgraph, ingest_ntriples, subgraph_from_triples
 from .patterns import BgpQuery, LocalBackend, PatternTask, get_bgp
 
 log = logging.getLogger(__name__)
@@ -252,22 +252,27 @@ def execute_plan(backend, bgp: BgpQuery, plan: QueryBatchPlan, workers: int = 1)
     return rows
 
 
-def drop_duplicates(rows, kg: KnowledgeGraph | None = None, provenance=None) -> Subgraph:
+def drop_duplicates(
+    rows, kg: KnowledgeGraph | None = None, type_predicate_iri: str = RDF_TYPE
+) -> Subgraph:
     """Deduplicate raw (s, p, o) rows into a Subgraph.
 
     With a local graph the rows are id triples in its id space and go
     straight to ``subgraph_from_triples``, which dedups and sorts them.
     Without one they are surface-string rows from an endpoint: a fresh
-    KnowledgeGraph is built from them and the Subgraph spans it.
+    KnowledgeGraph, typed by ``type_predicate_iri``, is built from them
+    and the Subgraph spans it.
     """
     if kg is not None:
-        return subgraph_from_triples(kg, rows, provenance=provenance)
+        return subgraph_from_triples(kg, rows)
     unique = sorted(set(rows))
     text = "".join(f"{s} {p} {o} .\n" for s, p, o in unique)
-    fresh, errors = ingest_ntriples(io.BytesIO(text.encode("utf-8")))
+    fresh, errors = ingest_ntriples(
+        io.BytesIO(text.encode("utf-8")), type_predicate_iri=type_predicate_iri
+    )
     if errors:
         raise KgsliceError(f"endpoint returned unparsable terms: {errors[0]}")
-    return subgraph_from_triples(fresh, fresh.triples, provenance=provenance)
+    return subgraph_from_triples(fresh, fresh.triples)
 
 
 def sparql_extract(
@@ -283,7 +288,9 @@ def sparql_extract(
     counts = get_graph_size(backend, bgp)
     plan = execution_planner(bgp, counts, bs)
     rows = execute_plan(backend, bgp, plan, workers=workers)
-    provenance = {
+    local_kg = backend.kg if isinstance(backend, LocalBackend) else None
+    sg = drop_duplicates(rows, kg=local_kg, type_predicate_iri=task.type_predicate_iri)
+    sg.provenance = {
         "engine": "sparql",
         "d": d,
         "h": h,
@@ -292,9 +299,7 @@ def sparql_extract(
         "backend": backend.describe(),
         "branch_counts": counts,
     }
-    local_kg = backend.kg if isinstance(backend, LocalBackend) else None
-    sg = drop_duplicates(rows, kg=local_kg, provenance=provenance)
-    if not sg.triples and not sg.vertices:
+    if not sg.triples:
         log.warning("extraction produced an empty subgraph")
     return sg
 

@@ -92,22 +92,26 @@ def term_lexical(surface: str) -> str:
 class Subgraph:
     """An extracted slice of a parent graph, in the parent's id space.
 
-    ``triples`` holds every retained triple (type-assertion triples
-    included); ``vertices`` is the entity view: retained subjects/objects
-    of non-type triples plus subjects of type triples plus any explicitly
-    retained vertices. Class IRIs that occur only as objects of type
-    triples are tracked in ``node_type_ids``, not in ``vertices``.
+    A slice is its triples: ``triples`` holds every retained triple
+    (type-assertion triples included), sorted and unique, and everything
+    else is derived from them. ``vertices`` is the entity view: the
+    subjects and objects of non-type triples plus the subjects of type
+    triples. Class IRIs that occur only as objects of type triples are
+    tracked in ``node_type_ids``, not in ``vertices``.
     """
 
     kg: "KnowledgeGraph"
     triples: tuple[tuple[int, int, int], ...]
-    vertices: frozenset[int]
     provenance: dict = field(default_factory=dict)
+    vertices: frozenset[int] = field(init=False)
 
     def __post_init__(self):
         tp = self.kg.type_predicate
         self._non_type = tuple(t for t in self.triples if t[1] != tp)
         self._type_triples = tuple(t for t in self.triples if t[1] == tp)
+        self.vertices = frozenset(
+            chain(map(itemgetter(0), self.triples), map(itemgetter(2), self._non_type))
+        )
         self._edges: tuple[np.ndarray, np.ndarray] | None = None
         self._entity: np.ndarray | None = None
 
@@ -173,7 +177,7 @@ class Subgraph:
             for s, p, o in self.triples
             if s in keep and (o in keep if p != tp else True)
         )
-        return Subgraph(self.kg, retained, frozenset(keep & self.vertices), dict(self.provenance))
+        return Subgraph(self.kg, retained, dict(self.provenance))
 
     def write_ntriples(self, fh) -> None:
         kg = self.kg
@@ -426,12 +430,12 @@ class KnowledgeGraph:
         self._walk_index[direction] = index
         return index
 
-    def induced_subgraph(self, vs, keep_type_triples: bool = True) -> Subgraph:
+    def induced_subgraph(self, vs) -> Subgraph:
         """Subgraph of all non-type triples with both endpoints in ``vs``.
 
-        With ``keep_type_triples`` every (v, type, c) for v in ``vs`` is
-        retained as well, whether or not c is in ``vs``; without it no
-        type triple is retained at all.
+        Every (v, type, c) for v in ``vs`` is retained as well, whether or
+        not c is in ``vs``. A vertex of ``vs`` that no retained triple
+        touches is not in the result.
         """
         vsset = set(vs)
         for v in vsset:
@@ -442,9 +446,9 @@ class KnowledgeGraph:
             t
             for v in sorted(vsset)
             for t in self.out_triples(v)
-            if (keep_type_triples if t[1] == tp else t[2] in vsset)
+            if t[1] == tp or t[2] in vsset
         )
-        return Subgraph(self, retained, frozenset(vsset))
+        return Subgraph(self, retained)
 
     # -- serialization ---------------------------------------------------
 
@@ -545,14 +549,12 @@ def ingest_ntriples(
 def open_maybe_gzip(path):
     """Open a file for binary reading, transparently decompressing gzip."""
     try:
-        fh = open(path, "rb")
+        with open(path, "rb") as fh:
+            gzipped = fh.read(2) == _GZIP_MAGIC
+        # gzip.open over a path owns the file it opens and closes it
+        return gzip.open(path, "rb") if gzipped else open(path, "rb")
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
-    magic = fh.read(2)
-    fh.seek(0)
-    if magic == _GZIP_MAGIC:
-        return gzip.open(fh, "rb")
-    return fh
 
 
 def load_ntriples(
@@ -562,18 +564,9 @@ def load_ntriples(
         return ingest_ntriples(fh, type_predicate_iri=type_predicate_iri, strict=strict)
 
 
-def subgraph_from_triples(kg: KnowledgeGraph, triples, provenance=None, base_vertices=()) -> Subgraph:
-    """Build a Subgraph from deduplicated triples in ``kg``'s id space."""
-    tset = sorted(set(triples))
-    tp = kg.type_predicate
-    vertices = set(base_vertices)
-    for s, p, o in tset:
-        if p == tp:
-            vertices.add(s)
-        else:
-            vertices.add(s)
-            vertices.add(o)
-    return Subgraph(kg, tuple(tset), frozenset(vertices), provenance or {})
+def subgraph_from_triples(kg: KnowledgeGraph, triples, provenance=None) -> Subgraph:
+    """Build a Subgraph from triples in ``kg``'s id space, deduplicated and sorted."""
+    return Subgraph(kg, tuple(sorted(set(triples))), provenance or {})
 
 
 def hop_distances(tails, heads, sources, max_hops: int | None = None) -> dict[int, int]:

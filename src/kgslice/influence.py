@@ -219,11 +219,11 @@ def extract_influence(
     else:
         # every target is isolated in the walk graph: plain target batch
         partition = set(get_initial_vertices(bs, targets, seed))
-    sg = kg.induced_subgraph(partition, keep_type_triples=True)
+    sg = kg.induced_subgraph(partition)
 
     reachable = set(sg.undirected_distances(set(targets) & sg.vertices))
     if reachable != sg.vertices:
-        sg = kg.induced_subgraph(reachable, keep_type_triples=True)
+        sg = kg.induced_subgraph(reachable)
     sg.provenance = {
         "engine": "ibs",
         "batch_size": bs,

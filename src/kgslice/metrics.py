@@ -153,7 +153,7 @@ def avg_distance_to_target(
 def quality_report(sg: Subgraph, task: TaskSpec, kg: KnowledgeGraph) -> QualityReport:
     """All indicators for ``sg`` relative to a task resolved on ``kg``."""
     targets = set(resolve_targets(kg, task)) & sg.vertices
-    if not sg.vertices and not sg.triples:
+    if not sg.triples:
         return QualityReport(
             vertex_count=0,
             vertex_count_no_literals=0,

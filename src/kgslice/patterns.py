@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import UnknownPredicate, UnknownType, UnsupportedParams
-from .graph import RDF_TYPE, KnowledgeGraph, Subgraph, subgraph_from_triples
+from .graph import RDF_TYPE, KnowledgeGraph
 from .tasks import LINK_PREDICTION, NODE_CLASSIFICATION, TaskSpec
 
 BRIDGE = "bridge"  # shape of the LP branch that returns the bridge edges
@@ -135,9 +135,10 @@ def get_bgp(task: PatternTask, d: int, h: int) -> BgpQuery:
     dirs = ("out",) if d == 1 else ("out", "in")
     shapes = [shape for n in range(1, h + 1) for shape in itertools.product(dirs, repeat=n)]
     tp = task.type_predicate_iri
+    a = "a" if tp == RDF_TYPE else f"<{tp}>"  # the anchor's type assertion
 
     if task.kind == NODE_CLASSIFICATION:
-        prefix = f"?v a <{task.target_type_iri}> ."
+        prefix = f"?v {a} <{task.target_type_iri}> ."
         branches, display = [], []
         for shape in shapes:
             projection, _, patterns, filt = _render(shape, "?v", tp)
@@ -153,9 +154,9 @@ def get_bgp(task: PatternTask, d: int, h: int) -> BgpQuery:
         raise UnsupportedParams("link prediction pattern needs a bridge predicate")
 
     pt = task.target_predicate_iri
-    prefix = f"?vi a <{task.target_type_iri}> . "
+    prefix = f"?vi {a} <{task.target_type_iri}> . "
     if task.object_type_iri:
-        prefix += f"?vj a <{task.object_type_iri}> . "
+        prefix += f"?vj {a} <{task.object_type_iri}> . "
     prefix += f"?vi <{pt}> ?vj ."
 
     branches = [Branch(BRIDGE, None, f"select ?vi as ?s <{pt}> as ?p ?vj as ?o", prefix)]
@@ -253,15 +254,3 @@ class LocalBackend:
         """Id rows of one LIMIT/OFFSET page of a branch."""
         return self._branch_rows(bgp, index)[offset : offset + limit]
 
-
-def local_bgp_match(kg: KnowledgeGraph, bgp: BgpQuery) -> Subgraph:
-    """Evaluate every branch unpaginated and deduplicate into a Subgraph."""
-    backend = LocalBackend(kg)
-    triples: set[tuple[int, int, int]] = set()
-    for i in range(len(bgp.branches)):
-        triples.update(backend._branch_rows(bgp, i))
-    return subgraph_from_triples(
-        kg,
-        triples,
-        provenance={"engine": "sparql-local", "d": bgp.d, "h": bgp.h},
-    )

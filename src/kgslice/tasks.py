@@ -264,7 +264,6 @@ CONFIG_KEYS = (
     "valid_cut",
     "ratios",
     "seed",
-    "exclude_label_edges",
 )
 
 

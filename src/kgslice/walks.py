@@ -80,7 +80,7 @@ def extract_random_walk(kg: KnowledgeGraph, task: TaskSpec, params: WalkParams) 
         for w in range(params.walks_per_seed):
             rng = _derived_rng(params.seed, "walk", v, w)
             visited |= random_walk_sample(kg, v, params.walk_length, params.direction, rng)
-    sg = kg.induced_subgraph(visited, keep_type_triples=True)
+    sg = kg.induced_subgraph(visited)
     sg.provenance = {
         "engine": "brw",
         "walk_length": params.walk_length,

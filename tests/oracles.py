@@ -38,14 +38,14 @@ def scan_neighbors(kg, v: int, direction: str):
             pairs.append((p, s))
     return Counter(pairs)
 
-def filter_induced(kg, vs, keep_type_triples: bool):
+def filter_induced(kg, vs):
     """O(|T|) filter over every triple in the graph."""
     vs = set(vs)
     tp = kg.type_predicate
     kept = set()
     for s, p, o in kg.triples:
         if p == tp:
-            if keep_type_triples and s in vs:
+            if s in vs:
                 kept.add((s, p, o))
         elif s in vs and o in vs:
             kept.add((s, p, o))

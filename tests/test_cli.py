@@ -299,3 +299,46 @@ def test_extract_via_http_endpoint(mini_kg, task_cfg, tmp_path, rng):
         assert (out / "subgraph.nt").exists()
     finally:
         server.close()
+
+
+@pytest.mark.parametrize("type_predicate", [TYPE_IRI, f"{EX}isa"])
+@pytest.mark.parametrize("d,h", [(1, 1), (2, 2)])
+def test_endpoint_extract_writes_the_local_slice(mini_kg, task_cfg, tmp_path, type_predicate, d, h):
+    """Both extract paths strip label edges and honour --type-predicate."""
+    from kgslice.graph import load_ntriples
+    from kgslice.patterns import PatternTask, get_bgp
+    from sparql_double import SparqlDouble
+
+    dump = tmp_path / "dump.nt"
+    dump.write_text(
+        mini_kg.read_text(encoding="utf-8").replace(f"<{TYPE_IRI}>", f"<{type_predicate}>"),
+        encoding="utf-8",
+    )
+    kg, _ = load_ntriples(dump, type_predicate_iri=type_predicate)
+    server = SparqlDouble(kg)
+    try:
+        task = PatternTask(kind="nc", target_type_iri=f"{EX}T", type_predicate_iri=type_predicate)
+        server.register(get_bgp(task, d, h))
+        common = [
+            "extract", "--engine", "sparql", "--config", str(task_cfg),
+            "--type-predicate", type_predicate, "--d", str(d), "--h", str(h), "--bs", "7",
+        ]
+        assert main(common + ["--endpoint", server.url, "--out", str(tmp_path / "remote")]) == 0
+        assert main(common + ["--kg", str(dump), "--out", str(tmp_path / "local")]) == 0
+    finally:
+        server.close()
+
+    def statements(name):
+        return sorted((tmp_path / name / "subgraph.nt").read_text(encoding="utf-8").splitlines())
+
+    def manifest(name):
+        return json.loads((tmp_path / name / "manifest.json").read_text(encoding="utf-8"))
+
+    assert statements("remote") == statements("local")
+    assert not [line for line in statements("remote") if f"<{EX}hasLabel>" in line]
+    remote, local = manifest("remote"), manifest("local")
+    for key in ("vertices", "triples", "node_types", "predicates"):
+        assert remote[key] == local[key]
+    assert remote["node_types"] == 1
+    excluded = remote["provenance"]["label_edges_excluded"]
+    assert excluded == local["provenance"]["label_edges_excluded"] == 30

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import gzip
 import io
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from kgslice.graph import (
     hop_distances,
     ingest_ntriples,
     load_ntriples,
+    open_maybe_gzip,
 )
 
 from conftest import EX, iri, make_kg, nt, random_kg, random_kg_lines
@@ -184,24 +187,15 @@ def test_neighbors_sorted():
 def test_induced_subgraph_identity(rng):
     kg = random_kg(rng, n_vertices=60, n_triples=150)
     all_vs = range(kg.vertex_count())
-    sg = kg.induced_subgraph(all_vs, keep_type_triples=False)
-    tp = kg.type_predicate
-    assert set(sg.triples) == {t for t in kg.triples if t[1] != tp}
-
-
-def test_induced_subgraph_no_edges_among_vs():
-    kg = make_kg([nt("a", "p0", "b"), nt("b", "p0", "c")])
-    vs = [kg.vertex_id(f"{EX}a"), kg.vertex_id(f"{EX}c")]
-    sg = kg.induced_subgraph(vs, keep_type_triples=False)
-    assert sg.triples == ()
-    assert sg.vertices == frozenset(vs)
+    sg = kg.induced_subgraph(all_vs)
+    assert set(sg.triples) == set(kg.triples)
 
 
 def test_induced_subgraph_keeps_type_triples_outside_vs():
     kg = make_kg([nt("a", "a", "T"), nt("a", "p0", "b")])
     a = kg.vertex_id(f"{EX}a")
     b = kg.vertex_id(f"{EX}b")
-    sg = kg.induced_subgraph([a, b], keep_type_triples=True)
+    sg = kg.induced_subgraph([a, b])
     preds = {kg.predicate_iri(p) for _, p, _ in sg.triples}
     assert kg.type_predicate_iri in preds
     assert len(sg.triples) == 2
@@ -213,9 +207,8 @@ def test_induced_subgraph_keeps_type_triples_outside_vs():
 def test_induced_subgraph_matches_filter_oracle(rng):
     kg = random_kg(rng, n_vertices=100, n_triples=350, literal_fraction=0.1)
     vs = rng.sample(range(kg.vertex_count()), 40)
-    for keep in (True, False):
-        sg = kg.induced_subgraph(vs, keep_type_triples=keep)
-        assert set(sg.triples) == filter_induced(kg, vs, keep)
+    sg = kg.induced_subgraph(vs)
+    assert set(sg.triples) == filter_induced(kg, vs)
 
 
 def test_induced_subgraph_unknown_vertex(rng):
@@ -264,6 +257,20 @@ def test_gzip_detection(tmp_path, rng):
     kg_a, _ = load_ntriples(plain)
     kg_b, _ = load_ntriples(zipped)
     assert kg_a.triples == kg_b.triples
+
+
+@pytest.mark.parametrize("compressed", [False, True])
+def test_open_maybe_gzip_closes_the_file_it_opens(tmp_path, compressed):
+    raw = nt("a", "p0", "b").encode("utf-8") + b"\n"
+    path = tmp_path / "kg.nt"
+    path.write_bytes(gzip.compress(raw) if compressed else raw)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with open_maybe_gzip(path) as fh:
+            assert fh.read() == raw
+        del fh  # a file left open warns when it is freed
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_dictionary_dump(rng):

@@ -18,7 +18,6 @@ from kgslice.patterns import (
     LocalBackend,
     PatternTask,
     get_bgp,
-    local_bgp_match,
 )
 
 from conftest import EX, TYPE_IRI, make_kg, nt, random_kg_lines, tokenize_query
@@ -151,7 +150,12 @@ LP_D2H2_ARMS = (
 
 
 def golden(texts, tp=TYPE_IRI):
-    return [t.replace("<TP>", f"<{tp}>").replace("<PREFIX>", LP_PREFIX) for t in texts]
+    """The texts for type predicate ``tp``; only rdf:type is written ``a``."""
+    a = "a" if tp == TYPE_IRI else f"<{tp}>"
+    return [
+        t.replace("<PREFIX>", LP_PREFIX).replace(" a <", f" {a} <").replace("<TP>", f"<{tp}>")
+        for t in texts
+    ]
 
 
 @pytest.mark.parametrize("tp", [TYPE_IRI, f"{EX}isA"])
@@ -186,26 +190,26 @@ def test_lp_without_object_type():
 
 def test_local_match_empty_graph():
     kg, _ = ingest_ntriples(b"")
-    sg = local_bgp_match(kg, get_bgp(nc_pattern(), 1, 1))
+    sg = local_sparql_extract(kg, nc_pattern(), 1, 1)
     assert sg.triples == ()
 
 
 def test_d1h1_star_keeps_hub_outgoing():
     lines = [nt("hub", "a", "T")] + [nt("hub", "p0", f"leaf{i}") for i in range(4)]
     kg = make_kg(lines)
-    sg = local_bgp_match(kg, get_bgp(nc_pattern(), 1, 1))
+    sg = local_sparql_extract(kg, nc_pattern(), 1, 1)
     assert set(sg.triples) == set(kg.triples)  # all triples leave the hub
 
 
 def test_d2h1_path_keeps_both_directions():
     kg = make_kg([nt("t", "a", "T"), nt("a", "p0", "t"), nt("t", "p0", "b")])
-    sg = local_bgp_match(kg, get_bgp(nc_pattern(), 2, 1))
+    sg = local_sparql_extract(kg, nc_pattern(), 2, 1)
     assert set(sg.triples) == set(kg.triples)
 
 
 def test_d1h1_excludes_incoming():
     kg = make_kg([nt("t", "a", "T"), nt("a", "p0", "t"), nt("t", "p0", "b")])
-    sg = local_bgp_match(kg, get_bgp(nc_pattern(), 1, 1))
+    sg = local_sparql_extract(kg, nc_pattern(), 1, 1)
     got = surface_triples(kg, sg.triples)
     assert (f"<{EX}a>", f"<{EX}p0>", f"<{EX}t>") not in got
     assert (f"<{EX}t>", f"<{EX}p0>", f"<{EX}b>") in got
@@ -222,7 +226,7 @@ def test_d2h2_chain_closure():
             nt("d", "p0", "e"),
         ]
     )
-    sg = local_bgp_match(kg, get_bgp(nc_pattern(), 2, 2))
+    sg = local_sparql_extract(kg, nc_pattern(), 2, 2)
     targets = [kg.vertex_id(f"{EX}m")]
     assert set(sg.triples) == pattern_triples(kg, targets, d=2, h=2)
     # the edge d->e hangs off a distance-2 vertex: excluded
@@ -245,7 +249,7 @@ def test_pattern_equals_bfs_oracle_on_random_kgs(d, h):
             )
         )
         task = nc_pattern("T0")
-        sg = local_bgp_match(kg, get_bgp(task, d, h))
+        sg = local_sparql_extract(kg, task, d, h)
         targets = kg.vertices_of_type(kg.type_id(f"{EX}T0"))
         assert set(sg.triples) == pattern_triples(kg, targets, d, h)
 
@@ -261,7 +265,7 @@ def test_lp_local_match_bridges_and_expands():
         nt("s2", "p0", "z"),  # s2 has no bridge edge: not an anchor
     ]
     kg = make_kg(lines)
-    sg = local_bgp_match(kg, get_bgp(lp_pattern(), d=1, h=1))
+    sg = local_sparql_extract(kg, lp_pattern(), d=1, h=1)
     got = surface_triples(kg, sg.triples)
     assert (f"<{EX}s1>", f"<{EX}linked>", f"<{EX}o1>") in got
     assert (f"<{EX}s1>", f"<{EX}p0>", f"<{EX}x>") in got
@@ -300,9 +304,9 @@ def test_cross_batch_size_and_worker_invariance(rng):
 def test_local_match_equals_paginated_execution(rng):
     kg = make_kg(random_kg_lines(rng, n_vertices=60, n_triples=250))
     task = nc_pattern("T0")
-    direct = local_bgp_match(kg, get_bgp(task, 2, 1))
+    direct = pattern_triples(kg, kg.vertices_of_type(kg.type_id(f"{EX}T0")), d=2, h=1)
     paged = local_sparql_extract(kg, task, d=2, h=1, bs=5)
-    assert set(direct.triples) == set(paged.triples)
+    assert direct == set(paged.triples)
 
 
 def d2h2_queries():
@@ -340,8 +344,9 @@ def test_local_pages_tile_memoized_branch_rows(rng):
 def test_local_sparql_extract_equals_local_match_at_any_page_size(rng):
     kg = make_kg(random_kg_lines(rng, n_vertices=60, n_triples=300, literal_fraction=0.1))
     for bgp in d2h2_queries():
-        direct = local_bgp_match(kg, bgp)
         counts = get_graph_size(LocalBackend(kg), bgp)
+        # one page per branch is the unpaginated reference
+        direct = local_sparql_extract(kg, bgp.task, d=2, h=2, bs=max(counts))
         for bs in (1, 7, max(counts)):
             paged = local_sparql_extract(kg, bgp.task, d=2, h=2, bs=bs)
             assert paged.triples == direct.triples

@@ -1,4 +1,4 @@
-"""Hypothesis property tests for the store and split invariants."""
+"""Hypothesis property tests for the store, slice and split invariants."""
 
 from __future__ import annotations
 
@@ -8,8 +8,22 @@ import warnings
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kgslice.graph import RDF_TYPE, ingest_ntriples
-from kgslice.tasks import LabelMap, SmallLabelWarning, SplitSpec, make_splits
+from kgslice.endpoint import local_sparql_extract
+from kgslice.graph import RDF_TYPE, ingest_ntriples, subgraph_from_triples
+from kgslice.influence import PprParams, extract_influence
+from kgslice.patterns import pattern_task_for
+from kgslice.rgcn import prune_outside_reach
+from kgslice.tasks import (
+    LINK_PREDICTION,
+    NODE_CLASSIFICATION,
+    LabelMap,
+    SmallLabelWarning,
+    SplitSpec,
+    TaskSpec,
+    make_splits,
+    resolve_targets,
+)
+from kgslice.walks import WalkParams, extract_random_walk
 
 from oracles import surface_triples
 
@@ -55,17 +69,23 @@ _small = st.integers(min_value=0, max_value=8)
 _edge = st.tuples(_small, st.integers(min_value=0, max_value=3), st.one_of(_small, _small.map(str)))
 
 
-@given(st.lists(_edge, max_size=80), st.booleans())
-@settings(max_examples=60, deadline=None)
-def test_accessors_equal_brute_force_filters(edges, typed):
-    """Each accessor is the matching filter of ``kg.triples`` in its documented order."""
-    lines = []
+def _edge_kg(edges, typed, head=()):
+    """The graph of ``head`` and ``edges``; predicate 0 is rdf:type when ``typed``."""
+    lines = list(head)
     for s, p, o in edges:
         pred = RDF_TYPE if typed and p == 0 else f"http://ex/p{p}"
         obj = f'"lit{o}"' if isinstance(o, str) else f"<http://ex/v{o}>"
         lines.append(f"<http://ex/v{s}> <{pred}> {obj} .")
     kg, errors = ingest_ntriples(("\n".join(lines) + "\n").encode())
     assert not errors
+    return kg
+
+
+@given(st.lists(_edge, max_size=80), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_accessors_equal_brute_force_filters(edges, typed):
+    """Each accessor is the matching filter of ``kg.triples`` in its documented order."""
+    kg = _edge_kg(edges, typed)
     assert (kg.type_predicate is not None) == (typed and any(p == 0 for _, p, _ in edges))
     for v in range(kg.vertex_count()):
         assert kg.out_triples(v) == sorted(
@@ -79,6 +99,48 @@ def test_accessors_equal_brute_force_filters(edges, typed):
             (t for t in kg.triples if t[1] == p), key=lambda t: (t[0], t[2])
         )
     assert kg.predicate_triples(None) == []
+
+
+def _slices(kg, keep, seed):
+    """A slice from every builder, every engine and the pruner."""
+    full = subgraph_from_triples(kg, kg.triples)
+    yield kg.induced_subgraph(keep)
+    yield full.restricted(keep)
+    yield subgraph_from_triples(kg, [t for i, t in enumerate(kg.triples) if i % 2 == seed % 2])
+    t0, p1 = kg.type_id("http://ex/T0"), kg.predicate_id("http://ex/p1")
+    for kind in (NODE_CLASSIFICATION, LINK_PREDICTION):
+        task = TaskSpec(kind=kind, target_type=t0, target_predicate=p1)
+        targets = resolve_targets(kg, task)
+        engines = [
+            extract_random_walk(kg, task, WalkParams(walk_length=2, batch_size=3, seed=seed)),
+            extract_influence(kg, task, bs=4, k=2, params=PprParams(), seed=seed),
+        ]
+        engines += [
+            local_sparql_extract(kg, pattern_task_for(kg, task), d, h, bs=3)
+            for d in (1, 2)
+            for h in (1, 2)
+        ]
+        for sg in engines:
+            yield sg
+            yield prune_outside_reach(sg, targets, hops=2)
+
+
+@given(st.lists(_edge, max_size=40), st.booleans(), st.sets(_small), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_slice_vertices_are_the_ends_of_its_triples(edges, typed, keep, seed):
+    """Every builder's vertex set is the non-type ends plus the type-triple subjects."""
+    # v0 has type T0 and a p1 edge, so both tasks have a target
+    head = [
+        f"<http://ex/v0> <{RDF_TYPE}> <http://ex/T0> .",
+        "<http://ex/v0> <http://ex/p1> <http://ex/v1> .",
+    ]
+    kg = _edge_kg(edges, typed, head)
+    keep = {v for v in keep if v < kg.vertex_count()}
+    tp = kg.type_predicate
+    for sg in _slices(kg, keep, seed):
+        ends = {s for s, _, _ in sg.triples} | {o for _, p, o in sg.triples if p != tp}
+        assert sg.vertices == ends
+        assert sg.vertices == subgraph_from_triples(kg, sg.triples).vertices
 
 
 @given(
