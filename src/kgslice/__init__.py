@@ -22,7 +22,6 @@ from .endpoint import (
 from .export import ExportBundle, export_bundle, rebuild_bundle
 from .graph import (
     BOTH,
-    INCOMING,
     OUTGOING,
     RDF_TYPE,
     KnowledgeGraph,
@@ -82,7 +81,6 @@ __all__ = [
     "EndpointConfig",
     "ExportBundle",
     "HttpBackend",
-    "INCOMING",
     "InfluenceScores",
     "KnowledgeGraph",
     "LabelMap",

@@ -173,7 +173,6 @@ def _endpoint_extract(args, cfg, outdir: Path) -> Subgraph:
         graph_iri=args.graph,
         timeout=args.timeout,
         retries=args.retries,
-        workers=args.workers,
     )
     try:
         return sparql_extract(

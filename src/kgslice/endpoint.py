@@ -73,15 +73,7 @@ class EndpointConfig:
 @dataclass
 class QueryBatchPlan:
     jobs: list[tuple[int, int, int]]  # (branch index, limit, offset)
-    batch_size: int
     counts: list[int]  # rows per branch, as the count queries reported them
-
-    def __len__(self) -> int:
-        return len(self.jobs)
-
-    @property
-    def estimated_rows(self) -> int:
-        return sum(self.counts)
 
 
 class HttpBackend:
@@ -185,7 +177,7 @@ def execution_planner(bgp: BgpQuery, counts, bs: int) -> QueryBatchPlan:
     for index, count in enumerate(counts):
         for offset in range(0, count, bs):
             jobs.append((index, bs, offset))
-    return QueryBatchPlan(jobs=jobs, batch_size=bs, counts=list(counts))
+    return QueryBatchPlan(jobs=jobs, counts=list(counts))
 
 
 def execute_plan(backend, bgp: BgpQuery, plan: QueryBatchPlan, workers: int = 1):

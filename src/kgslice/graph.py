@@ -32,7 +32,6 @@ from .errors import IoFailure, ParseError, UnknownPredicate, UnknownType, Unknow
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
 OUTGOING = "outgoing"
-INCOMING = "incoming"
 BOTH = "both"
 
 KIND_IRI = "iri"
@@ -227,23 +226,23 @@ class KnowledgeGraph:
         self._predicate_offsets = _csr_offsets(self._by_predicate, 1, len(self._preds))
         self._type_ids: dict[int, int] = {}  # class vertex id -> NodeTypeId
         self._type_vertex: list[int] = []  # NodeTypeId -> class vertex id
-        self.type_of: dict[int, tuple[int, ...]] = {}
         self.by_type: dict[int, list[int]] = {}
-        type_sets: dict[int, set[int]] = {}
+        # type triples are unique and come in (s, o) order: a subject's type
+        # ids are distinct, and each by_type list fills in ascending order
+        types: dict[int, list[int]] = {}
         for s, _, o in self.predicate_triples(self.type_predicate):
             tid = self._type_ids.get(o)
             if tid is None:
                 tid = len(self._type_vertex)
                 self._type_ids[o] = tid
                 self._type_vertex.append(o)
-            type_sets.setdefault(s, set()).add(tid)
-        for v, tids in type_sets.items():
-            self.type_of[v] = tuple(sorted(tids))
-        for v in sorted(type_sets):
-            for tid in self.type_of[v]:
-                self.by_type.setdefault(tid, []).append(v)
+            types.setdefault(s, []).append(tid)
+            self.by_type.setdefault(tid, []).append(s)
+        self.type_of: dict[int, tuple[int, ...]] = {
+            v: tuple(sorted(tids)) for v, tids in types.items()
+        }
         self._walk_adj: dict[str, dict[int, list[int]]] = {}
-        self._walk_index: dict[str, WalkIndex] = {}
+        self._walk_index: WalkIndex | None = None
         self._literal_mask: np.ndarray | None = None
 
     # -- dictionary ----------------------------------------------------
@@ -364,22 +363,6 @@ class KnowledgeGraph:
         offsets = self._predicate_offsets
         return self._by_predicate[offsets[p]:offsets[p + 1]]
 
-    def neighbors(self, v: int, direction: str = BOTH) -> list[tuple[int, int]]:
-        """(predicate, endpoint) pairs incident to ``v``.
-
-        ``both`` concatenates outgoing then incoming, each sorted
-        internally by (predicate, endpoint).
-        """
-        self._check_vertex(v)
-        if direction not in (OUTGOING, INCOMING, BOTH):
-            raise ValueError(f"bad direction {direction!r}")
-        pairs = []
-        if direction != INCOMING:
-            pairs += [(p, o) for _, p, o in self.out_triples(v)]
-        if direction != OUTGOING:
-            pairs += [(p, s) for s, p, _ in self.in_triples(v)]
-        return pairs
-
     def walk_adjacency(self, direction: str) -> dict[int, list[int]]:
         """Entity-to-entity adjacency used by the samplers.
 
@@ -408,27 +391,25 @@ class KnowledgeGraph:
         self._walk_adj[direction] = adj
         return adj
 
-    def walk_index(self, direction: str) -> WalkIndex:
-        """:meth:`walk_adjacency` indexed by vertex id, sharing its lists.
+    def walk_index(self) -> WalkIndex:
+        """The ``both`` :meth:`walk_adjacency` indexed by vertex id, sharing its lists.
 
-        Built once per direction and cached.
+        That graph is symmetric: every neighbor of a vertex has degree at
+        least 1. Built once and cached.
         """
-        cached = self._walk_index.get(direction)
-        if cached is not None:
-            return cached
-        adj = self.walk_adjacency(direction)
-        n = len(self._terms)
-        neighbors: list = [()] * n
-        degree = [0] * n
-        distinct: list = [()] * n
-        for v, lst in adj.items():
-            neighbors[v] = lst
-            degree[v] = len(lst)
-            uniq = set(lst)
-            distinct[v] = lst if len(uniq) == len(lst) else sorted(uniq)
-        index = WalkIndex(neighbors, degree, distinct)
-        self._walk_index[direction] = index
-        return index
+        if self._walk_index is None:
+            adj = self.walk_adjacency(BOTH)
+            n = len(self._terms)
+            neighbors: list = [()] * n
+            degree = [0] * n
+            distinct: list = [()] * n
+            for v, lst in adj.items():
+                neighbors[v] = lst
+                degree[v] = len(lst)
+                uniq = set(lst)
+                distinct[v] = lst if len(uniq) == len(lst) else sorted(uniq)
+            self._walk_index = WalkIndex(neighbors, degree, distinct)
+        return self._walk_index
 
     def induced_subgraph(self, vs) -> Subgraph:
         """Subgraph of all non-type triples with both endpoints in ``vs``.
@@ -475,38 +456,38 @@ def _csr_offsets(triples, column: int, n: int) -> list[int]:
 def read_ntriples(source, errors: list[ParseError] | None = None):
     """Yield the (subject, predicate, object) surface forms of each statement.
 
-    ``source`` is bytes or a binary or text stream. Blank lines and ``#``
+    ``source`` is bytes or a binary stream, decoded as UTF-8 one line at a
+    time; invalid UTF-8 raises :class:`IoFailure`. Blank lines and ``#``
     comments are skipped. A malformed line is appended to ``errors`` as a
     :class:`ParseError` and skipped, or raised when ``errors`` is None.
     """
     if isinstance(source, bytes):
         source = io.BytesIO(source)
-    raw = source.read()
-    if isinstance(raw, bytes):
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise IoFailure(f"input is not valid UTF-8: {exc}") from exc
-    else:
-        text = raw
-
-    # N-Triples ends lines at CR and LF only; str.splitlines would also split
-    # at characters a literal may hold raw (\x0b, \x0c, \x1c-\x1e, \x85,
-    # \u2028, \u2029)
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        m = _TRIPLE_RE.match(line)
-        if m is None:
-            err = ParseError(lineno, "not a valid N-Triples statement", line)
-            if errors is None:
-                raise err
-            errors.append(err)
-            continue
-        yield m.groups()
+    # universal newlines end a line at CR, LF and CRLF only, as N-Triples
+    # does; str.splitlines would also split at characters a literal may hold
+    # raw (\x0b, \x0c, \x1c-\x1e, \x85, \u2028, \u2029)
+    text = io.TextIOWrapper(source, encoding="utf-8")
+    try:
+        for lineno, line in enumerate(text, start=1):
+            line = line.rstrip("\n")
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            m = _TRIPLE_RE.match(line)
+            if m is None:
+                err = ParseError(lineno, "not a valid N-Triples statement", line)
+                if errors is None:
+                    raise err
+                errors.append(err)
+                continue
+            yield m.groups()
+    except UnicodeDecodeError as exc:
+        raise IoFailure(f"input is not valid UTF-8: {exc}") from exc
+    finally:
+        # hand the stream back open; a caller that abandoned this generator
+        # may have closed it already, and detaching would then fail to flush
+        if not source.closed:
+            text.detach()
 
 
 def build_graph(statements, type_predicate_iri: str = RDF_TYPE) -> KnowledgeGraph:
@@ -534,7 +515,7 @@ def ingest_ntriples(
     type_predicate_iri: str = RDF_TYPE,
     strict: bool = False,
 ) -> tuple[KnowledgeGraph, list[ParseError]]:
-    """Parse an N-Triples byte or text stream into a KnowledgeGraph.
+    """Parse N-Triples bytes or a binary stream into a KnowledgeGraph.
 
     Duplicate statements collapse to one triple. Malformed lines are
     collected as :class:`ParseError` records and skipped unless ``strict``

@@ -5,8 +5,7 @@ graph (type edges and literals excluded): maintain an estimate p and a
 residual r with r(source) = 1; repeatedly pick the vertex with the
 highest residual-to-degree ratio (ties by vertex id), convert an alpha
 fraction of its residual into estimate, and spread the rest equally over
-its neighbors. Vertices with no neighbors return their residual to the
-source, which keeps total mass conserved and testable.
+its neighbors.
 
 At termination every residual sits below epsilon * degree, which bounds
 the pointwise gap to the stationary PPR by the same amount on undirected
@@ -19,7 +18,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from .errors import DuplicateTarget, EmptyTargetSet, KgsliceError
-from .graph import BOTH, OUTGOING, KnowledgeGraph, Subgraph
+from .graph import BOTH, KnowledgeGraph, Subgraph
 from .tasks import TaskSpec, resolve_targets
 from .walks import _derived_rng, get_initial_vertices
 
@@ -28,15 +27,12 @@ from .walks import _derived_rng, get_initial_vertices
 class PprParams:
     alpha: float = 0.25
     epsilon: float = 0.0002
-    direction: str = BOTH
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise KgsliceError("alpha must be in (0, 1)")
         if self.epsilon <= 0.0:
             raise KgsliceError("epsilon must be > 0")
-        if self.direction not in (OUTGOING, BOTH):
-            raise KgsliceError(f"bad direction {self.direction!r}")
 
 
 @dataclass
@@ -52,26 +48,25 @@ class InfluenceScores:
 def approximate_ppr(kg: KnowledgeGraph, source: int, params: PprParams) -> InfluenceScores:
     """Forward-push PPR estimate from one source vertex."""
     kg._check_vertex(source)
-    neighbors, degree, distinct = kg.walk_index(params.direction)
+    neighbors, degree, distinct = kg.walk_index()
+    if not degree[source]:
+        # the walk can only teleport home: the whole residual converts
+        return InfluenceScores(source=source, scores={source: 1.0})
     alpha, eps = params.alpha, params.epsilon
     keep = 1.0 - alpha
-    inf = float("inf")
     p: dict[int, float] = {}
     r: dict[int, float] = {source: 1.0}
     p_get, r_get = p.get, r.get
     push, pop = heapq.heappush, heapq.heappop
 
     # lazy max-heap on residual/degree ratio, ties by vertex id; push order
-    # decides the scores bit for bit, so every branch below keeps it
+    # decides the scores bit for bit, so every branch below keeps it. The
+    # walk graph is symmetric: every vertex that gets residual has degree >= 1
     heap: list[tuple[float, int]] = []
 
     def enqueue(u: int) -> None:
-        ru = r_get(u, 0.0)
-        deg = degree[u]
-        if deg == 0:
-            if ru > 0.0:
-                push(heap, (-inf, u))
-        elif ru >= eps * deg:
+        ru, deg = r_get(u, 0.0), degree[u]
+        if ru >= eps * deg:
             push(heap, (-(ru / deg), u))
 
     enqueue(source)
@@ -79,19 +74,6 @@ def approximate_ppr(kg: KnowledgeGraph, source: int, params: PprParams) -> Influ
         neg_ratio, u = pop(heap)
         ru = r_get(u, 0.0)
         deg = degree[u]
-        if deg == 0:
-            if not ru > 0.0 or neg_ratio != -inf:
-                continue  # stale entry
-            if u == source:
-                # the walk can only teleport home: the whole residual converts
-                p[u] = p_get(u, 0.0) + ru
-                r[u] = 0.0
-            else:
-                p[u] = p_get(u, 0.0) + alpha * ru
-                r[u] = 0.0
-                r[source] = r_get(source, 0.0) + keep * ru
-                enqueue(source)
-            continue
         if ru < eps * deg or -(ru / deg) != neg_ratio:
             continue  # stale entry
         p[u] = p_get(u, 0.0) + alpha * ru
@@ -104,10 +86,7 @@ def approximate_ppr(kg: KnowledgeGraph, source: int, params: PprParams) -> Influ
                 rw = r_get(w, 0.0) + share
                 r[w] = rw
                 dw = degree[w]
-                if dw == 0:
-                    if rw > 0.0:
-                        push(heap, (-inf, w))
-                elif rw >= eps * dw:
+                if rw >= eps * dw:
                     push(heap, (-(rw / dw), w))
         else:
             # parallel edges: all shares land before any neighbor is enqueued
@@ -230,7 +209,7 @@ def extract_influence(
         "top_k": k,
         "alpha": params.alpha,
         "epsilon": params.epsilon,
-        "direction": params.direction,
+        "direction": BOTH,
         "seed": seed,
     }
     return sg

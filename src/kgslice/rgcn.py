@@ -6,23 +6,23 @@ vertices outside the targets' message-passing neighborhood are pruned,
 and a finite-difference influence probe that must vanish exactly for
 unreachable vertex pairs.
 
-Messages flow along edge direction (the object aggregates its subjects);
-with inverse_relations on (the default), each predicate also acts in
-reverse through its own weight matrix. Per-relation sums run over
-neighbor lists in sorted order and each vertex is combined with fixed
-shapes, so results are bit-reproducible no matter how the subgraph was
-built or pruned.
+Messages flow along edge direction (the object aggregates its subjects),
+and each predicate also acts in reverse through its own weight matrix.
+Per-relation sums run over neighbor lists in sorted order and each vertex
+is combined with fixed shapes, so results are bit-reproducible no matter
+how the subgraph was built or pruned.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
 from .errors import MissingFeature
-from .graph import KIND_LITERAL, Subgraph, hop_distances
+from .graph import Subgraph, hop_distances
 
 
 def _derived_array(seed: int, scope: tuple, shape: tuple[int, ...]) -> np.ndarray:
@@ -37,7 +37,6 @@ class RgcnReferenceModel:
     layers: int
     dim: int
     seed: int = 0
-    inverse_relations: bool = True
 
     def self_weight(self, layer: int) -> np.ndarray:
         return _derived_array(self.seed, ("w0", layer), (self.dim, self.dim))
@@ -51,21 +50,19 @@ def random_features(vertices, dim: int, seed: int = 0) -> dict[int, np.ndarray]:
     return {v: _derived_array(seed, ("feat", v), (dim,)) for v in vertices}
 
 
-def _entity_triples(sg: Subgraph):
-    kg = sg.kg
-    for s, p, o in sg.non_type_triples:
-        if kg.kind(o) == KIND_LITERAL or kg.kind(s) == KIND_LITERAL:
-            continue
-        yield s, p, o
+def _entity_mask(sg: Subgraph) -> np.ndarray:
+    """Which non-type triples join two non-literal vertices."""
+    s, o = sg.non_type_edges()
+    literal = sg.kg.literal_mask()
+    return ~(literal[s] | literal[o])
 
 
-def _in_neighbor_lists(sg: Subgraph, inverse: bool):
+def _in_neighbor_lists(sg: Subgraph):
     """vertex -> sorted [(relation key, sorted neighbor list)]."""
     lists: dict[int, dict[tuple[int, int], list[int]]] = {}
-    for s, p, o in _entity_triples(sg):
+    for s, p, o in compress(sg.non_type_triples, _entity_mask(sg).tolist()):
         lists.setdefault(o, {}).setdefault((p, 0), []).append(s)
-        if inverse:
-            lists.setdefault(s, {}).setdefault((p, 1), []).append(o)
+        lists.setdefault(s, {}).setdefault((p, 1), []).append(o)
     out: dict[int, list[tuple[tuple[int, int], list[int]]]] = {}
     for v, by_rel in lists.items():
         out[v] = sorted((key, sorted(js)) for key, js in by_rel.items())
@@ -82,7 +79,7 @@ def rgcn_forward(
             raise MissingFeature(v)
     pos = {v: i for i, v in enumerate(verts)}
     h = np.array([np.asarray(feats[v], dtype=float) for v in verts]) if verts else np.zeros((0, model.dim))
-    in_lists = _in_neighbor_lists(sg, model.inverse_relations)
+    in_lists = _in_neighbor_lists(sg)
     weight_cache: dict = {}
 
     def weight(key):
@@ -111,23 +108,19 @@ def rgcn_forward(
     return {v: h[pos[v]].copy() for v in verts}
 
 
-def message_reach(sg: Subgraph, targets, hops: int, inverse_relations: bool = True) -> set[int]:
+def message_reach(sg: Subgraph, targets, hops: int) -> set[int]:
     """Vertices with a message-passing path of <= hops into a target."""
     s, o = sg.non_type_edges()
-    literal = sg.kg.literal_mask()
-    keep = ~(literal[s] | literal[o])
+    keep = _entity_mask(sg)
     s, o = s[keep], o[keep]
-    # a message runs from subject to object: search from the receiving end
-    if inverse_relations:
-        s, o = np.concatenate([s, o]), np.concatenate([o, s])
-    return set(hop_distances(o, s, set(targets) & sg.vertices, hops))
+    # messages run both ways along each entity edge
+    tails, heads = np.concatenate([s, o]), np.concatenate([o, s])
+    return set(hop_distances(tails, heads, set(targets) & sg.vertices, hops))
 
 
-def prune_outside_reach(
-    sg: Subgraph, targets, hops: int, inverse_relations: bool = True
-) -> Subgraph:
+def prune_outside_reach(sg: Subgraph, targets, hops: int) -> Subgraph:
     """Drop every vertex that cannot message a target within ``hops``."""
-    return sg.restricted(message_reach(sg, targets, hops, inverse_relations))
+    return sg.restricted(message_reach(sg, targets, hops))
 
 
 def influence_fd(

@@ -28,16 +28,6 @@ def scan_vertices_of_type(kg, type_iri: str) -> list[int]:
     return sorted(out)
 
 
-def scan_neighbors(kg, v: int, direction: str):
-    """Multiset of (predicate, endpoint) pairs by full triple scan."""
-    pairs = []
-    for s, p, o in kg.triples:
-        if direction in ("outgoing", "both") and s == v:
-            pairs.append((p, o))
-        if direction in ("incoming", "both") and o == v:
-            pairs.append((p, s))
-    return Counter(pairs)
-
 def filter_induced(kg, vs):
     """O(|T|) filter over every triple in the graph."""
     vs = set(vs)
@@ -267,8 +257,7 @@ def dense_rgcn_forward(model, sg, feats):
             if p == r and s in pos and o in pos:
                 a[pos[o], pos[s]] += 1.0
         mats[r] = a
-        if model.inverse_relations:
-            mats[(r, "inv")] = a.T.copy()
+        mats[(r, "inv")] = a.T.copy()
     for layer in range(model.layers):
         z = h @ model.self_weight(layer).T
         for key, a in mats.items():
@@ -304,8 +293,7 @@ def dense_rgcn_jacobian(model, sg, feats, v, u):
             if p == r and s in pos and o in pos:
                 a[pos[o], pos[s]] += 1.0
         mats[r] = a
-        if model.inverse_relations:
-            mats[(r, "inv")] = a.T.copy()
+        mats[(r, "inv")] = a.T.copy()
     for layer in range(model.layers):
         w0 = model.self_weight(layer)
         z = h @ w0.T

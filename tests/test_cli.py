@@ -59,6 +59,13 @@ def test_runtime_failure_exits_two(tmp_path, task_cfg):
     assert main(["ingest", str(missing)]) == 2
 
 
+def test_invalid_utf8_exits_two(mini_kg, tmp_path, capsys):
+    bad = tmp_path / "bad.nt"
+    bad.write_bytes(mini_kg.read_bytes() + b'<x> <y> "\xff" .\n')
+    assert main(["ingest", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("kgslice: input is not valid UTF-8")
+
+
 def test_ingest_stats(mini_kg, capsys):
     assert main(["ingest", str(mini_kg)]) == 0
     out = dict(

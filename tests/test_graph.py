@@ -9,11 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
-from kgslice.errors import ParseError, UnknownType, UnknownVertex
+from kgslice.errors import IoFailure, ParseError, UnknownType, UnknownVertex
 from kgslice.graph import (
-    BOTH,
-    INCOMING,
-    OUTGOING,
     hop_distances,
     ingest_ntriples,
     load_ntriples,
@@ -24,7 +21,6 @@ from conftest import EX, iri, make_kg, nt, random_kg, random_kg_lines
 from oracles import (
     bfs_distances,
     filter_induced,
-    scan_neighbors,
     scan_vertices_of_type,
     surface_triples,
 )
@@ -116,6 +112,31 @@ def test_crlf_and_lone_cr_end_lines(newline):
     assert errors[0].text == "not a triple"
     assert kg.triple_count() == 2
 
+    # the reader decodes 8 KiB chunks: a CRLF split across a chunk boundary
+    # still ends one line, and a literal longer than a chunk stays whole
+    first = nt("a", "p0", "b")
+    pad = f'{iri("a")} {iri("p0")} "'
+    pad += "x" * (8192 - len(first) - len(newline) - len(pad) - len('" .') - 1) + '" .'
+    long_literal = '"' + "y" * 20000 + '"'
+    lines = [first, pad, "not a triple", f'{iri("b")} {iri("p0")} {long_literal} .', "bad"]
+    data = (newline.join(lines) + newline).encode("utf-8")
+    assert data[8191:8192] == b"\r"  # the last byte of the first chunk
+    kg, errors = ingest_ntriples(data)
+    assert [(e.line, e.text) for e in errors] == [(3, "not a triple"), (5, "bad")]
+    assert long_literal in {kg.term(o) for _, _, o in kg.triples}
+    assert kg.triple_count() == 3
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("offset", [0, 20000])
+def test_invalid_utf8_raises_io_failure(strict, offset):
+    # a bad byte after the first decoded chunk fails as early bytes do
+    lines = [nt("a", "p0", f"v{i}") for i in range(offset // 40)]
+    data = ("\n".join(lines) + "\n").encode("utf-8") + b'<x> <y> "\xff" .\n'
+    assert len(data) > offset
+    with pytest.raises(IoFailure, match="not valid UTF-8"):
+        ingest_ntriples(io.BytesIO(data), strict=strict)
+
 
 def test_vertices_of_type_star():
     kg = make_kg(
@@ -147,41 +168,6 @@ def test_vertices_of_type_matches_scan_oracle(rng):
         except UnknownType:
             continue
         assert kg.vertices_of_type(tid) == scan_vertices_of_type(kg, type_iri)
-
-
-def test_neighbors_single_triple():
-    kg = make_kg([nt("a", "p0", "b")])
-    a = kg.vertex_id(f"{EX}a")
-    b = kg.vertex_id(f"{EX}b")
-    p = kg.predicate_id(f"{EX}p0")
-    assert kg.neighbors(a, OUTGOING) == [(p, b)]
-    assert kg.neighbors(a, INCOMING) == []
-    assert kg.neighbors(b, OUTGOING) == []
-    assert kg.neighbors(b, INCOMING) == [(p, a)]
-    assert kg.neighbors(a, BOTH) == [(p, b)]
-
-
-def test_neighbors_unknown_vertex():
-    kg = make_kg([nt("a", "p0", "b")])
-    with pytest.raises(UnknownVertex):
-        kg.neighbors(123)
-
-
-def test_neighbors_matches_triple_scan(rng):
-    kg = random_kg(rng, n_vertices=50, n_triples=180, literal_fraction=0.15)
-    from collections import Counter
-
-    for v in range(kg.vertex_count()):
-        for direction in (OUTGOING, INCOMING, BOTH):
-            got = Counter(kg.neighbors(v, direction))
-            assert got == scan_neighbors(kg, v, direction)
-
-
-def test_neighbors_sorted():
-    kg = make_kg([nt("a", "p1", "c"), nt("a", "p0", "b"), nt("a", "p0", "a")])
-    a = kg.vertex_id(f"{EX}a")
-    out = kg.neighbors(a, OUTGOING)
-    assert out == sorted(out)
 
 
 def test_induced_subgraph_identity(rng):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from kgslice.errors import DuplicateTarget, EmptyTargetSet
-from kgslice.graph import BOTH, OUTGOING
+from kgslice.graph import BOTH
 from kgslice.influence import (
     InfluenceScores,
     PprParams,
@@ -70,7 +70,7 @@ def test_push_matches_power_iteration(rng):
 def test_residual_certificate_and_mass(rng):
     kg = random_kg(rng, n_vertices=120, n_triples=300)
     params = PprParams()
-    adj = kg.walk_adjacency(params.direction)
+    adj = kg.walk_adjacency(BOTH)
     for source in rng.sample(range(kg.vertex_count()), 8):
         inf = approximate_ppr(kg, source, params)
         assert abs(inf.mass() - 1.0) <= 1e-9
@@ -116,7 +116,7 @@ def test_influence_scores_match_standalone(rng):
 
 
 def edge_case_kg():
-    """Parallel edges, a self-loop, a literal, an OUTGOING sink, an isolated vertex."""
+    """Parallel edges, a self-loop, a literal, a leaf, an isolated vertex."""
     return make_kg([
         nt("a", "p0", "b"), nt("a", "p1", "b"), nt("a", "p0", "a"),
         nt("a", "p0", '"lit"'), nt("b", "p0", "c"), nt("z", "a", "T"),
@@ -138,18 +138,16 @@ def random_push_kg(rng, n=50, m=140):
     return make_kg(lines)
 
 
-@pytest.mark.parametrize("direction", [BOTH, OUTGOING])
-def test_push_matches_reference_bit_for_bit(direction):
+def test_push_matches_reference_bit_for_bit():
     kgs = [edge_case_kg()] + [random_push_kg(random.Random(seed)) for seed in range(3)]
-    index = kgs[0].walk_index(direction)
+    index = kgs[0].walk_index()
     a, b, c, z = (kgs[0].vertex_id(f"{EX}{name}") for name in "abcz")
     assert index.distinct[a] is not index.neighbors[a]  # parallel edges
     assert index.degree[z] == 0
-    assert index.degree[c] == (0 if direction == OUTGOING else 1)
+    assert index.degree[c] == 1
     for kg in kgs:
-        adj = kg.walk_adjacency(direction)
-        for params in (PprParams(direction=direction),
-                       PprParams(alpha=0.15, epsilon=1e-5, direction=direction)):
+        adj = kg.walk_adjacency(BOTH)
+        for params in (PprParams(), PprParams(alpha=0.15, epsilon=1e-5)):
             for source in range(kg.vertex_count()):
                 inf = approximate_ppr(kg, source, params)
                 scores, residuals = reference_forward_push(

@@ -281,7 +281,7 @@ def test_planner_arithmetic():
     branch0 = [j for j in plan.jobs if j[0] == 0]
     branch1 = [j for j in plan.jobs if j[0] == 1]
     assert len(branch0) == 4 and len(branch1) == 3
-    assert plan.estimated_rows == 12
+    assert plan.counts == [7, 5]
 
 
 def test_cross_batch_size_and_worker_invariance(rng):

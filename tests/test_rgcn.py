@@ -53,13 +53,12 @@ def test_missing_feature():
         rgcn_forward(model, sg, {kg.vertex_id(f"{EX}a"): np.zeros(4)})
 
 
-@pytest.mark.parametrize("inverse", [True, False])
-def test_forward_matches_dense_oracle(inverse, rng):
+def test_forward_matches_dense_oracle(rng):
     for trial in range(4):
         local = random.Random(900 + trial)
         kg = random_kg(local, n_vertices=20, n_triples=60, n_predicates=3)
         sg = full_subgraph(kg)
-        model = RgcnReferenceModel(layers=2, dim=6, seed=trial, inverse_relations=inverse)
+        model = RgcnReferenceModel(layers=2, dim=6, seed=trial)
         feats = random_features(sg.entity_vertices(), 6, seed=trial + 50)
         mine = rgcn_forward(model, sg, feats)
         oracle = dense_rgcn_forward(model, sg, feats)
@@ -114,10 +113,9 @@ def test_locality_perturbation_outside_neighborhood(rng):
         assert np.array_equal(base[t], moved[t])
 
 
-@pytest.mark.parametrize("inverse", [True, False])
 @pytest.mark.parametrize("hops", [0, 1, 2, 3])
-def test_message_reach_matches_bfs_oracle(hops, inverse):
-    rng = random.Random(700 + 10 * hops + inverse)
+def test_message_reach_matches_bfs_oracle(hops):
+    rng = random.Random(701 + 10 * hops)
     for _ in range(15):
         kg = random_kg(
             rng,
@@ -134,11 +132,10 @@ def test_message_reach_matches_bfs_oracle(hops, inverse):
             if p == kg.type_predicate or "literal" in (kg.kind(s), kg.kind(o)):
                 continue
             senders.setdefault(o, set()).add(s)
-            if inverse:
-                senders.setdefault(s, set()).add(o)
+            senders.setdefault(s, set()).add(o)
         dist = bfs_distances(senders, [t for t in targets if t in sg.vertices])
         expected = {v for v, d in dist.items() if d <= hops}
-        assert message_reach(sg, targets, hops, inverse_relations=inverse) == expected
+        assert message_reach(sg, targets, hops) == expected
 
 
 def test_influence_positive_for_self():
