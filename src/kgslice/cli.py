@@ -252,9 +252,10 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    # an impossible shape fails before any file is read
+    model = RgcnReferenceModel(layers=args.layers, dim=args.dim, seed=args.seed)
     [(sg, task)], _ = _load_slices(args, [args.subgraph])
     targets = set(resolve_targets(sg.kg, task)) & sg.vertices
-    model = RgcnReferenceModel(layers=args.layers, dim=args.dim, seed=args.seed)
     feats = random_features(sg.entity_vertices(), args.dim, seed=args.seed)
     full = rgcn_forward(model, sg, feats)
     pruned_sg = prune_outside_reach(sg, targets, hops=args.layers)

@@ -557,7 +557,7 @@ def hop_distances(tails, heads, sources, max_hops: int | None = None) -> dict[in
     orientations of each edge for an undirected view. Duplicate edges and
     self-loops are harmless. The result covers every vertex within
     ``max_hops`` of a source (every reachable one when None); sources are
-    at distance 0.
+    at distance 0. A negative ``max_hops`` raises ValueError.
 
     The edges become a CSR over vertex ids (a stable argsort by tail,
     offsets from a bincount). The level-by-level loop then runs in Python
@@ -565,6 +565,8 @@ def hop_distances(tails, heads, sources, max_hops: int | None = None) -> dict[in
     largest vertex id n. (A numpy frontier vectorised per level was far
     slower on long paths: one round of array calls per level.)
     """
+    if max_hops is not None and max_hops < 0:
+        raise ValueError(f"max_hops must be >= 0 or None, got {max_hops}")
     tails = np.asarray(tails, dtype=np.int64)
     heads = np.asarray(heads, dtype=np.int64)
     if tails.shape != heads.shape:

@@ -8,20 +8,24 @@ unreachable vertex pairs.
 
 Messages flow along edge direction (the object aggregates its subjects),
 and each predicate also acts in reverse through its own weight matrix.
-Per-relation sums run over neighbor lists in sorted order and each vertex
-is combined with fixed shapes, so results are bit-reproducible no matter
-how the subgraph was built or pruned.
+Each vertex adds its self term, then one term per (relation, direction)
+in sorted order: the mean of its senders' rows, summed in sorted sender
+order, times that relation's weight. One grouped numpy pass per layer
+computes every vertex at once with exactly the operations, and the order,
+of a per-vertex loop (one gemv per row, never a gemm over the batch), so
+results are bit-reproducible no matter how the subgraph was built or
+pruned.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import compress
+from operator import itemgetter
 
 import numpy as np
 
-from .errors import MissingFeature
+from .errors import MissingFeature, UnsupportedParams
 from .graph import Subgraph, hop_distances
 
 
@@ -37,6 +41,12 @@ class RgcnReferenceModel:
     layers: int
     dim: int
     seed: int = 0
+
+    def __post_init__(self):
+        if self.layers < 0:
+            raise UnsupportedParams(f"RGCN layers must be >= 0, got {self.layers}")
+        if self.dim < 1:
+            raise UnsupportedParams(f"RGCN dim must be >= 1, got {self.dim}")
 
     def self_weight(self, layer: int) -> np.ndarray:
         return _derived_array(self.seed, ("w0", layer), (self.dim, self.dim))
@@ -57,16 +67,56 @@ def _entity_mask(sg: Subgraph) -> np.ndarray:
     return ~(literal[s] | literal[o])
 
 
-def _in_neighbor_lists(sg: Subgraph):
-    """vertex -> sorted [(relation key, sorted neighbor list)]."""
-    lists: dict[int, dict[tuple[int, int], list[int]]] = {}
-    for s, p, o in compress(sg.non_type_triples, _entity_mask(sg).tolist()):
-        lists.setdefault(o, {}).setdefault((p, 0), []).append(s)
-        lists.setdefault(s, {}).setdefault((p, 1), []).append(o)
-    out: dict[int, list[tuple[tuple[int, int], list[int]]]] = {}
-    for v, by_rel in lists.items():
-        out[v] = sorted((key, sorted(js)) for key, js in by_rel.items())
-    return out
+def _message_plan(sg: Subgraph, rows: np.ndarray):
+    """The entity edges of ``sg``, grouped once for every layer of a forward pass.
+
+    Each triple (s, p, o) gives two message edges: o receives s under key
+    (p, 0) and s receives o under key (p, 1). One lexsort orders them by
+    key, then receiver, then sender. A message is one (key, receiver) run
+    of senders. Returns:
+
+    - ``keys``: (p, inverse, lo, hi) per key in ascending order, whose
+      messages are ``lo:hi``;
+    - ``receivers``: the receiving row of each message;
+    - ``sums``: (messages, senders, count) per distinct sender count, where
+      ``senders`` is a (messages, count) block of sender rows, each row
+      ascending.
+    """
+    s, o = sg.non_type_edges()
+    keep = _entity_mask(sg)
+    pred = np.fromiter(map(itemgetter(1), sg.non_type_triples), dtype=np.int64, count=len(s))
+    pred, s, o = pred[keep], np.searchsorted(rows, s[keep]), np.searchsorted(rows, o[keep])
+    key = np.concatenate([2 * pred, 2 * pred + 1])
+    recv = np.concatenate([o, s])
+    send = np.concatenate([s, o])
+    order = np.lexsort((send, recv, key))
+    key, recv, send = key[order], recv[order], send[order]
+    # slice assignment keeps an empty slice empty; np.r_[True, ...] would not
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = (key[1:] != key[:-1]) | (recv[1:] != recv[:-1])
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=len(key))
+    msg_key = key[starts]
+    lo = np.flatnonzero(np.diff(msg_key, prepend=-1))
+    hi = np.append(lo[1:], len(msg_key))
+    keys = [
+        (k >> 1, bool(k & 1), a, b)
+        for k, a, b in zip(msg_key[lo].tolist(), lo.tolist(), hi.tolist())
+    ]
+    # Stable sorts by sender count lay out each count's messages, and their
+    # senders, as one block of a few shared arrays. Two fresh arrays per
+    # count left more heap behind: lp-skew peak RSS rose 2.7%, not 1.3%.
+    by_count = np.argsort(counts, kind="stable")
+    senders = send[np.argsort(np.repeat(counts, counts), kind="stable")]
+    sizes = counts[by_count]
+    first_edge = np.concatenate([[0], np.cumsum(sizes)])
+    lo = np.flatnonzero(np.diff(sizes, prepend=0))
+    hi = np.append(lo[1:], len(sizes))
+    sums = [
+        (by_count[a:b], senders[first_edge[a]:first_edge[b]].reshape(b - a, c), c)
+        for a, b, c in zip(lo.tolist(), hi.tolist(), sizes[lo].tolist())
+    ]
+    return keys, recv[starts], sums
 
 
 def rgcn_forward(
@@ -77,35 +127,31 @@ def rgcn_forward(
     for v in verts:
         if v not in feats:
             raise MissingFeature(v)
-    pos = {v: i for i, v in enumerate(verts)}
     h = np.array([np.asarray(feats[v], dtype=float) for v in verts]) if verts else np.zeros((0, model.dim))
-    in_lists = _in_neighbor_lists(sg)
-    weight_cache: dict = {}
-
-    def weight(key):
-        w = weight_cache.get(key)
-        if w is None:
-            kind, layer, rel = key
-            if kind == "self":
-                w = model.self_weight(layer)
-            else:
-                w = model.relation_weight(layer, rel[0], inverse=bool(rel[1]))
-            weight_cache[key] = w
-        return w
-
+    keys, receivers, sums = _message_plan(sg, np.asarray(verts, dtype=np.int64))
     for layer in range(model.layers):
-        w0 = weight(("self", layer, None))
-        nxt = np.empty_like(h)
-        for v in verts:
-            i = pos[v]
-            z = np.dot(w0, h[i])
-            for rel, js in in_lists.get(v, ()):
-                idx = [pos[j] for j in js]
-                msg = h[idx].sum(axis=0) / len(idx)
-                z = z + np.dot(weight(("rel", layer, rel)), msg)
-            nxt[i] = np.maximum(z, 0.0)
-        h = nxt
-    return {v: h[pos[v]].copy() for v in verts}
+        # Each product is one matrix times one vector: np.matmul runs this
+        # stack of (d, d) @ (d, 1) as one gemv per row, the same call as
+        # w0 @ h[i]. A gemm over the batch (h @ w0.T) gives rows that depend
+        # on how many rows the batch has (OpenBLAS), so a pruned slice would
+        # not match the full one. A broadcast multiply with .sum(-1) does not
+        # depend on the batch, but its rows differ from w0 @ h[i].
+        z = np.matmul(model.self_weight(layer)[None], h[:, :, None])[:, :, 0]
+        # A message is the mean of its senders' rows, summed by the same
+        # reduction as h[senders].sum(axis=0): one (messages, count, d) gather
+        # per distinct count. np.add.at would sum in order, but numpy sums a
+        # contiguous axis pairwise (dim 1, from 8 senders on), and
+        # np.add.reduceat does not sum a segment in order at all.
+        msg = np.empty((len(receivers), model.dim))
+        for msgs, senders, count in sums:
+            msg[msgs] = h[senders].sum(axis=1) / count
+        # every vertex adds its relations in ascending (p, inverse) order
+        for p, inverse, lo, hi in keys:
+            w = model.relation_weight(layer, p, inverse=inverse)
+            recv = receivers[lo:hi]
+            z[recv] = z[recv] + np.matmul(w[None], msg[lo:hi, :, None])[:, :, 0]
+        h = np.maximum(z, 0.0)
+    return {v: row.copy() for v, row in zip(verts, h)}
 
 
 def message_reach(sg: Subgraph, targets, hops: int) -> set[int]:

@@ -273,6 +273,63 @@ def dense_rgcn_forward(model, sg, feats):
     return {v: h[pos[v]].copy() for v in verts}
 
 
+def in_neighbor_lists(sg):
+    """vertex -> sorted [(relation key, sorted neighbor list)] over entity edges."""
+    kind = sg.kg.kind
+    lists: dict[int, dict[tuple[int, int], list[int]]] = {}
+    for s, p, o in sg.non_type_triples:
+        if kind(s) == "literal" or kind(o) == "literal":
+            continue
+        lists.setdefault(o, {}).setdefault((p, 0), []).append(s)
+        lists.setdefault(s, {}).setdefault((p, 1), []).append(o)
+    out: dict[int, list[tuple[tuple[int, int], list[int]]]] = {}
+    for v, by_rel in lists.items():
+        out[v] = sorted((key, sorted(js)) for key, js in by_rel.items())
+    return out
+
+
+def reference_rgcn_forward(model, sg, feats):
+    """rgcn_forward as first written: a per-vertex loop over sorted neighbor lists.
+
+    The package's grouped pass must equal it bit for bit on every vertex.
+    """
+    from kgslice.errors import MissingFeature
+
+    verts = sg.entity_vertices()
+    for v in verts:
+        if v not in feats:
+            raise MissingFeature(v)
+    pos = {v: i for i, v in enumerate(verts)}
+    h = np.array([np.asarray(feats[v], dtype=float) for v in verts]) if verts else np.zeros((0, model.dim))
+    in_lists = in_neighbor_lists(sg)
+    weight_cache: dict = {}
+
+    def weight(key):
+        w = weight_cache.get(key)
+        if w is None:
+            kind, layer, rel = key
+            if kind == "self":
+                w = model.self_weight(layer)
+            else:
+                w = model.relation_weight(layer, rel[0], inverse=bool(rel[1]))
+            weight_cache[key] = w
+        return w
+
+    for layer in range(model.layers):
+        w0 = weight(("self", layer, None))
+        nxt = np.empty_like(h)
+        for v in verts:
+            i = pos[v]
+            z = np.dot(w0, h[i])
+            for rel, js in in_lists.get(v, ()):
+                idx = [pos[j] for j in js]
+                msg = h[idx].sum(axis=0) / len(idx)
+                z = z + np.dot(weight(("rel", layer, rel)), msg)
+            nxt[i] = np.maximum(z, 0.0)
+        h = nxt
+    return {v: h[pos[v]].copy() for v in verts}
+
+
 def dense_rgcn_jacobian(model, sg, feats, v, u):
     """Analytic d h_u / d X_v by forward-mode accumulation on dense ops."""
     verts = sg.entity_vertices()

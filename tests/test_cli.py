@@ -204,6 +204,22 @@ def test_validate_passes(mini_kg, task_cfg, tmp_path, capsys):
     assert "PASS" in captured
 
 
+@pytest.mark.parametrize("flag", [["--layers", "-1"], ["--dim", "0"], ["--dim=-3"]])
+def test_validate_impossible_shape_exits_two(mini_kg, task_cfg, capsys, flag):
+    rc = main(
+        [
+            "validate", "--subgraph", str(mini_kg), "--config", str(task_cfg),
+            "--kg", str(mini_kg), *flag,
+        ]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("kgslice: RGCN ")
+    assert "Traceback" not in captured.err
+
+
 def test_slice_without_kg_uses_type_predicate(mini_kg, task_cfg, tmp_path):
     slice_path = tmp_path / "isa.nt"
     slice_path.write_text(

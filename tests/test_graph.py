@@ -341,3 +341,10 @@ def test_hop_distances_follow_edge_direction():
     assert hop_distances(tails, heads, [0]) == {0: 0, 1: 1, 2: 2}
     assert hop_distances(heads, tails, [2]) == {2: 0, 1: 1, 0: 2, 3: 2}
     assert hop_distances([], [], [7]) == {7: 0}
+
+
+def test_hop_distances_reject_negative_max_hops():
+    # the level loop stops at hops == max_hops, which a negative bound never meets
+    with pytest.raises(ValueError, match="max_hops"):
+        hop_distances([0, 1], [1, 2], [0], max_hops=-1)
+    assert hop_distances([0, 1], [1, 2], [0], max_hops=None) == {0: 0, 1: 1, 2: 2}

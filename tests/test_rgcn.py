@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from kgslice.errors import MissingFeature
+from kgslice.errors import MissingFeature, UnsupportedParams
 from kgslice.graph import subgraph_from_triples
 from kgslice.rgcn import (
     RgcnReferenceModel,
@@ -16,8 +16,13 @@ from kgslice.rgcn import (
     rgcn_forward,
 )
 
-from conftest import EX, constant_features, make_kg, nt, random_kg
-from oracles import bfs_distances, dense_rgcn_forward, dense_rgcn_jacobian
+from conftest import EX, constant_features, make_kg, nt, random_kg, random_kg_lines
+from oracles import (
+    bfs_distances,
+    dense_rgcn_forward,
+    dense_rgcn_jacobian,
+    reference_rgcn_forward,
+)
 
 
 def full_subgraph(kg):
@@ -64,6 +69,60 @@ def test_forward_matches_dense_oracle(rng):
         oracle = dense_rgcn_forward(model, sg, feats)
         for v in mine:
             assert np.max(np.abs(mine[v] - oracle[v])) <= 1e-9
+
+
+def _reference_cases():
+    """(name, subgraph, targets) slices of random graphs for the bit-for-bit test."""
+    for trial in range(3):
+        local = random.Random(5100 + trial)
+        lines = random_kg_lines(
+            local, n_vertices=40, n_predicates=3, n_triples=120, literal_fraction=0.15
+        )
+        # self-loops
+        lines += [nt("v1", "p0", "v1"), nt("v2", "p1", "v2"), nt("v2", "p0", "v2")]
+        # two predicates between the same pair, in both directions
+        lines += [nt("v3", "p0", "v4"), nt("v3", "p1", "v4"), nt("v4", "p0", "v3")]
+        lines += [nt("v4", "p1", "v3")]
+        # 30 senders under one key: numpy sums them pairwise at dim 1
+        lines += [nt(f"v{i}", "p2", "hub") for i in range(5, 35)]
+        kg = make_kg(lines)
+        targets = kg.vertices_of_type(0)[:4] + [kg.vertex_id(f"{EX}hub")]
+        yield "full", subgraph_from_triples(kg, kg.triples), targets
+        kept = [t for t in kg.triples if local.random() < 0.7]
+        yield "sampled", subgraph_from_triples(kg, kept), targets
+        literal = kg.literal_mask()
+        no_entity_edges = [
+            t for t in kg.triples if t[1] == kg.type_predicate or literal[t[0]] or literal[t[2]]
+        ]
+        yield "no entity edges", subgraph_from_triples(kg, no_entity_edges), targets
+        yield "empty", subgraph_from_triples(kg, []), targets
+
+
+@pytest.mark.parametrize("dim", [1, 4, 8, 16, 64])
+def test_forward_matches_reference_bit_for_bit(dim):
+    for name, sg, targets in _reference_cases():
+        feats = random_features(sg.entity_vertices(), dim, seed=dim)
+        for layers in range(4):
+            model = RgcnReferenceModel(layers=layers, dim=dim, seed=layers)
+            pruned_sg = prune_outside_reach(sg, targets, hops=layers)
+            for case, g in ((name, sg), (f"{name}, pruned", pruned_sg)):
+                mine = rgcn_forward(model, g, feats)
+                oracle = reference_rgcn_forward(model, g, feats)
+                assert mine.keys() == oracle.keys(), case
+                for v in oracle:
+                    assert np.array_equal(mine[v], oracle[v]), (case, layers, v)
+
+
+def test_impossible_shapes_fail_loudly():
+    kg = make_kg([nt("a", "p0", "b")])
+    sg = full_subgraph(kg)
+    with pytest.raises(UnsupportedParams):
+        RgcnReferenceModel(layers=-1, dim=4)
+    for dim in (0, -3):
+        with pytest.raises(UnsupportedParams):
+            RgcnReferenceModel(layers=2, dim=dim)
+    with pytest.raises(ValueError):
+        prune_outside_reach(sg, [kg.vertex_id(f"{EX}a")], hops=-1)
 
 
 def test_seed_reproducibility(rng):
