@@ -10,11 +10,17 @@ its neighbors.
 At termination every residual sits below epsilon * degree, which bounds
 the pointwise gap to the stationary PPR by the same amount on undirected
 walk graphs.
+
+Scoring is streamed: each target's run is reduced to its top-k as soon as
+it finishes and then dropped, so the score and residual dictionaries of
+one finished run, not of every target's, are alive while the next runs.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .errors import DuplicateTarget, EmptyTargetSet, KgsliceError
@@ -31,8 +37,8 @@ class PprParams:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise KgsliceError("alpha must be in (0, 1)")
-        if self.epsilon <= 0.0:
-            raise KgsliceError("epsilon must be > 0")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0.0):
+            raise KgsliceError("epsilon must be finite and > 0")
 
 
 @dataclass
@@ -100,26 +106,32 @@ def approximate_ppr(kg: KnowledgeGraph, source: int, params: PprParams) -> Influ
     return InfluenceScores(source=source, scores=scores, residuals=residuals)
 
 
-def influence_scores(kg: KnowledgeGraph, targets, params: PprParams) -> list[InfluenceScores]:
-    """One independent PPR run per target, returned in target order."""
+def influence_scores(kg: KnowledgeGraph, targets, params: PprParams) -> Iterator[InfluenceScores]:
+    """One independent PPR run per target, as a one-shot iterator in target order.
+
+    The targets are checked here, at call time; each run starts only when
+    the iterator reaches it, so a consumer that drops each result before
+    taking the next keeps one run alive at a time.
+    """
     targets = list(targets)
     if not targets:
         raise EmptyTargetSet("no targets for influence scoring")
     if len(set(targets)) != len(targets):
         raise DuplicateTarget("duplicate target vertices")
-    return [approximate_ppr(kg, t, params) for t in targets]
+    return (approximate_ppr(kg, t, params) for t in targets)
 
 
-def select_topk(targets, scores: list[InfluenceScores], k: int) -> list[tuple[int, int]]:
+def select_topk(targets, scores: Iterable[InfluenceScores], k: int) -> list[tuple[int, int]]:
     """Per target, its k highest-scored neighbors (self excluded).
 
-    Ties break toward the smaller vertex id; targets with fewer than k
-    scored neighbors contribute fewer pairs.
+    `scores` is read once, in step with `targets`, and must hold exactly one
+    entry per target. Ties break toward the smaller vertex id; targets with
+    fewer than k scored neighbors contribute fewer pairs.
     """
     if k < 1:
         raise KgsliceError("k must be >= 1")
     pairs: list[tuple[int, int]] = []
-    for target, inf in zip(targets, scores):
+    for target, inf in zip(targets, scores, strict=True):
         # (-score, id) keys are unique, so this is the sorted order's first k
         candidates = [(-s, u) for u, s in inf.scores.items() if u != target]
         pairs.extend((target, u) for _, u in heapq.nsmallest(k, candidates))
@@ -183,16 +195,20 @@ def extract_influence(
 ) -> Subgraph:
     """Influence-based extraction: score, select top-k, partition, induce.
 
+    Scoring and top-k selection are streamed: each target's PPR run is cut
+    to its k pairs as it finishes, so the runs are never all held at once.
+
     Vertices of the induced subgraph with no in-subgraph path to a target
     are dropped; a top-k selection can occasionally skip the connecting
     vertex of a distant neighbor, and such strays never influence the
     targets' embeddings.
     """
+    if bs < 1:
+        raise KgsliceError("batch size must be >= 1")
     targets = resolve_targets(kg, task)
     if not targets:
         raise EmptyTargetSet("task has no target vertices")
-    scores = influence_scores(kg, targets, params)
-    pairs = select_topk(targets, scores, k)
+    pairs = select_topk(targets, influence_scores(kg, targets, params), k)
     if pairs:
         partition = build_partition(pairs, bs, _derived_rng(seed, "partition"))
     else:

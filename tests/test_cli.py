@@ -105,6 +105,26 @@ def test_extract_engines(mini_kg, task_cfg, tmp_path, capsys, engine, flags):
     assert f"<{EX}hasLabel>" not in (out / "subgraph.nt").read_text()
 
 
+@pytest.mark.parametrize(
+    "flag,message",
+    [
+        (["--epsilon", "nan"], "epsilon must be finite and > 0"),
+        (["--epsilon", "inf"], "epsilon must be finite and > 0"),
+        (["--bs", "0"], "batch size must be >= 1"),
+        (["--bs=-3"], "batch size must be >= 1"),
+    ],
+)
+def test_extract_ibs_bad_setting_exits_two(mini_kg, task_cfg, tmp_path, capsys, flag, message):
+    out = tmp_path / "ibs"
+    rc = main(
+        ["extract", "--engine", "ibs", "--kg", str(mini_kg), "--config", str(task_cfg),
+         "--out", str(out), *flag]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == f"kgslice: {message}\n"
+    assert not out.exists()
+
+
 def test_extract_keep_label_edges(mini_kg, task_cfg, tmp_path):
     out = tmp_path / "keep"
     rc = main(

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
+import weakref
 
 import pytest
 
-from kgslice.errors import DuplicateTarget, EmptyTargetSet
+from kgslice import influence
+from kgslice.errors import DuplicateTarget, EmptyTargetSet, KgsliceError
 from kgslice.graph import BOTH
 from kgslice.influence import (
     InfluenceScores,
@@ -32,6 +35,13 @@ def test_ppr_params_validation():
         PprParams(alpha=0.0)
     with pytest.raises(Exception):
         PprParams(epsilon=0.0)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+def test_ppr_params_rejects_non_finite_epsilon(epsilon):
+    # a non-finite epsilon would stop every push before it starts
+    with pytest.raises(KgsliceError, match="epsilon must be finite and > 0"):
+        PprParams(epsilon=epsilon)
 
 
 def test_isolated_source_all_mass_returns():
@@ -93,7 +103,7 @@ def test_zero_score_iff_unreachable():
 
 def test_influence_scores_singleton(rng):
     kg = random_kg(rng, n_vertices=30, n_triples=80)
-    out = influence_scores(kg, [3], PprParams())
+    out = list(influence_scores(kg, [3], PprParams()))
     assert len(out) == 1 and out[0].source == 3
 
 
@@ -164,6 +174,57 @@ def test_select_topk_single_entry():
 def test_select_topk_tie_break():
     inf = InfluenceScores(source=0, scores={5: 0.2, 3: 0.2})
     assert select_topk([0], [inf], 1) == [(0, 3)]
+
+
+@pytest.mark.parametrize("n_scores", [1, 3])
+def test_select_topk_rejects_length_mismatch(n_scores):
+    targets = [0, 1]
+    scores = [InfluenceScores(source=i, scores={i: 0.5, 9: 0.5}) for i in range(n_scores)]
+    with pytest.raises(ValueError):
+        select_topk(targets, iter(scores), 1)
+
+
+def streaming_cases():
+    """random_kg graphs with parallel edges, each with its T0 targets, some isolated."""
+    cases = []
+    for seed in range(4):
+        kg = random_kg(random.Random(seed), n_vertices=100, n_triples=150, n_predicates=2)
+        neighbors, degree, distinct = kg.walk_index()
+        targets = kg.vertices_of_type(kg.type_id(f"{EX}T0"))
+        random.Random(seed).shuffle(targets)
+        assert any(distinct[u] is not neighbors[u] for u in range(kg.vertex_count()))
+        assert any(degree[t] == 0 for t in targets)
+        cases.append((kg, targets))
+    return cases
+
+
+def test_streamed_topk_matches_batched():
+    params = PprParams()
+    for kg, targets in streaming_cases():
+        for k in (1, 4, 16):
+            batched = [approximate_ppr(kg, t, params) for t in targets]
+            streamed = select_topk(targets, influence_scores(kg, targets, params), k)
+            assert streamed == select_topk(targets, batched, k)
+
+
+def test_extract_keeps_one_ppr_run_alive(monkeypatch):
+    kg, targets = streaming_cases()[0]
+    task = nc_task(kg, "T0")
+    runs: list[weakref.ref] = []
+    most_alive = 0
+    original = influence.approximate_ppr
+
+    def recording_ppr(kg, source, params):
+        nonlocal most_alive
+        most_alive = max(most_alive, sum(ref() is not None for ref in runs))
+        inf = original(kg, source, params)
+        runs.append(weakref.ref(inf))
+        return inf
+
+    monkeypatch.setattr(influence, "approximate_ppr", recording_ppr)
+    extract_influence(kg, task, bs=5, k=4, params=PprParams(), seed=1)
+    assert len(runs) == len(targets) > 2
+    assert most_alive <= 1
 
 
 def test_select_topk_matches_sort_oracle(rng):
@@ -246,6 +307,18 @@ def test_build_partition_budget_20k_targets():
     with Budget("ibs-partition-20k", 10.0):
         got = build_partition(pairs, bs=20000, rng=random.Random(0))
     assert got == set(range(20000)) | {u for _, u in pairs}
+
+
+@pytest.mark.parametrize("bs", [0, -3])
+def test_extract_rejects_batch_size_below_one(monkeypatch, bs):
+    kg = make_kg([nt("a", "a", "T"), nt("a", "p0", "b")])
+
+    def no_ppr(*args):
+        raise AssertionError("a PPR run started")
+
+    monkeypatch.setattr(influence, "approximate_ppr", no_ppr)
+    with pytest.raises(KgsliceError, match="batch size must be >= 1"):
+        extract_influence(kg, nc_task(kg), bs=bs, k=2, params=PprParams())
 
 
 def test_extract_isolated_targets():
