@@ -20,6 +20,7 @@ import csv
 import gzip
 import io
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
@@ -202,7 +203,9 @@ class KnowledgeGraph:
 
     Construction happens through :func:`build_graph` (which
     :func:`ingest_ntriples` calls); afterwards the instance is read-only
-    and safe to share across threads.
+    and safe to share across threads. The walk adjacency, the walk index and
+    the literal mask are built on first use; threads racing to build one may
+    both build it, with equal results.
     """
 
     def __init__(
@@ -241,7 +244,7 @@ class KnowledgeGraph:
         self.type_of: dict[int, tuple[int, ...]] = {
             v: tuple(sorted(tids)) for v, tids in types.items()
         }
-        self._walk_adj: dict[str, dict[int, list[int]]] = {}
+        self._walk_adj: dict[str, WalkAdjacency] = {}
         self._walk_index: WalkIndex | None = None
         self._literal_mask: np.ndarray | None = None
 
@@ -363,42 +366,27 @@ class KnowledgeGraph:
         offsets = self._predicate_offsets
         return self._by_predicate[offsets[p]:offsets[p + 1]]
 
-    def walk_adjacency(self, direction: str) -> dict[int, list[int]]:
-        """Entity-to-entity adjacency used by the samplers.
+    def walk_adjacency(self, direction: str) -> WalkAdjacency:
+        """Entity-to-entity adjacency used by the samplers, one per direction.
 
-        Type-assertion edges and edges to/from literals are excluded;
-        parallel edges keep their multiplicity so uniform choice over the
-        list matches a uniform choice over edges. Built once per
-        direction and cached.
+        See :class:`WalkAdjacency`; created once per direction and cached.
         """
-        cached = self._walk_adj.get(direction)
-        if cached is not None:
-            return cached
-        if direction not in (OUTGOING, BOTH):
-            raise ValueError(f"bad walk direction {direction!r}")
-        tp = self.type_predicate
-        adj: dict[int, list[int]] = {}
-        for s, p, o in self.triples:
-            if p == tp:
-                continue
-            if term_kind(self._terms[o]) == KIND_LITERAL:
-                continue
-            adj.setdefault(s, []).append(o)
-            if direction == BOTH:
-                adj.setdefault(o, []).append(s)
-        for lst in adj.values():
-            lst.sort()
-        self._walk_adj[direction] = adj
+        adj = self._walk_adj.get(direction)
+        if adj is None:
+            if direction not in (OUTGOING, BOTH):
+                raise ValueError(f"bad walk direction {direction!r}")
+            # setdefault: threads that race here all get the same object
+            adj = self._walk_adj.setdefault(direction, WalkAdjacency(self, direction))
         return adj
 
     def walk_index(self) -> WalkIndex:
-        """The ``both`` :meth:`walk_adjacency` indexed by vertex id, sharing its lists.
+        """The complete ``both`` :meth:`walk_adjacency` indexed by vertex id, sharing its lists.
 
         That graph is symmetric: every neighbor of a vertex has degree at
         least 1. Built once and cached.
         """
         if self._walk_index is None:
-            adj = self.walk_adjacency(BOTH)
+            adj = self.walk_adjacency(BOTH).complete()
             n = len(self._terms)
             neighbors: list = [()] * n
             degree = [0] * n
@@ -440,6 +428,85 @@ class KnowledgeGraph:
     def write_dictionary_tsv(self, fh) -> None:
         for vid, surface in enumerate(self._terms):
             fh.write(f"{vid}\t{term_kind(surface)}\t{term_lexical(surface)}\n")
+
+
+class WalkAdjacency(Mapping):
+    """The walk lists of one direction, a mapping from vertex id to list.
+
+    ``adj[v]`` lists the objects of ``v``'s triples, and for ``both`` also
+    the subjects of the triples into ``v``, in ascending order.
+    Type-assertion edges and edges to or from literals are excluded;
+    parallel edges and self-loops keep their multiplicity, so a uniform
+    choice over the list is a uniform choice over edges. A vertex with no
+    such edge has no list: ``adj.get(v)`` returns None.
+
+    A lookup builds one vertex's list from :meth:`KnowledgeGraph.out_triples`
+    (and :meth:`KnowledgeGraph.in_triples`) and memoizes it, so a walk pays
+    only for the vertices it visits. :meth:`complete`, iteration and ``len``
+    build every list in one pass over the triples instead, which is faster
+    when every list is read. Either way the lists are equal. Racing threads
+    may build a list, or all of them, twice; the complete lists are
+    published in one assignment once every list is sorted, and lookups never
+    write into them.
+    """
+
+    def __init__(self, kg: KnowledgeGraph, direction: str):
+        self._kg = kg
+        self._both = direction == BOTH
+        self._memo: dict[int, list[int]] = {}  # lookup path; [] for a vertex with no list
+        self._complete: dict[int, list[int]] | None = None
+
+    def get(self, v, default=None):
+        complete = self._complete
+        if complete is not None:
+            return complete.get(v, default)
+        lst = self._memo.get(v)
+        if lst is None:
+            lst = self._memo[v] = self._build(v)
+        return lst if lst else default
+
+    def __getitem__(self, v) -> list[int]:
+        lst = self.get(v)
+        if lst is None:
+            raise KeyError(v)
+        return lst
+
+    def __iter__(self):
+        return iter(self.complete())
+
+    def __len__(self) -> int:
+        return len(self.complete())
+
+    def _build(self, v: int) -> list[int]:
+        kg = self._kg
+        if not 0 <= v < kg.vertex_count():
+            return []
+        tp, terms = kg.type_predicate, kg._terms
+        lst = [o for _, p, o in kg.out_triples(v)
+               if p != tp and term_kind(terms[o]) != KIND_LITERAL]
+        if self._both and term_kind(terms[v]) != KIND_LITERAL:
+            lst += [s for s, p, _ in kg.in_triples(v) if p != tp]
+        lst.sort()
+        return lst
+
+    def complete(self) -> dict[int, list[int]]:
+        """Every list, keyed by vertex id, built once in one pass over the triples."""
+        if self._complete is None:
+            kg = self._kg
+            tp, terms, both = kg.type_predicate, kg._terms, self._both
+            adj: dict[int, list[int]] = {}
+            for s, p, o in kg.triples:
+                if p == tp:
+                    continue
+                if term_kind(terms[o]) == KIND_LITERAL:
+                    continue
+                adj.setdefault(s, []).append(o)
+                if both:
+                    adj.setdefault(o, []).append(s)
+            for lst in adj.values():
+                lst.sort()
+            self._complete = adj
+        return self._complete
 
 
 def _csr_offsets(triples, column: int, n: int) -> list[int]:

@@ -55,8 +55,12 @@ def random_walk_sample(
     """All vertices visited on one h-step walk from v (v included).
 
     Each step picks uniformly among the current vertex's walk neighbors;
-    a dead end stops the walk early.
+    a dead end stops the walk early. An unknown ``v`` raises
+    :class:`UnknownVertex`, a negative ``h`` :class:`KgsliceError`.
     """
+    kg._check_vertex(v)
+    if h < 0:
+        raise KgsliceError(f"walk length must be >= 0, got {h}")
     adj = kg.walk_adjacency(direction)
     visited = {v}
     current = v

@@ -55,6 +55,23 @@ def undirected_adjacency(kg, include_type_edges=False, include_literals=True):
     return adj
 
 
+def walk_lists(kg, direction: str) -> dict[int, list[int]]:
+    """Walk lists by a scan over every triple, with multiplicity.
+
+    Skips type triples and triples with a literal endpoint; ``both`` also
+    lists each subject under its object. Only vertices with a list appear.
+    """
+    tp = kg.type_predicate
+    lists: dict[int, list[int]] = {}
+    for s, p, o in kg.triples:
+        if p == tp or kg.kind(s) == "literal" or kg.kind(o) == "literal":
+            continue
+        lists.setdefault(s, []).append(o)
+        if direction == "both":
+            lists.setdefault(o, []).append(s)
+    return {v: sorted(lst) for v, lst in lists.items()}
+
+
 def bfs_distances(adj, sources):
     dist = {s: 0 for s in sources}
     q = deque(sources)

@@ -4,6 +4,8 @@ import gc
 import gzip
 import io
 import random
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -11,6 +13,9 @@ import pytest
 
 from kgslice.errors import IoFailure, ParseError, UnknownType, UnknownVertex
 from kgslice.graph import (
+    BOTH,
+    OUTGOING,
+    WalkAdjacency,
     hop_distances,
     ingest_ntriples,
     load_ntriples,
@@ -23,6 +28,7 @@ from oracles import (
     filter_induced,
     scan_vertices_of_type,
     surface_triples,
+    walk_lists,
 )
 from oracles import undirected_adjacency as oracle_undirected_adjacency
 
@@ -348,3 +354,79 @@ def test_hop_distances_reject_negative_max_hops():
     with pytest.raises(ValueError, match="max_hops"):
         hop_distances([0, 1], [1, 2], [0], max_hops=-1)
     assert hop_distances([0, 1], [1, 2], [0], max_hops=None) == {0: 0, 1: 1, 2: 2}
+
+
+def walk_case_kg(seed: int):
+    """A random_kg graph with parallel edges, self-loops, literal objects and type edges."""
+    kg = random_kg(random.Random(seed), n_vertices=60, n_predicates=2, n_triples=200,
+                   literal_fraction=0.2)
+    tp = kg.type_predicate
+    edges = [(s, o) for s, p, o in kg.triples if p != tp and kg.kind(o) != "literal"]
+    assert len(set(edges)) < len(edges)  # parallel edges
+    assert any(s == o for s, o in edges)  # self-loops
+    assert any(kg.kind(o) == "literal" for _, _, o in kg.triples)
+    assert kg.predicate_triples(tp)
+    return kg
+
+
+@pytest.mark.parametrize("direction", [OUTGOING, BOTH])
+@pytest.mark.parametrize("seed", range(3))
+def test_walk_adjacency_lookups_and_complete_match_scan(seed, direction):
+    kg = walk_case_kg(seed)
+    expected = walk_lists(kg, direction)
+    n = kg.vertex_count()
+    ids = [-1, *range(n), n]
+    assert any(v not in expected for v in range(n))
+    adj = kg.walk_adjacency(direction)
+    assert kg.walk_adjacency(direction) is adj
+    early = ids[::2]  # looked up before complete(), the rest only after
+    for v in early:
+        assert adj.get(v) == expected.get(v)
+        if v in expected:
+            assert adj[v] == expected[v]
+        else:
+            with pytest.raises(KeyError):
+                adj[v]
+    assert adj.complete() == expected
+    assert dict(adj) == expected
+    assert len(adj) == len(expected)
+    for v in ids:
+        assert adj.get(v) == expected.get(v)
+    if direction == BOTH:
+        neighbors = kg.walk_index().neighbors
+        for v in range(n):
+            assert list(neighbors[v]) == adj.get(v, [])
+
+
+def test_walk_adjacency_rejects_bad_direction():
+    with pytest.raises(ValueError):
+        make_kg([nt("a", "p0", "b")]).walk_adjacency("incoming")
+
+
+def test_walk_adjacency_threads_racing_lookups_and_complete():
+    kg = random_kg(random.Random(4), n_vertices=400, n_triples=4000, literal_fraction=0.2)
+    expected = walk_lists(kg, BOTH)
+    ids = list(range(-1, kg.vertex_count() + 1))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):  # a fresh adjacency each round
+            adj = WalkAdjacency(kg, BOTH)
+            wrong = []
+
+            def look_up(seed, adj=adj, wrong=wrong):
+                order = random.Random(seed).sample(ids, len(ids))
+                for _ in range(5):
+                    wrong.extend(v for v in order if adj.get(v) != expected.get(v))
+
+            workers = [threading.Thread(target=look_up, args=(i,)) for i in range(6)]
+            workers.insert(3, threading.Thread(target=adj.complete))
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in workers)
+            assert not wrong
+            assert dict(adj) == expected
+    finally:
+        sys.setswitchinterval(interval)

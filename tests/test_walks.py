@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from kgslice.errors import EmptyTargetSet
-from kgslice.graph import BOTH, OUTGOING
+from kgslice.errors import EmptyTargetSet, KgsliceError, UnknownVertex
+from kgslice.graph import BOTH, OUTGOING, WalkAdjacency
 from kgslice.tasks import TaskSpec
 from kgslice.walks import (
     WalkParams,
@@ -14,7 +14,7 @@ from kgslice.walks import (
     random_walk_sample,
 )
 
-from conftest import EX, make_kg, nt, random_kg
+from conftest import EX, make_kg, nt, random_kg, random_kg_lines
 from oracles import bfs_distances, undirected_adjacency
 
 
@@ -59,6 +59,27 @@ def test_walk_forced_chain():
     a = kg.vertex_id(f"{EX}a")
     expected = {a, kg.vertex_id(f"{EX}b"), kg.vertex_id(f"{EX}c")}
     assert random_walk_sample(kg, a, 2, OUTGOING, random.Random(0)) == expected
+
+
+@pytest.mark.parametrize("start", [99, -1, 3])
+def test_walk_rejects_unknown_start(start):
+    kg = make_kg([nt("a", "p0", "b"), nt("b", "p0", "c")])
+    assert kg.vertex_count() == 3
+    with pytest.raises(UnknownVertex):
+        random_walk_sample(kg, start, 2, BOTH, random.Random(0))
+
+
+@pytest.mark.parametrize("h", [-1, -2])
+def test_walk_rejects_negative_length(h):
+    kg = make_kg([nt("a", "p0", "b")])
+    with pytest.raises(KgsliceError):
+        random_walk_sample(kg, kg.vertex_id(f"{EX}a"), h, BOTH, random.Random(0))
+
+
+def test_walk_zero_steps_visits_only_start():
+    kg = make_kg([nt("a", "p0", "b")])
+    a = kg.vertex_id(f"{EX}a")
+    assert random_walk_sample(kg, a, 0, BOTH, random.Random(0)) == {a}
 
 
 def test_walk_visits_form_connected_path(rng):
@@ -163,3 +184,22 @@ def test_provenance_recorded(rng):
     sg = extract_random_walk(kg, brw_task(kg, "T0"), WalkParams(seed=4))
     assert sg.provenance["engine"] == "brw"
     assert sg.provenance["seed"] == 4
+
+
+@pytest.mark.parametrize("direction", [OUTGOING, BOTH])
+def test_extract_reads_walk_lists_on_demand(rng, monkeypatch, direction):
+    kg = make_kg(random_kg_lines(rng, n_vertices=150, n_triples=500, literal_fraction=0.1))
+    task = brw_task(kg, "T0")
+    params = WalkParams(walk_length=3, batch_size=10, seed=5, direction=direction)
+
+    def no_bulk_build(self):
+        raise AssertionError("extract_random_walk built every walk list")
+
+    with monkeypatch.context() as m:
+        m.setattr(WalkAdjacency, "complete", no_bulk_build)
+        on_demand = extract_random_walk(kg, task, params)
+    kg.walk_adjacency(direction).complete()
+    bulk = extract_random_walk(kg, task, params)
+    assert on_demand.triples == bulk.triples
+    assert on_demand.vertices == bulk.vertices
+    assert len(on_demand.non_type_triples) > 10
