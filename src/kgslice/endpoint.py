@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import io
 import logging
+import math
 import re
 import threading
 from dataclasses import dataclass
@@ -66,8 +67,10 @@ class EndpointConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise KgsliceError("workers must be >= 1")
-        if self.timeout <= 0:
-            raise KgsliceError("timeout must be > 0")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise KgsliceError("timeout must be finite and > 0")
+        if self.retries < 0:
+            raise KgsliceError("retries must be >= 0")
 
 
 @dataclass

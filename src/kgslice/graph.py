@@ -203,9 +203,9 @@ class KnowledgeGraph:
 
     Construction happens through :func:`build_graph` (which
     :func:`ingest_ntriples` calls); afterwards the instance is read-only
-    and safe to share across threads. The walk adjacency, the walk index and
-    the literal mask are built on first use; threads racing to build one may
-    both build it, with equal results.
+    and safe to share across threads. The literal mask, the walk index and
+    each vertex's walk list are built on first use; threads racing to build
+    one may both build it, with equal results.
     """
 
     def __init__(
@@ -247,6 +247,7 @@ class KnowledgeGraph:
         self._walk_adj: dict[str, WalkAdjacency] = {}
         self._walk_index: WalkIndex | None = None
         self._literal_mask: np.ndarray | None = None
+        self._literal_flags: list[bool] | None = None
 
     # -- dictionary ----------------------------------------------------
 
@@ -273,6 +274,12 @@ class KnowledgeGraph:
             mask.flags.writeable = False
             self._literal_mask = mask
         return self._literal_mask
+
+    def literal_flags(self) -> list[bool]:
+        """:meth:`literal_mask` as a Python list, for per-vertex reads. Built once and cached."""
+        if self._literal_flags is None:
+            self._literal_flags = self.literal_mask().tolist()
+        return self._literal_flags
 
     def lexical(self, v: int) -> str:
         return term_lexical(self._terms[v])
@@ -380,23 +387,19 @@ class KnowledgeGraph:
         return adj
 
     def walk_index(self) -> WalkIndex:
-        """The complete ``both`` :meth:`walk_adjacency` indexed by vertex id, sharing its lists.
+        """The ``both`` :meth:`walk_adjacency` indexed by vertex id, sharing its lists.
 
         That graph is symmetric: every neighbor of a vertex has degree at
         least 1. Built once and cached.
         """
         if self._walk_index is None:
-            adj = self.walk_adjacency(BOTH).complete()
-            n = len(self._terms)
-            neighbors: list = [()] * n
-            degree = [0] * n
-            distinct: list = [()] * n
-            for v, lst in adj.items():
-                neighbors[v] = lst
-                degree[v] = len(lst)
+            adj = self.walk_adjacency(BOTH)
+            neighbors = [adj.get(v, ()) for v in range(len(self._terms))]
+            distinct = []
+            for lst in neighbors:
                 uniq = set(lst)
-                distinct[v] = lst if len(uniq) == len(lst) else sorted(uniq)
-            self._walk_index = WalkIndex(neighbors, degree, distinct)
+                distinct.append(lst if len(uniq) == len(lst) else sorted(uniq))
+            self._walk_index = WalkIndex(neighbors, list(map(len, neighbors)), distinct)
         return self._walk_index
 
     def induced_subgraph(self, vs) -> Subgraph:
@@ -440,29 +443,40 @@ class WalkAdjacency(Mapping):
     choice over the list is a uniform choice over edges. A vertex with no
     such edge has no list: ``adj.get(v)`` returns None.
 
-    A lookup builds one vertex's list from :meth:`KnowledgeGraph.out_triples`
-    (and :meth:`KnowledgeGraph.in_triples`) and memoizes it, so a walk pays
-    only for the vertices it visits. :meth:`complete`, iteration and ``len``
-    build every list in one pass over the triples instead, which is faster
-    when every list is read. Either way the lists are equal. Racing threads
-    may build a list, or all of them, twice; the complete lists are
-    published in one assignment once every list is sorted, and lookups never
-    write into them.
+    The first read of a vertex builds its list from
+    :meth:`KnowledgeGraph.out_triples` (and :meth:`KnowledgeGraph.in_triples`)
+    and keeps it, so a walk pays only for the vertices it visits; iteration,
+    ``len`` and :meth:`KnowledgeGraph.walk_index` read every vertex the same
+    way. Only the sorted list is stored, in one assignment, so threads racing
+    on a vertex may build its list twice but never see a partial one.
     """
 
     def __init__(self, kg: KnowledgeGraph, direction: str):
         self._kg = kg
         self._both = direction == BOTH
-        self._memo: dict[int, list[int]] = {}  # lookup path; [] for a vertex with no list
-        self._complete: dict[int, list[int]] | None = None
+        # None: not built yet; (): no list, shared instead of one empty list per vertex
+        self._lists: list[list[int] | tuple | None] = [None] * kg.vertex_count()
 
     def get(self, v, default=None):
-        complete = self._complete
-        if complete is not None:
-            return complete.get(v, default)
-        lst = self._memo.get(v)
+        lists = self._lists
+        if not 0 <= v < len(lists):
+            return default
+        lst = lists[v]
         if lst is None:
-            lst = self._memo[v] = self._build(v)
+            kg = self._kg
+            tp, is_literal = kg.type_predicate, kg.literal_flags()
+            # plain loops: most lists are short, and before CPython 3.12 a
+            # comprehension costs a call of its own, more than such a loop
+            lst = []
+            for _, p, o in kg.out_triples(v):
+                if p != tp and not is_literal[o]:
+                    lst.append(o)
+            if self._both and not is_literal[v]:
+                for s, p, _ in kg.in_triples(v):
+                    if p != tp:
+                        lst.append(s)
+            lst.sort()
+            lists[v] = lst = lst or ()
         return lst if lst else default
 
     def __getitem__(self, v) -> list[int]:
@@ -472,41 +486,10 @@ class WalkAdjacency(Mapping):
         return lst
 
     def __iter__(self):
-        return iter(self.complete())
+        return (v for v in range(len(self._lists)) if self.get(v) is not None)
 
     def __len__(self) -> int:
-        return len(self.complete())
-
-    def _build(self, v: int) -> list[int]:
-        kg = self._kg
-        if not 0 <= v < kg.vertex_count():
-            return []
-        tp, terms = kg.type_predicate, kg._terms
-        lst = [o for _, p, o in kg.out_triples(v)
-               if p != tp and term_kind(terms[o]) != KIND_LITERAL]
-        if self._both and term_kind(terms[v]) != KIND_LITERAL:
-            lst += [s for s, p, _ in kg.in_triples(v) if p != tp]
-        lst.sort()
-        return lst
-
-    def complete(self) -> dict[int, list[int]]:
-        """Every list, keyed by vertex id, built once in one pass over the triples."""
-        if self._complete is None:
-            kg = self._kg
-            tp, terms, both = kg.type_predicate, kg._terms, self._both
-            adj: dict[int, list[int]] = {}
-            for s, p, o in kg.triples:
-                if p == tp:
-                    continue
-                if term_kind(terms[o]) == KIND_LITERAL:
-                    continue
-                adj.setdefault(s, []).append(o)
-                if both:
-                    adj.setdefault(o, []).append(s)
-            for lst in adj.values():
-                lst.sort()
-            self._complete = adj
-        return self._complete
+        return sum(1 for _ in self)
 
 
 def _csr_offsets(triples, column: int, n: int) -> list[int]:

@@ -90,7 +90,7 @@ def neighbor_type_counts(sg: Subgraph) -> dict[int, int]:
     n_types = max(kg.type_count(), 1)
     pairs = np.unique(np.repeat(vertex, k) * n_types + flat[pos])
     n_distinct = np.bincount(pairs // n_types, minlength=kg.vertex_count()).tolist()
-    is_literal = kg.literal_mask().tolist()
+    is_literal = kg.literal_flags()
     return {v: n_distinct[v] for v in sg.vertices if not is_literal[v]}
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import re
 import warnings
@@ -43,6 +44,8 @@ class TaskSpec:
             raise KgsliceError("node classification requires a label predicate")
         if self.kind == LINK_PREDICTION and self.target_predicate is None:
             raise KgsliceError("link prediction requires a target predicate")
+        if self.top_n_labels is not None and self.top_n_labels < 1:
+            raise KgsliceError("top_n_labels must be >= 1")
 
 
 @dataclass
@@ -58,8 +61,9 @@ class SplitSpec:
         if self.schema not in (SPLIT_TIME, SPLIT_STRATIFIED):
             raise KgsliceError(f"unknown split schema {self.schema!r}")
         if self.schema == SPLIT_STRATIFIED:
-            if any(r <= 0 for r in self.ratios) or abs(sum(self.ratios) - 1.0) > 1e-9:
-                raise KgsliceError("split ratios must be positive and sum to 1")
+            positive = all(math.isfinite(r) and r > 0 for r in self.ratios)
+            if not positive or abs(sum(self.ratios) - 1.0) > 1e-9:
+                raise KgsliceError("split ratios must be finite, positive and sum to 1")
         else:
             if self.time_predicate is None or self.train_cut is None or self.valid_cut is None:
                 raise KgsliceError("time split needs a predicate and two cut values")
@@ -69,7 +73,6 @@ class SplitSpec:
 class LabelMap:
     labels: dict[int, int]  # vertex -> label id
     label_terms: list[str]  # label id -> lexical form
-    frequencies: dict[int, int] = field(default_factory=dict)  # label id -> count
     excluded: list[int] = field(default_factory=list)  # vertices cut by top-N
 
     def __contains__(self, vertex: int) -> bool:
@@ -135,7 +138,6 @@ def build_labels(kg: KnowledgeGraph, task: TaskSpec) -> LabelMap:
     return LabelMap(
         labels={v: ids[l] for v, l in kept.items()},
         label_terms=[kg.lexical(l) for l in used],
-        frequencies={ids[l]: freq[l] for l in used},
         excluded=excluded,
     )
 
@@ -285,6 +287,16 @@ def read_config(path) -> dict[str, str]:
     return cfg
 
 
+def _config_value(cfg: dict[str, str], key: str, parse, default=None):
+    """``parse(cfg[key])``, or ``default`` without the key; a bad value names the key."""
+    if key not in cfg:
+        return default
+    try:
+        return parse(cfg[key])
+    except ValueError:
+        raise KgsliceError(f"config key {key}: bad value {cfg[key]!r}") from None
+
+
 def task_from_config(kg: KnowledgeGraph, cfg: dict[str, str]) -> TaskSpec:
     kind = cfg.get("task", NODE_CLASSIFICATION).lower()
     target_type = kg.type_id(cfg["target_type"])
@@ -292,7 +304,7 @@ def task_from_config(kg: KnowledgeGraph, cfg: dict[str, str]) -> TaskSpec:
         kg.predicate_id(cfg["target_predicate"]) if "target_predicate" in cfg else None
     )
     object_type = kg.type_id(cfg["object_type"]) if "object_type" in cfg else None
-    top_n = int(cfg["top_n_labels"]) if "top_n_labels" in cfg else None
+    top_n = _config_value(cfg, "top_n_labels", int)
     return TaskSpec(
         kind=kind,
         target_type=target_type,
@@ -305,16 +317,15 @@ def task_from_config(kg: KnowledgeGraph, cfg: dict[str, str]) -> TaskSpec:
 def split_from_config(kg: KnowledgeGraph, cfg: dict[str, str]) -> SplitSpec:
     schema = cfg.get("split", "random").lower()
     if schema in ("random", SPLIT_STRATIFIED):
-        ratios = (0.8, 0.1, 0.1)
-        if "ratios" in cfg:
-            parts = [float(x) for x in cfg["ratios"].split(",")]
-            if len(parts) != 3:
-                raise KgsliceError("ratios must be three comma-separated fractions")
-            ratios = tuple(parts)
+        ratios = _config_value(
+            cfg, "ratios", lambda t: tuple(map(float, t.split(","))), (0.8, 0.1, 0.1)
+        )
+        if len(ratios) != 3:
+            raise KgsliceError("ratios must be three comma-separated fractions")
         return SplitSpec(
             schema=SPLIT_STRATIFIED,
             ratios=ratios,
-            seed=int(cfg.get("seed", "0")),
+            seed=_config_value(cfg, "seed", int, 0),
         )
     if schema == SPLIT_TIME:
         return SplitSpec(
@@ -322,6 +333,6 @@ def split_from_config(kg: KnowledgeGraph, cfg: dict[str, str]) -> SplitSpec:
             time_predicate=kg.predicate_id(cfg["time_predicate"]),
             train_cut=cfg["train_cut"],
             valid_cut=cfg["valid_cut"],
-            seed=int(cfg.get("seed", "0")),
+            seed=_config_value(cfg, "seed", int, 0),
         )
     raise KgsliceError(f"unknown split schema {schema!r}")

@@ -344,6 +344,58 @@ def test_extract_via_http_endpoint(mini_kg, task_cfg, tmp_path, rng):
         server.close()
 
 
+@pytest.mark.parametrize(
+    "flag,message",
+    [
+        (["--retries=-1"], "retries must be >= 0"),
+        (["--timeout", "nan"], "timeout must be finite and > 0"),
+    ],
+)
+def test_endpoint_bad_setting_exits_two_before_any_request(
+    mini_kg, task_cfg, tmp_path, capsys, flag, message
+):
+    from kgslice.graph import load_ntriples
+    from sparql_double import SparqlDouble
+
+    server = SparqlDouble(load_ntriples(mini_kg)[0])
+    try:
+        out = tmp_path / "remote"
+        rc = main(
+            ["extract", "--engine", "sparql", "--endpoint", server.url,
+             "--config", str(task_cfg), "--out", str(out), *flag]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"kgslice: {message}\n"
+        assert server.seen_headers == []
+        assert not out.exists()
+    finally:
+        server.close()
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("top_n_labels = 0", "top_n_labels must be >= 1"),
+        ("top_n_labels = -1", "top_n_labels must be >= 1"),
+        ("top_n_labels = abc", "config key top_n_labels: bad value 'abc'"),
+        ("seed = x", "config key seed: bad value 'x'"),
+        ("ratios = nan,0.5,0.5", "split ratios must be finite, positive and sum to 1"),
+        ("ratios = 0.8,x,0.1", "config key ratios: bad value '0.8,x,0.1'"),
+    ],
+)
+def test_export_bad_config_value_exits_two(mini_kg, task_cfg, tmp_path, capsys, line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(task_cfg.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+    bundle = tmp_path / "bundle"
+    rc = main(
+        ["export", "--subgraph", str(mini_kg), "--config", str(cfg), "--kg", str(mini_kg),
+         "--out", str(bundle)]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == f"kgslice: {message}\n"
+    assert not bundle.exists()
+
+
 @pytest.mark.parametrize("type_predicate", [TYPE_IRI, f"{EX}isa"])
 @pytest.mark.parametrize("d,h", [(1, 1), (2, 2)])
 def test_endpoint_extract_writes_the_local_slice(mini_kg, task_cfg, tmp_path, type_predicate, d, h):

@@ -12,7 +12,7 @@ from kgslice.endpoint import (
     local_sparql_extract,
     sparql_extract,
 )
-from kgslice.errors import EndpointUnreachable, JobFailed, QueryRejected
+from kgslice.errors import EndpointUnreachable, JobFailed, KgsliceError, QueryRejected
 from kgslice.graph import ingest_ntriples
 from kgslice.patterns import LocalBackend, PatternTask, get_bgp
 
@@ -98,6 +98,21 @@ def test_client_error_rejected_immediately(kg, double, sleeps):
         get_graph_size(backend, bgp)
     assert exc.value.status == 400
     assert sleeps == []
+
+
+@pytest.mark.parametrize(
+    "setting,message",
+    [
+        ({"retries": -1}, "retries must be >= 0"),
+        ({"timeout": float("nan")}, "timeout must be finite and > 0"),
+        ({"timeout": float("inf")}, "timeout must be finite and > 0"),
+        ({"timeout": 0}, "timeout must be finite and > 0"),
+    ],
+)
+def test_endpoint_config_rejects_bad_settings(setting, message):
+    assert EndpointConfig(url="http://127.0.0.1:9/sparql", retries=0).retries == 0
+    with pytest.raises(KgsliceError, match=message):
+        EndpointConfig(url="http://127.0.0.1:9/sparql", **setting)
 
 
 def test_unreachable_endpoint(kg):

@@ -379,7 +379,7 @@ def test_walk_adjacency_lookups_and_complete_match_scan(seed, direction):
     assert any(v not in expected for v in range(n))
     adj = kg.walk_adjacency(direction)
     assert kg.walk_adjacency(direction) is adj
-    early = ids[::2]  # looked up before complete(), the rest only after
+    early = ids[::2]  # looked up before dict(adj), the rest only after
     for v in early:
         assert adj.get(v) == expected.get(v)
         if v in expected:
@@ -387,7 +387,8 @@ def test_walk_adjacency_lookups_and_complete_match_scan(seed, direction):
         else:
             with pytest.raises(KeyError):
                 adj[v]
-    assert adj.complete() == expected
+    # the first read builds the lists no lookup built, the second reads them back
+    assert dict(adj) == expected
     assert dict(adj) == expected
     assert len(adj) == len(expected)
     for v in ids:
@@ -420,7 +421,7 @@ def test_walk_adjacency_threads_racing_lookups_and_complete():
                     wrong.extend(v for v in order if adj.get(v) != expected.get(v))
 
             workers = [threading.Thread(target=look_up, args=(i,)) for i in range(6)]
-            workers.insert(3, threading.Thread(target=adj.complete))
+            workers.insert(3, threading.Thread(target=dict, args=(adj,)))
             for t in workers:
                 t.start()
             for t in workers:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgslice.endpoint import local_sparql_extract
-from kgslice.graph import RDF_TYPE, ingest_ntriples, subgraph_from_triples
+from kgslice.graph import BOTH, OUTGOING, RDF_TYPE, ingest_ntriples, subgraph_from_triples
 from kgslice.influence import PprParams, extract_influence
 from kgslice.patterns import pattern_task_for
 from kgslice.rgcn import prune_outside_reach
@@ -25,7 +25,7 @@ from kgslice.tasks import (
 )
 from kgslice.walks import WalkParams, extract_random_walk
 
-from oracles import surface_triples
+from oracles import surface_triples, walk_lists
 
 _name = st.integers(min_value=0, max_value=30)
 _triple = st.tuples(_name, st.integers(min_value=0, max_value=4), _name)
@@ -81,10 +81,14 @@ def _edge_kg(edges, typed, head=()):
     return kg
 
 
-@given(st.lists(_edge, max_size=80), st.booleans())
+@given(st.lists(_edge, max_size=80), st.booleans(), st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
-def test_accessors_equal_brute_force_filters(edges, typed):
-    """Each accessor is the matching filter of ``kg.triples`` in its documented order."""
+def test_accessors_equal_brute_force_filters(edges, typed, rnd):
+    """Each accessor is the matching filter of ``kg.triples`` in its documented order.
+
+    The walk lists, read one id at a time in any order or all at once, and
+    the walk index equal the scan of :func:`oracles.walk_lists`.
+    """
     kg = _edge_kg(edges, typed)
     assert (kg.type_predicate is not None) == (typed and any(p == 0 for _, p, _ in edges))
     for v in range(kg.vertex_count()):
@@ -99,6 +103,22 @@ def test_accessors_equal_brute_force_filters(edges, typed):
             (t for t in kg.triples if t[1] == p), key=lambda t: (t[0], t[2])
         )
     assert kg.predicate_triples(None) == []
+    n = kg.vertex_count()
+    ids = [-1, *range(n), n]
+    rnd.shuffle(ids)
+    for direction in (OUTGOING, BOTH):
+        expected = walk_lists(kg, direction)
+        adj = kg.walk_adjacency(direction)
+        assert [adj.get(v) for v in ids] == [expected.get(v) for v in ids]
+        assert dict(adj) == expected
+    both = walk_lists(kg, BOTH)
+    neighbors, degree, distinct = kg.walk_index()
+    assert len(neighbors) == len(degree) == len(distinct) == n
+    for v in range(n):
+        lst = both.get(v, [])
+        assert list(neighbors[v]) == lst
+        assert degree[v] == len(lst)
+        assert list(distinct[v]) == sorted(set(lst))
 
 
 def _slices(kg, keep, seed):

@@ -37,6 +37,16 @@ def test_taskspec_validation(rng):
         TaskSpec(kind="nc", target_type=0, target_predicate=None)
     with pytest.raises(KgsliceError):
         TaskSpec(kind="bogus", target_type=0, target_predicate=0)
+    for top_n in (0, -1):
+        with pytest.raises(KgsliceError, match="top_n_labels must be >= 1"):
+            TaskSpec(kind="nc", target_type=0, target_predicate=0, top_n_labels=top_n)
+    assert TaskSpec(kind="nc", target_type=0, target_predicate=0, top_n_labels=1).top_n_labels == 1
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_splitspec_rejects_non_finite_ratios(bad):
+    with pytest.raises(KgsliceError, match="finite"):
+        SplitSpec(ratios=(bad, 0.5, 0.5))
 
 
 def test_resolve_targets_nc():

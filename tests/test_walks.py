@@ -196,9 +196,9 @@ def test_extract_reads_walk_lists_on_demand(rng, monkeypatch, direction):
         raise AssertionError("extract_random_walk built every walk list")
 
     with monkeypatch.context() as m:
-        m.setattr(WalkAdjacency, "complete", no_bulk_build)
+        m.setattr(WalkAdjacency, "__iter__", no_bulk_build)
         on_demand = extract_random_walk(kg, task, params)
-    kg.walk_adjacency(direction).complete()
+    dict(kg.walk_adjacency(direction))
     bulk = extract_random_walk(kg, task, params)
     assert on_demand.triples == bulk.triples
     assert on_demand.vertices == bulk.vertices
