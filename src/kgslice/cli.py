@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import export as export_mod
-from .endpoint import EndpointConfig, HttpBackend, sparql_extract
+from .endpoint import EndpointConfig, HttpBackend, check_request_policy, sparql_extract
 from .errors import JobFailed, KgsliceError, ParseError, UnknownPredicate, UnknownType
 from .graph import (
     BOTH,
@@ -36,6 +36,7 @@ from .rgcn import RgcnReferenceModel, prune_outside_reach, random_features, rgcn
 from .tasks import (
     NODE_CLASSIFICATION,
     build_labels,
+    config_required,
     make_splits,
     read_config,
     resolve_targets,
@@ -127,11 +128,7 @@ def _strip_label_edges(sg: Subgraph, target_type_iri: str, label_predicate_iri: 
     except (UnknownType, UnknownPredicate):
         pass  # without the target type or the label predicate there is no label edge
     else:
-        target_vertices = {
-            s
-            for s, p, o in sg.type_triples
-            if kg.type_id_of_vertex(o) == target_type
-        }
+        target_vertices = {s for s, _, o in sg.type_triples if o == target_type}
         kept = [
             t
             for t in sg.triples
@@ -163,7 +160,7 @@ def _endpoint_extract(args, cfg, outdir: Path) -> Subgraph:
     """Pattern extraction against ``--endpoint``; a failed job leaves partial.json."""
     task = PatternTask(
         kind=cfg.get("task", NODE_CLASSIFICATION).lower(),
-        target_type_iri=cfg["target_type"],
+        target_type_iri=config_required(cfg, "target_type"),
         target_predicate_iri=cfg.get("target_predicate"),
         object_type_iri=cfg.get("object_type"),
         type_predicate_iri=args.type_predicate,
@@ -222,6 +219,8 @@ def _local_extract(args, cfg) -> Subgraph:
 
 
 def cmd_extract(args) -> int:
+    # every engine rejects a bad --timeout or --retries, before any file is read
+    check_request_policy(args.timeout, args.retries)
     cfg = read_config(args.config)
     outdir = Path(args.out)
     if args.engine == "sparql" and args.endpoint:

@@ -67,10 +67,15 @@ class EndpointConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise KgsliceError("workers must be >= 1")
-        if not (math.isfinite(self.timeout) and self.timeout > 0):
-            raise KgsliceError("timeout must be finite and > 0")
-        if self.retries < 0:
-            raise KgsliceError("retries must be >= 0")
+        check_request_policy(self.timeout, self.retries)
+
+
+def check_request_policy(timeout: float, retries: int) -> None:
+    """Raise KgsliceError unless ``timeout`` is finite and > 0 and ``retries`` >= 0."""
+    if not (math.isfinite(timeout) and timeout > 0):
+        raise KgsliceError("timeout must be finite and > 0")
+    if retries < 0:
+        raise KgsliceError("retries must be >= 0")
 
 
 @dataclass

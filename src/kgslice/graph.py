@@ -10,8 +10,9 @@ slice of a list (the permutation indexes of RDF-3X, Neumann & Weikum 2008).
 
 Vertices cover IRIs, blank nodes, and literals (literals keep their full
 N-Triples surface form including datatype/language tags and never have
-outgoing edges). Predicates and node types (objects of the type-assertion
-predicate) get their own dense id spaces.
+outgoing edges). Predicates get their own dense id space. A node type is
+the class vertex that is the object of a type-assertion triple, named by
+its vertex id like any other vertex.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class Subgraph:
     (type-assertion triples included), sorted and unique, and everything
     else is derived from them. ``vertices`` is the entity view: the
     subjects and objects of non-type triples plus the subjects of type
-    triples. Class IRIs that occur only as objects of type triples are
+    triples. Class vertices that occur only as objects of type triples are
     tracked in ``node_type_ids``, not in ``vertices``.
     """
 
@@ -141,13 +142,8 @@ class Subgraph:
 
     @property
     def node_type_ids(self) -> set[int]:
-        """Distinct node types asserted by retained type triples (C')."""
-        ids = set()
-        for _, _, o in self._type_triples:
-            tid = self.kg.type_id_of_vertex(o)
-            if tid is not None:
-                ids.add(tid)
-        return ids
+        """Class vertices asserted by retained type triples (C')."""
+        return {o for _, _, o in self._type_triples}
 
     @property
     def predicate_ids(self) -> set[int]:
@@ -200,6 +196,8 @@ class KnowledgeGraph:
     with CSR offsets over vertex and predicate ids they serve
     :meth:`out_triples`, :meth:`in_triples` and :meth:`predicate_triples`,
     through which every reader gets a vertex's or a predicate's triples.
+    ``by_type`` maps each class vertex to its instances and ``type_of``
+    each typed vertex to its classes, both ascending.
 
     Construction happens through :func:`build_graph` (which
     :func:`ingest_ntriples` calls); afterwards the instance is read-only
@@ -227,23 +225,14 @@ class KnowledgeGraph:
         self._subject_offsets = _csr_offsets(self.triples, 0, n)
         self._object_offsets = _csr_offsets(self._by_object, 2, n)
         self._predicate_offsets = _csr_offsets(self._by_predicate, 1, len(self._preds))
-        self._type_ids: dict[int, int] = {}  # class vertex id -> NodeTypeId
-        self._type_vertex: list[int] = []  # NodeTypeId -> class vertex id
         self.by_type: dict[int, list[int]] = {}
-        # type triples are unique and come in (s, o) order: a subject's type
-        # ids are distinct, and each by_type list fills in ascending order
+        # type triples are unique and come in (s, o) order: each subject's
+        # classes and each by_type list fill in ascending order
         types: dict[int, list[int]] = {}
         for s, _, o in self.predicate_triples(self.type_predicate):
-            tid = self._type_ids.get(o)
-            if tid is None:
-                tid = len(self._type_vertex)
-                self._type_ids[o] = tid
-                self._type_vertex.append(o)
-            types.setdefault(s, []).append(tid)
-            self.by_type.setdefault(tid, []).append(s)
-        self.type_of: dict[int, tuple[int, ...]] = {
-            v: tuple(sorted(tids)) for v, tids in types.items()
-        }
+            types.setdefault(s, []).append(o)
+            self.by_type.setdefault(o, []).append(s)
+        self.type_of: dict[int, tuple[int, ...]] = {v: tuple(cs) for v, cs in types.items()}
         self._walk_adj: dict[str, WalkAdjacency] = {}
         self._walk_index: WalkIndex | None = None
         self._literal_mask: np.ndarray | None = None
@@ -307,24 +296,17 @@ class KnowledgeGraph:
         return pid
 
     def type_id(self, iri_or_surface: str) -> int:
-        """NodeTypeId of a class IRI; UnknownType if never seen as a type."""
+        """Vertex id of a class IRI; UnknownType if it is never the object of a type triple."""
         try:
-            vid = self.vertex_id(iri_or_surface)
+            c = self.vertex_id(iri_or_surface)
         except UnknownVertex:
             raise UnknownType(iri_or_surface) from None
-        tid = self._type_ids.get(vid)
-        if tid is None:
+        if c not in self.by_type:
             raise UnknownType(iri_or_surface)
-        return tid
-
-    def type_id_of_vertex(self, vid: int) -> int | None:
-        return self._type_ids.get(vid)
-
-    def type_iri(self, tid: int) -> str:
-        return term_lexical(self._terms[self._type_vertex[tid]])
+        return c
 
     def type_count(self) -> int:
-        return len(self._type_vertex)
+        return len(self.by_type)
 
     def predicate_count(self) -> int:
         return len(self._preds)
@@ -351,10 +333,11 @@ class KnowledgeGraph:
             raise UnknownVertex(v)
 
     def vertices_of_type(self, c: int) -> list[int]:
-        """Vertices carrying node type ``c``, ascending."""
-        if not 0 <= c < len(self._type_vertex):
+        """Instances of the class vertex ``c``, ascending; UnknownType if ``c`` is no class."""
+        instances = self.by_type.get(c)
+        if instances is None:
             raise UnknownType(c)
-        return list(self.by_type.get(c, []))
+        return list(instances)
 
     def out_triples(self, v: int) -> list[tuple[int, int, int]]:
         """The triples with subject ``v``, sorted by (predicate, object)."""

@@ -55,7 +55,7 @@ class QualityReport:
 
 
 def _types_by_vertex(kg: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Node types per vertex id: (first offset, count, flat type ids)."""
+    """Node types per vertex id: (first offset, count, flat class vertex ids)."""
     n = kg.vertex_count()
     m = len(kg.type_of)
     typed = np.fromiter(kg.type_of, dtype=np.int64, count=m)
@@ -87,9 +87,11 @@ def neighbor_type_counts(sg: Subgraph) -> dict[int, int]:
     starts = np.cumsum(k) - k
     # row r of edge end i reads flat[first[neighbor[i]] + r - starts[i]]
     pos = np.arange(int(k.sum())) - np.repeat(starts - first[neighbor], k)
-    n_types = max(kg.type_count(), 1)
-    pairs = np.unique(np.repeat(vertex, k) * n_types + flat[pos])
-    n_distinct = np.bincount(pairs // n_types, minlength=kg.vertex_count()).tolist()
+    # a class is a vertex: pack (vertex, class) as vertex * n + class, in
+    # int64 for graphs under 3e9 vertices
+    n = kg.vertex_count()
+    pairs = np.unique(np.repeat(vertex, k) * n + flat[pos])
+    n_distinct = np.bincount(pairs // n, minlength=n).tolist()
     is_literal = kg.literal_flags()
     return {v: n_distinct[v] for v in sg.vertices if not is_literal[v]}
 

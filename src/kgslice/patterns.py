@@ -43,15 +43,13 @@ class PatternTask:
 def pattern_task_for(kg: KnowledgeGraph, task: TaskSpec) -> PatternTask:
     return PatternTask(
         kind=task.kind,
-        target_type_iri=kg.type_iri(task.target_type),
+        target_type_iri=kg.lexical(task.target_type),
         target_predicate_iri=(
             kg.predicate_iri(task.target_predicate)
             if task.target_predicate is not None
             else None
         ),
-        object_type_iri=(
-            kg.type_iri(task.object_type) if task.object_type is not None else None
-        ),
+        object_type_iri=kg.lexical(task.object_type) if task.object_type is not None else None,
         type_predicate_iri=kg.type_predicate_iri,
     )
 

@@ -32,9 +32,9 @@ class SmallLabelWarning(UserWarning):
 @dataclass
 class TaskSpec:
     kind: str
-    target_type: int
+    target_type: int  # class vertex id
     target_predicate: int | None = None
-    object_type: int | None = None
+    object_type: int | None = None  # class vertex id (LP)
     top_n_labels: int | None = None
 
     def __post_init__(self):
@@ -297,9 +297,16 @@ def _config_value(cfg: dict[str, str], key: str, parse, default=None):
         raise KgsliceError(f"config key {key}: bad value {cfg[key]!r}") from None
 
 
+def config_required(cfg: dict[str, str], key: str) -> str:
+    """``cfg[key]``; a missing key raises KgsliceError naming it."""
+    if key not in cfg:
+        raise KgsliceError(f"config key {key} is required")
+    return cfg[key]
+
+
 def task_from_config(kg: KnowledgeGraph, cfg: dict[str, str]) -> TaskSpec:
     kind = cfg.get("task", NODE_CLASSIFICATION).lower()
-    target_type = kg.type_id(cfg["target_type"])
+    target_type = kg.type_id(config_required(cfg, "target_type"))
     target_predicate = (
         kg.predicate_id(cfg["target_predicate"]) if "target_predicate" in cfg else None
     )
@@ -330,9 +337,9 @@ def split_from_config(kg: KnowledgeGraph, cfg: dict[str, str]) -> SplitSpec:
     if schema == SPLIT_TIME:
         return SplitSpec(
             schema=SPLIT_TIME,
-            time_predicate=kg.predicate_id(cfg["time_predicate"]),
-            train_cut=cfg["train_cut"],
-            valid_cut=cfg["valid_cut"],
+            time_predicate=kg.predicate_id(config_required(cfg, "time_predicate")),
+            train_cut=config_required(cfg, "train_cut"),
+            valid_cut=config_required(cfg, "valid_cut"),
             seed=_config_value(cfg, "seed", int, 0),
         )
     raise KgsliceError(f"unknown split schema {schema!r}")

@@ -84,6 +84,11 @@ def random_kg(rng: random.Random, **kwargs) -> KnowledgeGraph:
     return make_kg(random_kg_lines(rng, **kwargs))
 
 
+def types_in_order(kg: KnowledgeGraph) -> list[int]:
+    """Class vertex ids in first-encounter order over the type triples."""
+    return list(dict.fromkeys(o for _, _, o in kg.predicate_triples(kg.type_predicate)))
+
+
 def tokenize_query(text: str) -> list[str]:
     """Whitespace-insensitive token stream for query comparisons."""
     text = text.replace("{", " { ").replace("}", " } ")

@@ -36,7 +36,16 @@ from kgslice.rgcn import (
 from kgslice.tasks import SplitSpec, TaskSpec, build_labels, make_splits, resolve_targets
 from kgslice.walks import WalkParams, extract_random_walk
 
-from conftest import EX, Budget, iri, make_kg, nt, random_kg_lines, tokenize_query
+from conftest import (
+    EX,
+    Budget,
+    iri,
+    make_kg,
+    nt,
+    random_kg_lines,
+    tokenize_query,
+    types_in_order,
+)
 from oracles import dense_rgcn_forward, entropy_of_counts, pattern_triples, power_iteration_ppr
 
 REFERENCE_D2H1 = """
@@ -253,7 +262,7 @@ def test_08_rgcn_pruning_invariance():
             )
             sg = subgraph_from_triples(kg, kg.triples)
             assert len(sg.vertices) <= 300
-            targets = kg.vertices_of_type(0)[:6]
+            targets = kg.vertices_of_type(types_in_order(kg)[0])[:6]
             model = RgcnReferenceModel(layers=2, dim=8, seed=trial)
             feats = random_features(sg.entity_vertices(), 8, seed=trial)
             full = rgcn_forward(model, sg, feats)

@@ -396,6 +396,69 @@ def test_export_bad_config_value_exits_two(mini_kg, task_cfg, tmp_path, capsys, 
     assert not bundle.exists()
 
 
+@pytest.mark.parametrize(
+    "command,key",
+    [
+        ("extract", "target_type"),
+        ("endpoint", "target_type"),
+        ("export", "time_predicate"),
+        ("export", "train_cut"),
+        ("export", "valid_cut"),
+    ],
+)
+def test_missing_required_config_key_exits_two(
+    mini_kg, task_cfg, tmp_path, capsys, command, key
+):
+    from kgslice.graph import load_ntriples
+    from sparql_double import SparqlDouble
+
+    lines = task_cfg.read_text(encoding="utf-8").splitlines()
+    if command == "export":
+        lines = [line for line in lines if not line.startswith("split")]
+        lines += ["split = time", f"time_predicate = {EX}cites", "train_cut = 1", "valid_cut = 2"]
+    cfg = tmp_path / "missing.cfg"
+    cfg.write_text(
+        "".join(f"{line}\n" for line in lines if line.partition("=")[0].strip() != key),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    server = SparqlDouble(load_ntriples(mini_kg)[0])
+    try:
+        source = ["--endpoint", server.url] if command == "endpoint" else ["--kg", str(mini_kg)]
+        if command == "export":
+            argv = ["export", "--subgraph", str(mini_kg)]
+        else:
+            argv = ["extract", "--engine", "sparql"]
+        rc = main([*argv, *source, "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"kgslice: config key {key} is required\n"
+        assert server.seen_headers == []
+        assert not out.exists()
+    finally:
+        server.close()
+
+
+@pytest.mark.parametrize("engine", ["brw", "ibs", "sparql"])
+@pytest.mark.parametrize(
+    "flag,message",
+    [
+        (["--retries=-1"], "retries must be >= 0"),
+        (["--timeout", "0"], "timeout must be finite and > 0"),
+        (["--timeout", "inf"], "timeout must be finite and > 0"),
+    ],
+)
+def test_local_extract_bad_request_policy_exits_two(tmp_path, capsys, engine, flag, message):
+    """Every engine checks --retries and --timeout before it reads a file."""
+    out = tmp_path / "out"
+    rc = main(
+        ["extract", "--engine", engine, "--kg", str(tmp_path / "no.nt"),
+         "--config", str(tmp_path / "no.cfg"), "--out", str(out), *flag]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == f"kgslice: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("type_predicate", [TYPE_IRI, f"{EX}isa"])
 @pytest.mark.parametrize("d,h", [(1, 1), (2, 2)])
 def test_endpoint_extract_writes_the_local_slice(mini_kg, task_cfg, tmp_path, type_predicate, d, h):

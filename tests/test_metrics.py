@@ -23,7 +23,7 @@ from kgslice.patterns import PatternTask
 from kgslice.tasks import TaskSpec
 from kgslice.walks import WalkParams, extract_random_walk
 
-from conftest import EX, Budget, make_kg, nt, random_kg, random_kg_lines
+from conftest import EX, Budget, make_kg, nt, random_kg, random_kg_lines, types_in_order
 from oracles import UnionFind, bfs_distances, entropy_of_counts, reference_quality_report
 
 
@@ -131,7 +131,7 @@ def test_disconnected_ratio_stray_component():
 def test_disconnected_ratio_matches_union_find(rng):
     kg = random_kg(rng, n_vertices=120, n_triples=200)
     sg = full_subgraph(kg)
-    targets = kg.vertices_of_type(0)
+    targets = kg.vertices_of_type(types_in_order(kg)[0])
     uf = UnionFind()
     for v in sg.vertices:
         uf.find(v)
@@ -169,7 +169,7 @@ def test_avg_distance_no_connected_non_targets():
 def test_avg_distance_matches_per_vertex_bfs(rng):
     kg = random_kg(rng, n_vertices=150, n_triples=400)
     sg = full_subgraph(kg)
-    targets = set(kg.vertices_of_type(0)) & sg.vertices
+    targets = set(kg.vertices_of_type(types_in_order(kg)[0])) & sg.vertices
     adj: dict[int, set[int]] = {}
     for s, _, o in sg.non_type_triples:
         adj.setdefault(s, set()).add(o)
@@ -233,7 +233,8 @@ def test_quality_report_matches_reference_oracle(rng):
             multi_type_fraction=0.3,
         )
         kg = make_kg(lines + [nt("v0", "a", "T0")])
-        task = TaskSpec(kind="nc", target_type=rng.randrange(kg.type_count()), target_predicate=0)
+        target_type = types_in_order(kg)[rng.randrange(kg.type_count())]
+        task = TaskSpec(kind="nc", target_type=target_type, target_predicate=0)
         for sg in report_slices(rng, kg):
             assert quality_report(sg, task, kg) == reference_quality_report(sg, task, kg)
 

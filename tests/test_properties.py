@@ -5,10 +5,12 @@ from __future__ import annotations
 import io
 import warnings
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgslice.endpoint import local_sparql_extract
+from kgslice.errors import UnknownType
 from kgslice.graph import BOTH, OUTGOING, RDF_TYPE, ingest_ntriples, subgraph_from_triples
 from kgslice.influence import PprParams, extract_influence
 from kgslice.patterns import pattern_task_for
@@ -87,7 +89,9 @@ def test_accessors_equal_brute_force_filters(edges, typed, rnd):
     """Each accessor is the matching filter of ``kg.triples`` in its documented order.
 
     The walk lists, read one id at a time in any order or all at once, and
-    the walk index equal the scan of :func:`oracles.walk_lists`.
+    the walk index equal the scan of :func:`oracles.walk_lists`. The type
+    accessors equal a scan of the type triples, for every vertex id and
+    for -1 and n.
     """
     kg = _edge_kg(edges, typed)
     assert (kg.type_predicate is not None) == (typed and any(p == 0 for _, p, _ in edges))
@@ -119,6 +123,23 @@ def test_accessors_equal_brute_force_filters(edges, typed, rnd):
         assert list(neighbors[v]) == lst
         assert degree[v] == len(lst)
         assert list(distinct[v]) == sorted(set(lst))
+    # a class is the vertex a type triple points at, named by its vertex id
+    type_triples = [t for t in kg.triples if t[1] == kg.type_predicate]
+    classes = {o for _, _, o in type_triples}
+    assert kg.type_of == {
+        s: tuple(sorted(o for v, _, o in type_triples if v == s)) for s, _, _ in type_triples
+    }
+    assert kg.type_count() == len(classes)
+    for c in ids:
+        if c in classes:
+            assert kg.vertices_of_type(c) == sorted(s for s, _, o in type_triples if o == c)
+            assert kg.type_id(kg.term(c)) == c
+        else:
+            with pytest.raises(UnknownType):
+                kg.vertices_of_type(c)
+            if 0 <= c < n:
+                with pytest.raises(UnknownType):
+                    kg.type_id(kg.term(c))
 
 
 def _slices(kg, keep, seed):

@@ -16,7 +16,15 @@ from kgslice.rgcn import (
     rgcn_forward,
 )
 
-from conftest import EX, constant_features, make_kg, nt, random_kg, random_kg_lines
+from conftest import (
+    EX,
+    constant_features,
+    make_kg,
+    nt,
+    random_kg,
+    random_kg_lines,
+    types_in_order,
+)
 from oracles import (
     bfs_distances,
     dense_rgcn_forward,
@@ -86,7 +94,8 @@ def _reference_cases():
         # 30 senders under one key: numpy sums them pairwise at dim 1
         lines += [nt(f"v{i}", "p2", "hub") for i in range(5, 35)]
         kg = make_kg(lines)
-        targets = kg.vertices_of_type(0)[:4] + [kg.vertex_id(f"{EX}hub")]
+        first_type = types_in_order(kg)[0]
+        targets = kg.vertices_of_type(first_type)[:4] + [kg.vertex_id(f"{EX}hub")]
         yield "full", subgraph_from_triples(kg, kg.triples), targets
         kept = [t for t in kg.triples if local.random() < 0.7]
         yield "sampled", subgraph_from_triples(kg, kept), targets
@@ -140,7 +149,7 @@ def test_pruning_invariance_bit_identical(rng):
         local = random.Random(7000 + trial)
         kg = random_kg(local, n_vertices=80, n_triples=160)
         sg = full_subgraph(kg)
-        targets = kg.vertices_of_type(0)[:5]
+        targets = kg.vertices_of_type(types_in_order(kg)[0])[:5]
         if not targets:
             continue
         model = RgcnReferenceModel(layers=2, dim=8, seed=trial)
@@ -157,7 +166,7 @@ def test_pruning_invariance_bit_identical(rng):
 def test_locality_perturbation_outside_neighborhood(rng):
     kg = random_kg(rng, n_vertices=60, n_triples=120)
     sg = full_subgraph(kg)
-    targets = kg.vertices_of_type(0)[:3]
+    targets = kg.vertices_of_type(types_in_order(kg)[0])[:3]
     model = RgcnReferenceModel(layers=2, dim=6, seed=5)
     feats = random_features(sg.entity_vertices(), 6, seed=6)
     reach = message_reach(sg, targets, hops=model.layers)
