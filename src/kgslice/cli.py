@@ -19,7 +19,14 @@ import numpy as np
 
 from . import export as export_mod
 from .endpoint import EndpointConfig, HttpBackend, check_request_policy, sparql_extract
-from .errors import JobFailed, KgsliceError, ParseError, UnknownPredicate, UnknownType
+from .errors import (
+    JobFailed,
+    KgsliceError,
+    ParseError,
+    UnknownPredicate,
+    UnknownType,
+    check_at_least_one,
+)
 from .graph import (
     BOTH,
     RDF_TYPE,
@@ -219,8 +226,12 @@ def _local_extract(args, cfg) -> Subgraph:
 
 
 def cmd_extract(args) -> int:
-    # every engine rejects a bad --timeout or --retries, before any file is read
+    # every engine rejects a bad --timeout, --retries or --workers, and sparql
+    # and ibs a bad --bs, before any file is read or request sent
     check_request_policy(args.timeout, args.retries)
+    check_at_least_one(args.workers, "workers")
+    if args.engine in ("sparql", "ibs"):
+        check_at_least_one(args.bs, "batch size")
     cfg = read_config(args.config)
     outdir = Path(args.out)
     if args.engine == "sparql" and args.endpoint:

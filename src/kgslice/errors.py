@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the shared ">= 1" check."""
 
 
 class KgsliceError(Exception):
@@ -85,3 +85,9 @@ class JobFailed(KgsliceError):
         super().__init__(f"job {job} failed: {cause}")
         self.job = job
         self.cause = cause
+
+
+def check_at_least_one(value: int, name: str) -> None:
+    """Raise KgsliceError("<name> must be >= 1") unless ``value`` >= 1."""
+    if value < 1:
+        raise KgsliceError(f"{name} must be >= 1")

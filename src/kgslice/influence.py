@@ -23,7 +23,7 @@ import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
-from .errors import DuplicateTarget, EmptyTargetSet, KgsliceError
+from .errors import DuplicateTarget, EmptyTargetSet, KgsliceError, check_at_least_one
 from .graph import BOTH, KnowledgeGraph, Subgraph
 from .tasks import TaskSpec, resolve_targets
 from .walks import _derived_rng, get_initial_vertices
@@ -203,8 +203,7 @@ def extract_influence(
     vertex of a distant neighbor, and such strays never influence the
     targets' embeddings.
     """
-    if bs < 1:
-        raise KgsliceError("batch size must be >= 1")
+    check_at_least_one(bs, "batch size")
     targets = resolve_targets(kg, task)
     if not targets:
         raise EmptyTargetSet("task has no target vertices")

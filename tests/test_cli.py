@@ -445,10 +445,11 @@ def test_missing_required_config_key_exits_two(
         (["--retries=-1"], "retries must be >= 0"),
         (["--timeout", "0"], "timeout must be finite and > 0"),
         (["--timeout", "inf"], "timeout must be finite and > 0"),
+        (["--workers", "0"], "workers must be >= 1"),
     ],
 )
 def test_local_extract_bad_request_policy_exits_two(tmp_path, capsys, engine, flag, message):
-    """Every engine checks --retries and --timeout before it reads a file."""
+    """Every engine checks --retries, --timeout and --workers before it reads a file."""
     out = tmp_path / "out"
     rc = main(
         ["extract", "--engine", engine, "--kg", str(tmp_path / "no.nt"),
@@ -457,6 +458,41 @@ def test_local_extract_bad_request_policy_exits_two(tmp_path, capsys, engine, fl
     assert rc == 2
     assert capsys.readouterr().err == f"kgslice: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "engine,source,flag,message",
+    [
+        ("sparql", "endpoint", ["--workers", "0"], "workers must be >= 1"),
+        ("sparql", "kg", ["--bs", "0"], "batch size must be >= 1"),
+        ("sparql", "endpoint", ["--bs=-2"], "batch size must be >= 1"),
+        ("ibs", "kg", ["--bs", "0"], "batch size must be >= 1"),
+    ],
+)
+def test_extract_bad_workers_or_bs_exits_two(
+    mini_kg, tmp_path, capsys, engine, source, flag, message
+):
+    """--workers and --bs are checked before any file is read or request sent."""
+    from kgslice.graph import load_ntriples
+    from sparql_double import SparqlDouble
+
+    out = tmp_path / "out"
+    server = SparqlDouble(load_ntriples(mini_kg)[0])
+    try:
+        if source == "endpoint":
+            where = ["--endpoint", server.url]
+        else:
+            where = ["--kg", str(tmp_path / "no.nt")]
+        rc = main(
+            ["extract", "--engine", engine, *where, "--config", str(tmp_path / "no.cfg"),
+             "--out", str(out), *flag]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"kgslice: {message}\n"
+        assert server.seen_headers == []
+        assert not out.exists()
+    finally:
+        server.close()
 
 
 @pytest.mark.parametrize("type_predicate", [TYPE_IRI, f"{EX}isa"])

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import io
+
 import pytest
 
 from kgslice import endpoint
 from kgslice.endpoint import (
     EndpointConfig,
     HttpBackend,
+    QueryBatchPlan,
+    drop_duplicates,
     execution_planner,
     execute_plan,
     get_graph_size,
@@ -300,3 +304,77 @@ def test_raw_line_separators_in_literals_over_http(rng):
         server.close()
     body = f'?s\t?p\t?o\r\n<{EX}a>\t<{EX}p>\t"x\x85y"\r\n'
     assert HttpBackend._parse_rows(body) == [(f"<{EX}a>", f"<{EX}p>", '"x\x85y"')]
+
+
+def test_parse_rows_share_one_string_per_term():
+    # bodies assembled at run time, so no two calls see the same literal objects
+    def body(objects):
+        return "?s\t?p\t?o\n" + "".join(f"<{EX}a>\t<{EX}p>\t{o}\n" for o in objects)
+
+    rows_a = HttpBackend._parse_rows(body(["42", f"<{EX}b>"]))
+    rows_b = HttpBackend._parse_rows(body([f"<{EX}b>", "42"]))
+    assert rows_a[0][1] is rows_b[0][1]
+    assert rows_a[0][0] is rows_a[1][0] is rows_b[1][0]
+    # an abbreviated literal is interned in its expanded form
+    assert rows_a[0][2] == f'"42"^^<{XSD}integer>'
+    assert rows_a[0][2] is rows_b[1][2]
+    assert rows_a[1][2] is rows_b[0][2]
+
+
+def test_http_extract_bytes_independent_of_workers_and_page_size(kg, double):
+    """Ids come from the sorted unique rows, never from the page schedule."""
+    task = nc_pattern()
+    double.register(get_bgp(task, 2, 1))
+    outputs = set()
+    for workers in (1, 2, 3):
+        for bs in (7, 1000):
+            backend = HttpBackend(EndpointConfig(url=double.url))
+            sg = sparql_extract(backend, task, d=2, h=1, bs=bs, workers=workers)
+            buf = io.StringIO()
+            sg.write_ntriples(buf)
+            outputs.add(buf.getvalue())
+    assert len(outputs) == 1
+    local = local_sparql_extract(kg, task, 2, 1)
+    assert sorted(outputs.pop().splitlines()) == sorted(
+        f"{s} {p} {o} ." for s, p, o in surface_triples(kg, local.triples)
+    )
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        ('"lit"', f"<{EX}p>", f"<{EX}o>"),  # a literal is never a subject
+        (f"<{EX}a b>", f"<{EX}p>", f"<{EX}o>"),  # an IRI holds no space
+    ],
+)
+def test_drop_duplicates_without_kg_rejects_bad_terms(row):
+    good = (f"<{EX}s>", f"<{EX}p>", f"<{EX}o>")
+    assert len(drop_duplicates([good, good]).triples) == 1
+    with pytest.raises(KgsliceError, match="endpoint returned unparsable terms"):
+        drop_duplicates([good, row])
+
+
+# a raw CR would end the N-Triples statement early and smuggle in a second one
+CR_BODY = f"?s\t?p\t?o\n<{EX}a>\t<{EX}p>\t<{EX}o> .\r<{EX}evil> <{EX}q> <{EX}z>\n"
+
+
+def test_raw_cr_in_a_wire_term_rejected():
+    with pytest.raises(QueryRejected) as exc:
+        HttpBackend._parse_rows(CR_BODY)
+    assert exc.value.status == 200
+    assert exc.value.body.startswith("raw CR in TSV row")
+    # the one CR of a CRLF row end is not part of the row
+    assert HttpBackend._parse_rows(f"?s\t?p\t?o\r\n<{EX}a>\t<{EX}p>\t<{EX}o>\r\n") == [
+        (f"<{EX}a>", f"<{EX}p>", f"<{EX}o>")
+    ]
+
+
+def test_raw_cr_in_a_wire_term_fails_the_job(monkeypatch):
+    bgp = get_bgp(nc_pattern(), 1, 1)
+    backend = HttpBackend(EndpointConfig(url="http://127.0.0.1:9/sparql"))
+    monkeypatch.setattr(backend, "_request", lambda query: CR_BODY)
+    plan = QueryBatchPlan(jobs=[(0, 1, 0)], counts=[1])
+    with pytest.raises(JobFailed) as exc:
+        execute_plan(backend, bgp, plan)
+    assert isinstance(exc.value.cause, QueryRejected)
+    assert exc.value.completed_jobs == []
