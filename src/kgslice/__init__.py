@@ -56,7 +56,6 @@ from .patterns import (
 )
 from .rgcn import (
     RgcnReferenceModel,
-    influence_fd,
     message_reach,
     prune_outside_reach,
     random_features,
@@ -110,7 +109,6 @@ __all__ = [
     "get_bgp",
     "get_graph_size",
     "get_initial_vertices",
-    "influence_fd",
     "influence_scores",
     "ingest_ntriples",
     "load_ntriples",

@@ -3,13 +3,15 @@
 The planner turns per-branch row counts into LIMIT/OFFSET jobs; a pool of
 workers drains a shared job index and accumulates raw rows; duplicates
 are dropped at the end. Jobs run against either the in-process
-LocalBackend or a SPARQL HTTP endpoint. The deduplicated result is
-independent of both the page size and the worker count.
+LocalBackend or a SPARQL HTTP endpoint. An endpoint's rows are parsed
+from TSV once, term by term, and the result graph is built from the
+unique rows directly, each distinct term checked once against the
+N-Triples term grammar. The deduplicated result is independent of both
+the page size and the worker count.
 """
 
 from __future__ import annotations
 
-import io
 import logging
 import math
 import re
@@ -24,6 +26,7 @@ from .errors import (
     EndpointUnreachable,
     JobFailed,
     KgsliceError,
+    MalformedTerm,
     QueryRejected,
     check_at_least_one,
 )
@@ -150,9 +153,11 @@ class HttpBackend:
         object per distinct term: an extraction returns several rows per
         distinct term (186,292 rows for 35,937 terms on the benchmark's
         sparql-http task), and ``drop_duplicates`` then compares shared
-        strings by identity. A raw CR inside a row is rejected: no
-        N-Triples or TSV term holds one, and the N-Triples reader would end
-        a statement there.
+        strings by identity and builds the graph from the rows as they are,
+        never splitting one again. A raw CR inside a row is rejected here:
+        nothing reads the rows back as text, but N-Triples forbids a raw CR
+        in any term (the term check lets one through inside a literal), and
+        the written ``subgraph.nt`` would break the statement there.
         """
         rows = []
         # only LF ends a row: str.splitlines would also split at characters
@@ -278,21 +283,26 @@ def drop_duplicates(
     Without one they are surface-string rows from an endpoint, with
     interned terms (see ``HttpBackend._parse_rows``), so the set and the
     sort find equal terms by identity. A fresh KnowledgeGraph, typed by
-    ``type_predicate_iri``, is built from the sorted unique rows, with ids
-    in first-encounter order, and the Subgraph spans it. The N-Triples text
-    lives only inside one expression: it is freed once encoded, before the
-    graph is built.
+    ``type_predicate_iri``, is built from the sorted unique rows as
+    statements, with ids in first-encounter order, and the Subgraph spans
+    it. No row is rendered as text or split again: each distinct term is
+    checked once, where it occurs, and a term N-Triples forbids raises
+    KgsliceError naming it.
     """
     if kg is not None:
         return subgraph_from_triples(kg, rows)
-    fresh, errors = ingest_ntriples(
-        io.BytesIO(
-            "".join(f"{s} {p} {o} .\n" for s, p, o in sorted(set(rows))).encode("utf-8")
-        ),
-        type_predicate_iri=type_predicate_iri,
-    )
-    if errors:
-        raise KgsliceError(f"endpoint returned unparsable terms: {errors[0]}")
+    # each stage frees the one before: the wire rows once their set is built
+    # (when the caller passed its only reference), the set once sorted, and
+    # the sorted rows once the build has read them, since an exhausted list
+    # iterator lets go of its list
+    unique = set(rows)
+    del rows
+    statements = iter(sorted(unique))
+    del unique
+    try:
+        fresh, _ = ingest_ntriples(statements, type_predicate_iri=type_predicate_iri)
+    except MalformedTerm as exc:
+        raise KgsliceError(f"endpoint returned unparsable terms: {exc}") from exc
     return subgraph_from_triples(fresh, fresh.triples)
 
 
@@ -308,9 +318,13 @@ def sparql_extract(
     bgp = get_bgp(task, d, h)
     counts = get_graph_size(backend, bgp)
     plan = execution_planner(bgp, counts, bs)
-    rows = execute_plan(backend, bgp, plan, workers=workers)
     local_kg = backend.kg if isinstance(backend, LocalBackend) else None
-    sg = drop_duplicates(rows, kg=local_kg, type_predicate_iri=task.type_predicate_iri)
+    # no name here holds the rows, so drop_duplicates can free them as it goes
+    sg = drop_duplicates(
+        execute_plan(backend, bgp, plan, workers=workers),
+        kg=local_kg,
+        type_predicate_iri=task.type_predicate_iri,
+    )
     sg.provenance = {
         "engine": "sparql",
         "d": d,

@@ -23,6 +23,14 @@ class ParseError(KgsliceError):
         self.text = text
 
 
+class MalformedTerm(KgsliceError):
+    """A term N-Triples forbids where it occurs. Carries the term."""
+
+    def __init__(self, term: str):
+        super().__init__(f"{term!r} is not valid N-Triples where it occurs")
+        self.term = term
+
+
 class UnknownVertex(KgsliceError):
     pass
 

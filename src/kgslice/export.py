@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 
-from .errors import IoFailure
-from .graph import KIND_LITERAL, KnowledgeGraph, Subgraph, build_graph
+from .errors import IoFailure, MalformedTerm
+from .graph import KIND_LITERAL, KnowledgeGraph, Subgraph, ingest_ntriples
 from .tasks import LabelMap
 
 UNTYPED = "__untyped__"
@@ -217,8 +217,8 @@ def rebuild_bundle(outdir) -> KnowledgeGraph:
                     o = term_of[(info["dst_type"], int(dst_s))]
                     yield s, predicate, o
 
-    kg = build_graph(statements(), type_predicate_iri=type_pred)
-    bad = kg.malformed_term()
-    if bad is not None:
-        raise IoFailure(f"bundle does not round-trip: {bad!r} is not valid N-Triples there")
+    try:
+        kg, _ = ingest_ntriples(statements(), type_predicate_iri=type_pred)
+    except MalformedTerm as exc:
+        raise IoFailure(f"bundle does not round-trip: {exc}") from exc
     return kg

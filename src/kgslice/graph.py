@@ -29,7 +29,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import IoFailure, ParseError, UnknownPredicate, UnknownType, UnknownVertex
+from .errors import (
+    IoFailure,
+    MalformedTerm,
+    ParseError,
+    UnknownPredicate,
+    UnknownType,
+    UnknownVertex,
+)
 
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
@@ -426,17 +433,22 @@ class WalkAdjacency(Mapping):
     choice over the list is a uniform choice over edges. A vertex with no
     such edge has no list: ``adj.get(v)`` returns None.
 
-    The first read of a vertex builds its list from
-    :meth:`KnowledgeGraph.out_triples` (and :meth:`KnowledgeGraph.in_triples`)
-    and keeps it, so a walk pays only for the vertices it visits; iteration,
-    ``len`` and :meth:`KnowledgeGraph.walk_index` read every vertex the same
-    way. Only the sorted list is stored, in one assignment, so threads racing
-    on a vertex may build its list twice but never see a partial one.
+    The first read of a vertex builds its list from the graph's sorted
+    triple lists and their offsets, the slices :meth:`KnowledgeGraph.out_triples`
+    and :meth:`KnowledgeGraph.in_triples` return, and keeps it, so a walk pays
+    only for the vertices it visits; iteration, ``len`` and
+    :meth:`KnowledgeGraph.walk_index` read every vertex the same way. Only
+    the sorted list is stored, in one assignment, so threads racing on a
+    vertex may build its list twice but never see a partial one. The
+    adjacency holds those lists, not the graph that caches it, so a graph
+    is freed by reference count once its last user lets go.
     """
 
     def __init__(self, kg: KnowledgeGraph, direction: str):
-        self._kg = kg
-        self._both = direction == BOTH
+        self._out = (kg.triples, kg._subject_offsets)
+        self._in = (kg._by_object, kg._object_offsets) if direction == BOTH else None
+        self._type_predicate = kg.type_predicate
+        self._is_literal = kg.literal_flags()
         # None: not built yet; (): no list, shared instead of one empty list per vertex
         self._lists: list[list[int] | tuple | None] = [None] * kg.vertex_count()
 
@@ -446,16 +458,17 @@ class WalkAdjacency(Mapping):
             return default
         lst = lists[v]
         if lst is None:
-            kg = self._kg
-            tp, is_literal = kg.type_predicate, kg.literal_flags()
+            tp, is_literal = self._type_predicate, self._is_literal
+            triples, offsets = self._out
             # plain loops: most lists are short, and before CPython 3.12 a
             # comprehension costs a call of its own, more than such a loop
             lst = []
-            for _, p, o in kg.out_triples(v):
+            for _, p, o in triples[offsets[v]:offsets[v + 1]]:
                 if p != tp and not is_literal[o]:
                     lst.append(o)
-            if self._both and not is_literal[v]:
-                for s, p, _ in kg.in_triples(v):
+            if self._in is not None and not is_literal[v]:
+                triples, offsets = self._in
+                for s, p, _ in triples[offsets[v]:offsets[v + 1]]:
                     if p != tp:
                         lst.append(s)
             lst.sort()
@@ -528,8 +541,8 @@ def build_graph(statements, type_predicate_iri: str = RDF_TYPE) -> KnowledgeGrap
 
     Terms and predicates get dense ids in first-encounter order, each in
     its own id space; duplicate statements collapse to one triple. The
-    surfaces are taken as they are: :meth:`KnowledgeGraph.malformed_term`
-    checks them when they come from anywhere but :func:`read_ntriples`.
+    surfaces are taken as they are: :func:`ingest_ntriples` checks them
+    when they come from anywhere but :func:`read_ntriples`.
     """
     terms: dict[str, int] = {}
     preds: dict[str, int] = {}
@@ -548,15 +561,26 @@ def ingest_ntriples(
     type_predicate_iri: str = RDF_TYPE,
     strict: bool = False,
 ) -> tuple[KnowledgeGraph, list[ParseError]]:
-    """Parse N-Triples bytes or a binary stream into a KnowledgeGraph.
+    """A KnowledgeGraph from N-Triples bytes or a binary stream, or from statements.
 
-    Duplicate statements collapse to one triple. Malformed lines are
-    collected as :class:`ParseError` records and skipped unless ``strict``
-    is set, in which case the first one is raised. Blank lines and
-    ``#`` comments are ignored.
+    Duplicate statements collapse to one triple. Bytes or a stream are read
+    by :func:`read_ntriples`: malformed lines are collected as
+    :class:`ParseError` records and skipped unless ``strict`` is set, in
+    which case the first one is raised. Any other ``source`` is an iterable
+    of (subject, predicate, object) surface forms, taken as they are and
+    then checked once per distinct term with
+    :meth:`KnowledgeGraph.malformed_term`; a term N-Triples forbids where it
+    occurs raises :class:`MalformedTerm` whatever ``strict`` says, so the
+    errors list is then always empty.
     """
     errors: list[ParseError] = []
-    kg = build_graph(read_ntriples(source, None if strict else errors), type_predicate_iri)
+    if isinstance(source, bytes) or hasattr(source, "read"):
+        kg = build_graph(read_ntriples(source, None if strict else errors), type_predicate_iri)
+        return kg, errors
+    kg = build_graph(source, type_predicate_iri)
+    bad = kg.malformed_term()
+    if bad is not None:
+        raise MalformedTerm(bad)
     return kg, errors
 
 
@@ -580,6 +604,8 @@ def load_ntriples(
 
 def subgraph_from_triples(kg: KnowledgeGraph, triples, provenance=None) -> Subgraph:
     """Build a Subgraph from triples in ``kg``'s id space, deduplicated and sorted."""
+    if triples is kg.triples:  # sorted and unique already
+        return Subgraph(kg, tuple(triples), provenance or {})
     return Subgraph(kg, tuple(sorted(set(triples))), provenance or {})
 
 

@@ -47,9 +47,6 @@ class InfluenceScores:
     scores: dict[int, float]
     residuals: dict[int, float] = field(default_factory=dict)
 
-    def mass(self) -> float:
-        return sum(self.scores.values()) + sum(self.residuals.values())
-
 
 def approximate_ppr(kg: KnowledgeGraph, source: int, params: PprParams) -> InfluenceScores:
     """Forward-push PPR estimate from one source vertex."""

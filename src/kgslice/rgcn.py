@@ -2,9 +2,9 @@
 
 Exists to validate extractions, not to train anything: a fixed-seed
 multi-layer forward pass whose target embeddings must not change when
-vertices outside the targets' message-passing neighborhood are pruned,
-and a finite-difference influence probe that must vanish exactly for
-unreachable vertex pairs.
+vertices outside the targets' message-passing neighborhood are pruned.
+(The tests also probe it by finite differences: the influence of an
+unreachable vertex on a target must vanish exactly.)
 
 Messages flow along edge direction (the object aggregates its subjects),
 and each predicate also acts in reverse through its own weight matrix.
@@ -168,26 +168,3 @@ def prune_outside_reach(sg: Subgraph, targets, hops: int) -> Subgraph:
     """Drop every vertex that cannot message a target within ``hops``."""
     return sg.restricted(message_reach(sg, targets, hops))
 
-
-def influence_fd(
-    model: RgcnReferenceModel,
-    sg: Subgraph,
-    feats: dict[int, np.ndarray],
-    v: int,
-    u: int,
-    step: float = 1e-4,
-) -> float:
-    """Central finite-difference estimate of total |d h_u / d X_v|."""
-    total = 0.0
-    base = dict(feats)
-    x = np.asarray(feats[v], dtype=float)
-    for j in range(model.dim):
-        bump = np.zeros_like(x)
-        bump[j] = step
-        base[v] = x + bump
-        hi = rgcn_forward(model, sg, base)[u]
-        base[v] = x - bump
-        lo = rgcn_forward(model, sg, base)[u]
-        base[v] = x
-        total += float(np.abs((hi - lo) / (2.0 * step)).sum())
-    return total

@@ -388,6 +388,34 @@ def dense_rgcn_jacobian(model, sg, feats, v, u):
     return jac[pos[u]]
 
 
+def influence_fd(model, sg, feats, v, u, step=1e-4) -> float:
+    """Central finite-difference estimate of total |d h_u / d X_v|.
+
+    Probes the package's own forward pass; :func:`dense_rgcn_jacobian` is
+    the analytic value it is checked against.
+    """
+    from kgslice.rgcn import rgcn_forward
+
+    total = 0.0
+    base = dict(feats)
+    x = np.asarray(feats[v], dtype=float)
+    for j in range(model.dim):
+        bump = np.zeros_like(x)
+        bump[j] = step
+        base[v] = x + bump
+        hi = rgcn_forward(model, sg, base)[u]
+        base[v] = x - bump
+        lo = rgcn_forward(model, sg, base)[u]
+        base[v] = x
+        total += float(np.abs((hi - lo) / (2.0 * step)).sum())
+    return total
+
+
+def ppr_mass(inf) -> float:
+    """Estimate plus residual of a push result: 1 up to rounding, since the push conserves mass."""
+    return sum(inf.scores.values()) + sum(inf.residuals.values())
+
+
 def reference_quality_report(sg, task, kg):
     """quality_report as first written: dict-of-sets adjacency, one BFS per indicator.
 

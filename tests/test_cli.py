@@ -344,6 +344,43 @@ def test_extract_via_http_endpoint(mini_kg, task_cfg, tmp_path, rng):
         server.close()
 
 
+def test_endpoint_term_not_valid_ntriples_exits_two(
+    mini_kg, task_cfg, tmp_path, capsys, monkeypatch
+):
+    from kgslice.endpoint import HttpBackend
+    from kgslice.graph import load_ntriples
+    from kgslice.patterns import PatternTask, get_bgp
+    from sparql_double import SparqlDouble
+
+    parse_rows = HttpBackend._parse_rows
+
+    def leading_space(text):
+        rows = parse_rows(text)
+        if rows:
+            s, p, o = rows[0]
+            rows[0] = (f" {s}", p, o)
+        return rows
+
+    monkeypatch.setattr(HttpBackend, "_parse_rows", staticmethod(leading_space))
+    server = SparqlDouble(load_ntriples(mini_kg)[0])
+    try:
+        server.register(get_bgp(PatternTask(kind="nc", target_type_iri=f"{EX}T"), 1, 1))
+        out = tmp_path / "remote"
+        rc = main(
+            [
+                "extract", "--engine", "sparql", "--endpoint", server.url,
+                "--config", str(task_cfg), "--out", str(out), "--d", "1", "--h", "1",
+            ]
+        )
+    finally:
+        server.close()
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("kgslice: endpoint returned unparsable terms: ' <")
+    assert len(err.splitlines()) == 1
+    assert not (out / "subgraph.nt").exists()
+
+
 @pytest.mark.parametrize(
     "flag,message",
     [

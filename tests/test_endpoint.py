@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import io
+import sys
+import weakref
 
 import pytest
 
@@ -345,13 +347,64 @@ def test_http_extract_bytes_independent_of_workers_and_page_size(kg, double):
     [
         ('"lit"', f"<{EX}p>", f"<{EX}o>"),  # a literal is never a subject
         (f"<{EX}a b>", f"<{EX}p>", f"<{EX}o>"),  # an IRI holds no space
+        # a row is never split again: two terms in one field stay one bad term
+        (f"<{EX}a>", f"<{EX}b> <{EX}c>", ""),
+        (f" <{EX}a>", f"<{EX}p>", f"<{EX}o>"),  # a term is taken as returned, not trimmed
     ],
 )
 def test_drop_duplicates_without_kg_rejects_bad_terms(row):
     good = (f"<{EX}s>", f"<{EX}p>", f"<{EX}o>")
     assert len(drop_duplicates([good, good]).triples) == 1
-    with pytest.raises(KgsliceError, match="endpoint returned unparsable terms"):
+    with pytest.raises(KgsliceError, match="endpoint returned unparsable terms") as exc:
         drop_duplicates([good, row])
+    assert any(repr(term) in str(exc.value) for term in row)
+    assert "line" not in str(exc.value)
+
+
+def test_drop_duplicates_ids_match_reading_the_sorted_rows_as_text(kg, rng):
+    """Ids, and so the bytes of subgraph.nt, are those of the former text round trip."""
+    rows = [
+        (kg.term(s), kg.predicate_term(p), kg.term(o)) for s, p, o in kg.triples
+    ] * 2
+    rng.shuffle(rows)
+    text = "".join(f"{s} {p} {o} .\n" for s, p, o in sorted(set(rows)))
+    reread, errors = ingest_ntriples(text.encode("utf-8"))
+    assert not errors
+    sg = drop_duplicates(rows)
+    fresh = sg.kg
+    assert [fresh.term(v) for v in range(fresh.vertex_count())] == [
+        reread.term(v) for v in range(reread.vertex_count())
+    ]
+    assert [fresh.predicate_term(p) for p in range(fresh.predicate_count())] == [
+        reread.predicate_term(p) for p in range(reread.predicate_count())
+    ]
+    assert list(sg.triples) == reread.triples
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="before 3.11 the caller's stack holds call arguments"
+)
+def test_drop_duplicates_frees_the_wire_rows_before_the_build(monkeypatch):
+    class Rows(list):
+        pass
+
+    good = (f"<{EX}s>", f"<{EX}p>", f"<{EX}o>")
+    refs, freed = [], []
+
+    def wire_rows():
+        rows = Rows([good, good])
+        refs.append(weakref.ref(rows))
+        return rows
+
+    def spy(statements, **kwargs):
+        freed.append(refs[0]() is None)
+        return ingest_ntriples(statements, **kwargs)
+
+    monkeypatch.setattr(endpoint, "ingest_ntriples", spy)
+    # not inside an assert: the rewritten assert would keep the rows for its message
+    sg = drop_duplicates(wire_rows())
+    assert len(sg.triples) == 1
+    assert freed == [True]
 
 
 # a raw CR would end the N-Triples statement early and smuggle in a second one

@@ -7,11 +7,12 @@ import random
 import sys
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
-from kgslice.errors import IoFailure, ParseError, UnknownType, UnknownVertex
+from kgslice.errors import IoFailure, MalformedTerm, ParseError, UnknownType, UnknownVertex
 from kgslice.graph import (
     BOTH,
     OUTGOING,
@@ -67,6 +68,36 @@ def test_strict_mode_raises():
     with pytest.raises(ParseError) as exc:
         ingest_ntriples(text.encode("utf-8"), strict=True)
     assert exc.value.line == 2
+
+
+def test_statements_build_the_graph_their_text_does(rng):
+    lines = random_kg_lines(rng, n_vertices=40, n_triples=80, literal_fraction=0.2)
+    from_text, errors = ingest_ntriples(("\n".join(lines) + "\n").encode("utf-8"))
+    assert not errors
+    statements = [tuple(line[:-2].split(" ", 2)) for line in lines]
+    from_statements, errors = ingest_ntriples(iter(statements))
+    assert not errors
+    assert surface_triples(from_statements) == surface_triples(from_text)
+    assert from_statements.triples == from_text.triples  # the same ids
+
+
+@pytest.mark.parametrize(
+    "statement, term",
+    [
+        ((f"<{EX}a b>", f"<{EX}p>", f"<{EX}o>"), f"<{EX}a b>"),
+        ((f"<{EX}a>", f"<{EX}p> <{EX}q>", f"<{EX}o>"), f"<{EX}p> <{EX}q>"),
+        ((f"<{EX}a>", '"p"', f"<{EX}o>"), '"p"'),
+        ((f"<{EX}a>", f"<{EX}p>", '"x" '), '"x" '),
+        (('"x"', f"<{EX}p>", f"<{EX}o>"), '"x"'),  # a literal is never a subject
+    ],
+)
+@pytest.mark.parametrize("strict", [False, True])
+def test_statements_with_a_malformed_term_raise_naming_it(statement, term, strict):
+    good = (f"<{EX}a>", f"<{EX}p>", '"x"')
+    with pytest.raises(MalformedTerm) as exc:
+        ingest_ntriples([good, statement], strict=strict)
+    assert exc.value.term == term
+    assert repr(term) in str(exc.value)
 
 
 def test_literal_forms_preserved():
@@ -220,6 +251,8 @@ def test_round_trip_serialization(rng):
 
 def test_index_consistency(rng):
     kg = random_kg(rng, n_vertices=60, n_triples=200, literal_fraction=0.1)
+    # subgraph_from_triples takes the graph's own list as it is
+    assert kg.triples == sorted(set(kg.triples))
     for s, p, o in kg.triples:
         assert (s, p, o) in kg.out_triples(s)
         assert (s, p, o) in kg.in_triples(o)
@@ -397,6 +430,25 @@ def test_walk_adjacency_lookups_and_complete_match_scan(seed, direction):
         neighbors = kg.walk_index().neighbors
         for v in range(n):
             assert list(neighbors[v]) == adj.get(v, [])
+
+
+def test_walked_graph_freed_by_reference_count():
+    """The adjacency holds the graph's lists, not the graph: no cycle keeps it alive."""
+    kg = walk_case_kg(0)
+    expected = walk_lists(kg, BOTH)
+    for direction in (OUTGOING, BOTH):
+        dict(kg.walk_adjacency(direction))
+    neighbors = kg.walk_index().neighbors
+    assert {v: list(lst) for v, lst in enumerate(neighbors) if lst} == expected
+    ref = weakref.ref(kg)
+    enabled = gc.isenabled()
+    gc.disable()  # only reference counting may free it
+    try:
+        del kg
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_walk_adjacency_rejects_bad_direction():

@@ -9,7 +9,6 @@ from kgslice.errors import MissingFeature, UnsupportedParams
 from kgslice.graph import subgraph_from_triples
 from kgslice.rgcn import (
     RgcnReferenceModel,
-    influence_fd,
     message_reach,
     prune_outside_reach,
     random_features,
@@ -29,6 +28,7 @@ from oracles import (
     bfs_distances,
     dense_rgcn_forward,
     dense_rgcn_jacobian,
+    influence_fd,
     reference_rgcn_forward,
 )
 
