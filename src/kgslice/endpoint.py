@@ -52,6 +52,10 @@ _ABBREVIATED = (
 )
 
 
+# the lexical form of a non-negative xsd:integer
+_COUNT_RE = re.compile(r"\+?[0-9]+")
+
+
 def _expand_abbreviated(term: str) -> str:
     """The N-Triples form of an abbreviated numeric or boolean literal.
 
@@ -182,12 +186,15 @@ class HttpBackend:
         query = bgp.branches[index].count_query(self.config.graph_iri)
         body = self._request(query)
         lines = [l for l in body.splitlines() if l.strip()]
-        if len(lines) < 2:
-            raise QueryRejected(200, f"count query returned no rows: {body!r}")
+        if len(lines) != 2:
+            raise QueryRejected(200, f"count query returned {len(lines) - 1} rows, not one: {body!r}")
         value = lines[1].strip().strip('"')
         # engines may type the count literal
         if "^^" in value:
             value = value.split("^^", 1)[0].strip('"')
+        # a negative count would plan no jobs and quietly empty the branch
+        if not _COUNT_RE.fullmatch(value):
+            raise QueryRejected(200, f"count query returned {value!r}, not a non-negative integer")
         return int(value)
 
     def fetch(self, bgp: BgpQuery, index: int, limit: int, offset: int):
@@ -281,9 +288,11 @@ def drop_duplicates(
     With a local graph the rows are id triples in its id space and go
     straight to ``subgraph_from_triples``, which dedups and sorts them.
     Without one they are surface-string rows from an endpoint, with
-    interned terms (see ``HttpBackend._parse_rows``), so the set and the
-    sort find equal terms by identity. A fresh KnowledgeGraph, typed by
-    ``type_predicate_iri``, is built from the sorted unique rows as
+    interned terms (see ``HttpBackend._parse_rows``), so the dedup and the
+    sort find equal terms by identity. The dedup is ``dict.fromkeys``,
+    which keeps first-seen order, so the sort merges the ordered runs of
+    each page instead of sorting hash order. A fresh KnowledgeGraph, typed
+    by ``type_predicate_iri``, is built from the sorted unique rows as
     statements, with ids in first-encounter order, and the Subgraph spans
     it. No row is rendered as text or split again: each distinct term is
     checked once, where it occurs, and a term N-Triples forbids raises
@@ -291,11 +300,11 @@ def drop_duplicates(
     """
     if kg is not None:
         return subgraph_from_triples(kg, rows)
-    # each stage frees the one before: the wire rows once their set is built
-    # (when the caller passed its only reference), the set once sorted, and
+    # each stage frees the one before: the wire rows once deduplicated
+    # (when the caller passed its only reference), the dict once sorted, and
     # the sorted rows once the build has read them, since an exhausted list
     # iterator lets go of its list
-    unique = set(rows)
+    unique = dict.fromkeys(rows)
     del rows
     statements = iter(sorted(unique))
     del unique

@@ -80,8 +80,16 @@ class EndpointUnreachable(KgsliceError):
 
 
 class QueryRejected(KgsliceError):
+    """An endpoint answered with an error status, or a 200 reply the client cannot use.
+
+    For status 200 ``body`` is the client's own reason, which the message names.
+    """
+
     def __init__(self, status: int, body: str):
-        super().__init__(f"endpoint rejected query with HTTP {status}")
+        if status == 200:
+            super().__init__(f"endpoint reply rejected: {body}")
+        else:
+            super().__init__(f"endpoint rejected query with HTTP {status}")
         self.status = status
         self.body = body
 

@@ -603,10 +603,15 @@ def load_ntriples(
 
 
 def subgraph_from_triples(kg: KnowledgeGraph, triples, provenance=None) -> Subgraph:
-    """Build a Subgraph from triples in ``kg``'s id space, deduplicated and sorted."""
+    """Build a Subgraph from triples in ``kg``'s id space, deduplicated and sorted.
+
+    Duplicates go by ``dict.fromkeys``, which keeps first-seen order: the
+    ordered runs of the input (a pattern branch's rows, say) survive, so
+    the sort merges runs instead of sorting hash order.
+    """
     if triples is kg.triples:  # sorted and unique already
         return Subgraph(kg, tuple(triples), provenance or {})
-    return Subgraph(kg, tuple(sorted(set(triples))), provenance or {})
+    return Subgraph(kg, tuple(sorted(dict.fromkeys(triples))), provenance or {})
 
 
 def hop_distances(tails, heads, sources, max_hops: int | None = None) -> dict[int, int]:

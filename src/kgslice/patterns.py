@@ -5,10 +5,12 @@ sub-queries, one per hop shape: a tuple of edge directions ("out" or
 "in") walked from a target. ``d`` picks the directions (1 = outgoing
 only, 2 = both), ``h`` the hop radius (1 or 2); the branches cover every
 shape of 1 to h hops. The last hop of a shape is the edge it returns.
-Each branch can be rendered as standalone SPARQL (for an endpoint) or
-evaluated directly against a local KnowledgeGraph and paged with the same
-LIMIT/OFFSET arithmetic over a fixed row order, which makes paginated
-execution testable without a server.
+Every hop branch selects distinct rows (SPARQL 1.1 Query Language, §15.3),
+so a hub reached from many targets returns its edges once per branch,
+not once per target. Each branch can be rendered as standalone SPARQL
+(for an endpoint) or evaluated directly against a local KnowledgeGraph
+and paged with the same LIMIT/OFFSET arithmetic over a fixed row order,
+which makes paginated execution testable without a server.
 
 For link prediction the query joins the per-type sub-patterns of the two
 endpoint types through the task's bridge predicate.
@@ -140,7 +142,9 @@ def get_bgp(task: PatternTask, d: int, h: int) -> BgpQuery:
         branches, display = [], []
         for shape in shapes:
             projection, _, patterns, filt = _render(shape, "?v", tp)
-            branches.append(Branch(shape, None, f"select {projection}", f"{prefix} {patterns}{filt}"))
+            branches.append(
+                Branch(shape, None, f"select distinct {projection}", f"{prefix} {patterns}{filt}")
+            )
             display.append(f"select {projection} where {{ {prefix} {patterns} }}")
         parts = display if h == 1 else [b.text for b in branches]
         full = "select ?s ?p ?o { " + " union ".join(parts) + " }"
@@ -173,10 +177,13 @@ def get_bgp(task: PatternTask, d: int, h: int) -> BgpQuery:
 class LocalBackend:
     """Evaluates pattern branches directly on a KnowledgeGraph.
 
-    Branch rows are id triples, enumerated once and memoized. NC rows
-    come out in a fixed order (anchors ascending, adjacency lists sorted)
-    and may repeat; LP rows are distinct and sorted. A LIMIT/OFFSET page
-    is a slice of those rows, so a branch's pages tile it exactly.
+    Branch rows are id triples, enumerated once and memoized. Each
+    expansion hop keeps a distinct, ascending frontier, and every row
+    fixes the frontier vertex it leaves from (its subject on an outgoing
+    last hop, its object on an incoming one), so a branch's rows are its
+    distinct solutions, in a fixed order: frontier ascending, adjacency
+    lists sorted. A LIMIT/OFFSET page is a slice of those rows, so a
+    branch's pages tile it exactly.
     """
 
     def __init__(self, kg: KnowledgeGraph):
@@ -216,12 +223,15 @@ class LocalBackend:
         return subjects, objects, sorted(pairs)
 
     def _emit(self, anchors, shape: tuple[str, ...]) -> list[tuple[int, int, int]]:
-        """Rows of ``shape`` walked from ``anchors``, with the FILTERs of _render."""
+        """Rows of ``shape`` walked from ``anchors``, with the FILTERs of _render.
+
+        The rows are distinct when the anchors are: see the class docstring.
+        """
         kg = self.kg
         tp = kg.type_predicate
         for hop in shape[:-1]:
             step, far = (kg.out_triples, 2) if hop == "out" else (kg.in_triples, 0)
-            anchors = [t[far] for v in anchors for t in step(v) if t[1] != tp]
+            anchors = sorted({t[far] for v in anchors for t in step(v) if t[1] != tp})
         if shape[-1] == "out":
             return list(itertools.chain.from_iterable(map(kg.out_triples, anchors)))
         return [t for v in anchors for t in kg.in_triples(v) if t[1] != tp]
@@ -241,7 +251,7 @@ class LocalBackend:
                 rows = [(s, pt, o) for s, o in pairs]
             else:
                 anchors = subjects if branch.side == SUBJECT_SIDE else objects
-                rows = sorted(set(self._emit(anchors, branch.shape)))
+                rows = self._emit(anchors, branch.shape)
         self._cache[branch] = rows
         return rows
 

@@ -12,6 +12,8 @@ from collections import Counter, deque
 
 import numpy as np
 
+from conftest import TYPE_IRI
+
 
 def surface_triples(kg, triples=None):
     """Triples as surface-form string tuples (id-space independent)."""
@@ -115,6 +117,90 @@ def pattern_triples(kg, targets, d: int, h: int):
         if near <= h - 1:
             keep.add((s, p, o))
     return keep
+
+
+def branch_solutions(kg, bgp, index: int) -> list[tuple[int, int, int]]:
+    """Projected (s, p, o) id rows of every solution of a branch's text, with repeats.
+
+    Reads the branch as the SPARQL an endpoint receives: the triple
+    patterns and the ``!=`` FILTER conjuncts of its WHERE text, and the
+    projection of its select clause, ``distinct`` ignored. ``a`` stands
+    for rdf:type. Each triple pattern is matched by a scan over surface
+    forms, and the solutions are joined on their shared variables, so
+    this is bag semantics: a solution counts once per distinct binding of
+    all its variables, hidden ones included.
+    """
+    branch = bgp.branches[index]
+    where, _, filt = branch.where_text.partition(" filter ")
+    tokens = where.split()
+    assert len(tokens) % 4 == 0 and tokens[3::4] == ["."] * (len(tokens) // 4), where
+    patterns = [tokens[i : i + 3] for i in range(0, len(tokens), 4)]
+    filters = []
+    if filt:
+        for conjunct in filt.strip("()").split(" && "):
+            var, op, term = conjunct.split()
+            assert op == "!=", conjunct
+            filters.append((var, term))
+
+    surface = [
+        ((kg.term(s), kg.predicate_term(p), kg.term(o)), (s, p, o)) for s, p, o in kg.triples
+    ]
+    predicate_ids = {kg.predicate_term(p): p for _, p, _ in kg.triples}
+
+    def constant(token: str) -> str:
+        return f"<{TYPE_IRI}>" if token == "a" else token
+
+    solutions: list[dict[str, int]] = [{}]
+    for pattern in patterns:
+        matches = []
+        for terms, ids in surface:
+            binding: dict[str, int] = {}
+            for token, term, vid in zip(pattern, terms, ids):
+                if not token.startswith("?"):
+                    if constant(token) != term:
+                        break
+                elif binding.setdefault(token, vid) != vid:
+                    break
+            else:
+                matches.append(binding)
+        shared = sorted(set(pattern) & set(solutions[0]) if solutions else ())
+        # a predicate variable and a vertex variable live in different id
+        # spaces; no branch text joins on a predicate
+        assert pattern[1] not in shared, pattern
+        by_key: dict[tuple[int, ...], list[dict[str, int]]] = {}
+        for m in matches:
+            by_key.setdefault(tuple(m[v] for v in shared), []).append(m)
+        solutions = [
+            {**sol, **m}
+            for sol in solutions
+            for m in by_key.get(tuple(sol[v] for v in shared), ())
+        ]
+
+    def passes(sol) -> bool:
+        return all(kg.predicate_term(sol[var]) != constant(term) for var, term in filters)
+
+    words = branch.select_clause.split()[1:]
+    if words[0] == "distinct":
+        words = words[1:]
+    projection = []  # one expression per projected variable, in ?s ?p ?o order
+    while words:
+        expr, words = words[0], words[1:]
+        if words[:1] == ["as"]:
+            words = words[2:]
+        projection.append(expr)
+    assert len(projection) == 3, branch.select_clause
+
+    def value(sol, expr: str, position: int) -> int:
+        if expr.startswith("?"):
+            return sol[expr]
+        assert position == 1, expr  # only the bridge predicate is projected as a constant
+        return predicate_ids[constant(expr)]
+
+    return [
+        tuple(value(sol, expr, i) for i, expr in enumerate(projection))
+        for sol in solutions
+        if passes(sol)
+    ]
 
 
 def power_iteration_ppr(adj, n_vertices, source, alpha, tol=1e-12, max_iter=100000):

@@ -16,6 +16,7 @@ import re
 import threading
 import urllib.parse
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from types import SimpleNamespace
 
 from kgslice.patterns import LocalBackend
 
@@ -40,6 +41,18 @@ def abbreviate(term: str) -> str:
         if pattern is not None and pattern.fullmatch(m.group(1)):
             return m.group(1)
     return term
+
+
+class StubSession:
+    """A ``requests.Session`` stand-in that answers every request 200 with one body."""
+
+    def __init__(self, body: str):
+        self.body = body
+        self.queries = []
+
+    def request(self, method, url, params=None, data=None, headers=None, timeout=None):
+        self.queries.append((params or data)["query"])
+        return SimpleNamespace(status_code=200, content=self.body.encode("utf-8"), text=self.body)
 
 
 class SparqlDouble:

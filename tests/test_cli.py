@@ -381,6 +381,30 @@ def test_endpoint_term_not_valid_ntriples_exits_two(
     assert not (out / "subgraph.nt").exists()
 
 
+@pytest.mark.parametrize("reply", ["abc", "3.0", "-5"])
+def test_endpoint_count_not_a_non_negative_integer_exits_two(
+    task_cfg, tmp_path, capsys, monkeypatch, reply
+):
+    from kgslice import endpoint
+    from sparql_double import StubSession
+
+    monkeypatch.setattr(endpoint.requests, "Session", lambda: StubSession(f"?c\n{reply}\n"))
+    out = tmp_path / "remote"
+    rc = main(
+        [
+            "extract", "--engine", "sparql", "--endpoint", "http://127.0.0.1:9/sparql",
+            "--config", str(task_cfg), "--out", str(out), "--d", "1", "--h", "1",
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"kgslice: endpoint reply rejected: count query returned {reply!r}, "
+        "not a non-negative integer\n"
+    )
+    assert not (out / "subgraph.nt").exists()
+
+
 @pytest.mark.parametrize(
     "flag,message",
     [

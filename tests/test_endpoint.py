@@ -24,7 +24,7 @@ from kgslice.patterns import LocalBackend, PatternTask, get_bgp
 
 from conftest import EX, make_kg, random_kg_lines
 from oracles import surface_triples
-from sparql_double import SparqlDouble, abbreviate
+from sparql_double import SparqlDouble, StubSession, abbreviate
 
 
 @pytest.fixture
@@ -104,6 +104,43 @@ def test_client_error_rejected_immediately(kg, double, sleeps):
         get_graph_size(backend, bgp)
     assert exc.value.status == 400
     assert sleeps == []
+
+
+@pytest.mark.parametrize(
+    "reply,count",
+    [("7", 7), ("0", 0), ('"7"^^<http://www.w3.org/2001/XMLSchema#integer>', 7), ('"12"', 12)],
+)
+def test_count_reply_integer_forms(reply, count):
+    session = StubSession(f"?c\n{reply}\n")
+    backend = HttpBackend(EndpointConfig(url="http://127.0.0.1:9/sparql"), session=session)
+    bgp = get_bgp(nc_pattern(), 1, 1)
+    assert backend.branch_count(bgp, 0) == count
+    assert session.queries == [bgp.branches[0].count_query()]
+
+
+@pytest.mark.parametrize(
+    "reply,reason",
+    [
+        ("abc", "'abc', not a non-negative integer"),
+        ("3.0", "'3.0', not a non-negative integer"),
+        ("-5", "'-5', not a non-negative integer"),
+        ('"-5"^^<http://www.w3.org/2001/XMLSchema#integer>', "'-5', not a non-negative integer"),
+        ("1e3", "'1e3', not a non-negative integer"),
+        # a digit to int(), but not an xsd:integer
+        ("\u0667", "'\u0667', not a non-negative integer"),
+        ("5\n7", "2 rows, not one"),
+        ("", "0 rows, not one"),
+    ],
+)
+def test_count_reply_not_a_non_negative_integer_rejected(reply, reason, sleeps):
+    """A bad count fails loudly: never a traceback, never a quietly empty branch."""
+    session = StubSession(f"?c\n{reply}\n")
+    backend = HttpBackend(EndpointConfig(url="http://127.0.0.1:9/sparql"), session=session)
+    with pytest.raises(QueryRejected) as exc:
+        backend.branch_count(get_bgp(nc_pattern(), 1, 1), 0)
+    assert exc.value.status == 200
+    assert f"count query returned {reason}" in str(exc.value)
+    assert len(session.queries) == 1 and sleeps == []  # a bad reply is not retried
 
 
 @pytest.mark.parametrize(
@@ -324,22 +361,30 @@ def test_parse_rows_share_one_string_per_term():
 
 
 def test_http_extract_bytes_independent_of_workers_and_page_size(kg, double):
-    """Ids come from the sorted unique rows, never from the page schedule."""
-    task = nc_pattern()
-    double.register(get_bgp(task, 2, 1))
-    outputs = set()
-    for workers in (1, 2, 3):
-        for bs in (7, 1000):
-            backend = HttpBackend(EndpointConfig(url=double.url))
-            sg = sparql_extract(backend, task, d=2, h=1, bs=bs, workers=workers)
-            buf = io.StringIO()
-            sg.write_ntriples(buf)
-            outputs.add(buf.getvalue())
-    assert len(outputs) == 1
-    local = local_sparql_extract(kg, task, 2, 1)
-    assert sorted(outputs.pop().splitlines()) == sorted(
-        f"{s} {p} {o} ." for s, p, o in surface_triples(kg, local.triples)
-    )
+    """Ids come from the sorted unique rows, never from the page schedule.
+
+    Covers NC d2h1, NC d2h2 and LP d2h2; the double answers the
+    ``select distinct`` branch texts, whose pages hold each branch row once.
+    """
+    lp = PatternTask(kind="lp", target_type_iri=f"{EX}T0", target_predicate_iri=f"{EX}p0",
+                     object_type_iri=f"{EX}T1")
+    for task, h in ((nc_pattern(), 1), (nc_pattern(), 2), (lp, 2)):
+        bgp = get_bgp(task, 2, h)
+        double.register(bgp)
+        assert sum(get_graph_size(LocalBackend(kg), bgp)) > 7  # more than one page at bs 7
+        outputs = set()
+        for workers in (1, 2, 3):
+            for bs in (7, 1000):
+                backend = HttpBackend(EndpointConfig(url=double.url))
+                sg = sparql_extract(backend, task, d=2, h=h, bs=bs, workers=workers)
+                buf = io.StringIO()
+                sg.write_ntriples(buf)
+                outputs.add(buf.getvalue())
+        assert len(outputs) == 1, f"{task.kind} d2h{h}"
+        local = local_sparql_extract(kg, task, 2, h)
+        assert sorted(outputs.pop().splitlines()) == sorted(
+            f"{s} {p} {o} ." for s, p, o in surface_triples(kg, local.triples)
+        ), f"{task.kind} d2h{h}"
 
 
 @pytest.mark.parametrize(

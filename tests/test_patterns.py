@@ -21,7 +21,7 @@ from kgslice.patterns import (
 )
 
 from conftest import EX, TYPE_IRI, make_kg, nt, random_kg_lines, tokenize_query
-from oracles import pattern_triples, surface_triples
+from oracles import branch_solutions, pattern_triples, surface_triples
 
 PAPER_D2H1 = """
 select ?s ?p ?o {
@@ -95,15 +95,15 @@ def test_lp_query_contains_bridge_once():
 
 # <TP> stands for the type predicate, <PREFIX> for the LP anchor pattern
 NC_D2H2_BRANCHES = [
-    "select ?v as ?s ?p ?o where { ?v a <http://ex/T> . ?v ?p ?o . }",
-    "select ?s ?p ?v as ?o where { ?v a <http://ex/T> . ?s ?p ?v . filter (?p != <TP>) }",
-    "select ?o1 as ?s ?p ?o where { ?v a <http://ex/T> . ?v ?p1 ?o1 . ?o1 ?p ?o . "
+    "select distinct ?v as ?s ?p ?o where { ?v a <http://ex/T> . ?v ?p ?o . }",
+    "select distinct ?s ?p ?v as ?o where { ?v a <http://ex/T> . ?s ?p ?v . filter (?p != <TP>) }",
+    "select distinct ?o1 as ?s ?p ?o where { ?v a <http://ex/T> . ?v ?p1 ?o1 . ?o1 ?p ?o . "
     "filter (?p1 != <TP>) }",
-    "select ?s ?p ?o1 as ?o where { ?v a <http://ex/T> . ?v ?p1 ?o1 . ?s ?p ?o1 . "
+    "select distinct ?s ?p ?o1 as ?o where { ?v a <http://ex/T> . ?v ?p1 ?o1 . ?s ?p ?o1 . "
     "filter (?p1 != <TP> && ?p != <TP>) }",
-    "select ?s1 as ?s ?p ?o where { ?v a <http://ex/T> . ?s1 ?p1 ?v . ?s1 ?p ?o . "
+    "select distinct ?s1 as ?s ?p ?o where { ?v a <http://ex/T> . ?s1 ?p1 ?v . ?s1 ?p ?o . "
     "filter (?p1 != <TP>) }",
-    "select ?s ?p ?s1 as ?o where { ?v a <http://ex/T> . ?s1 ?p1 ?v . ?s ?p ?s1 . "
+    "select distinct ?s ?p ?s1 as ?o where { ?v a <http://ex/T> . ?s1 ?p1 ?v . ?s ?p ?s1 . "
     "filter (?p1 != <TP> && ?p != <TP>) }",
 ]
 
@@ -351,6 +351,57 @@ def test_local_sparql_extract_equals_local_match_at_any_page_size(rng):
             paged = local_sparql_extract(kg, bgp.task, d=2, h=2, bs=bs)
             assert paged.triples == direct.triples
             assert paged.vertices == direct.vertices
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_branch_rows_are_the_distinct_solutions_of_the_branch_text(seed):
+    """Each branch's rows are its solution set, once each, on test 02-style random KGs.
+
+    The oracle evaluates the branch text with bag semantics, so a vertex
+    reached from several targets or anchors repeats there; the rows must
+    not repeat, and ``branch_count`` must count them.
+    """
+    rng = random.Random(seed)
+    tp = TYPE_IRI if seed % 2 == 0 else f"{EX}isA"
+    n_vertices = rng.randrange(20, 120)
+    n_types, n_predicates = rng.randrange(2, 6), rng.randrange(2, 6)
+    lines = random_kg_lines(
+        rng,
+        n_vertices=n_vertices,
+        n_types=n_types,
+        n_predicates=n_predicates,
+        n_triples=rng.randrange(40, 6 * n_vertices),
+        literal_fraction=0.08 if seed % 3 == 0 else 0.0,
+    )
+    # relations to, from and between classes, so that a walk can reach a
+    # class and the type-predicate FILTERs have rows to drop
+    for _ in range(rng.randrange(5, 15)):
+        c, v = f"T{rng.randrange(n_types)}", f"v{rng.randrange(n_vertices)}"
+        p = f"p{rng.randrange(n_predicates)}"
+        typed_class = nt(c, "a", f"T{rng.randrange(n_types)}")
+        lines.append(rng.choice([nt(v, p, c), nt(c, p, v), typed_class]))
+    text = "\n".join(lines).replace(f"<{TYPE_IRI}>", f"<{tp}>") + "\n"
+    kg, errors = ingest_ntriples(text.encode("utf-8"), type_predicate_iri=tp)
+    assert not errors
+    tasks = [PatternTask("nc", f"{EX}T0", type_predicate_iri=tp)] + [
+        PatternTask("lp", f"{EX}T0", f"{EX}p0", obj, type_predicate_iri=tp)
+        for obj in (f"{EX}T1", None)
+    ]
+    backend = LocalBackend(kg)
+    repeated = 0
+    for task in tasks:
+        for d in (1, 2):
+            for h in (1, 2):
+                bgp = get_bgp(task, d, h)
+                for i in range(len(bgp.branches)):
+                    rows = backend._branch_rows(bgp, i)
+                    solutions = branch_solutions(kg, bgp, i)
+                    where = f"{task.kind} d{d}h{h} branch {i}"
+                    assert len(set(rows)) == len(rows), where
+                    assert set(rows) == set(solutions), where
+                    assert backend.branch_count(bgp, i) == len(rows), where
+                    repeated += len(solutions) > len(rows)
+    assert repeated  # the oracle's bags do repeat, so distinctness is tested
 
 
 def test_drop_duplicates_collapses_repeats(rng):
