@@ -32,6 +32,7 @@ from .graph import (
     RDF_TYPE,
     Subgraph,
     load_ntriples,
+    open_for_rewrite,
     open_maybe_gzip,
     read_ntriples,
     subgraph_from_triples,
@@ -77,9 +78,9 @@ def _load_kg(path, type_predicate=RDF_TYPE, strict=False):
 
 def _write_subgraph(sg: Subgraph, outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "subgraph.nt", "w", encoding="utf-8") as fh:
+    with open_for_rewrite(outdir / "subgraph.nt", "w", encoding="utf-8") as fh:
         sg.write_ntriples(fh)
-    with open(outdir / "subgraph.csv", "w", encoding="utf-8", newline="") as fh:
+    with open_for_rewrite(outdir / "subgraph.csv", "w", encoding="utf-8", newline="") as fh:
         sg.write_csv(fh)
     manifest = {
         "provenance": sg.provenance,
@@ -88,7 +89,7 @@ def _write_subgraph(sg: Subgraph, outdir: Path) -> None:
         "node_types": len(sg.node_type_ids),
         "predicates": len(sg.predicate_ids),
     }
-    with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
+    with open_for_rewrite(outdir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -155,10 +156,10 @@ def cmd_ingest(args) -> int:
     print(f"predicates\t{kg.predicate_count()}")
     print(f"parse_errors\t{len(errors)}")
     if args.dict_out:
-        with open(args.dict_out, "w", encoding="utf-8") as fh:
+        with open_for_rewrite(args.dict_out, "w", encoding="utf-8") as fh:
             kg.write_dictionary_tsv(fh)
     if args.nt_out:
-        with open(args.nt_out, "w", encoding="utf-8") as fh:
+        with open_for_rewrite(args.nt_out, "w", encoding="utf-8") as fh:
             kg.write_ntriples(fh)
     return 0
 
@@ -189,7 +190,7 @@ def _endpoint_extract(args, cfg, outdir: Path) -> Subgraph:
             "completed_jobs": getattr(exc, "completed_jobs", []),
             "cause": str(exc.cause),
         }
-        with open(outdir / "partial.json", "w", encoding="utf-8") as fh:
+        with open_for_rewrite(outdir / "partial.json", "w", encoding="utf-8") as fh:
             json.dump(partial, fh, indent=2)
         raise
 
@@ -257,7 +258,8 @@ def cmd_metrics(args) -> int:
     ]
     sys.stdout.write(render_reports(named))
     if args.tsv:
-        Path(args.tsv).write_text(reports_tsv(named), encoding="utf-8")
+        with open_for_rewrite(args.tsv, "w", encoding="utf-8") as fh:
+            fh.write(reports_tsv(named))
     return 0
 
 

@@ -15,23 +15,33 @@ Vertices with several types are dictionary-indexed under their
 lexicographically smallest type; the full assertion list lives in
 types.tsv so a rebuild loses nothing. Everything is sorted, so the same
 inputs produce byte-identical bundles.
+
+Exporting into a directory that holds an earlier bundle rewrites each
+file in place, without truncating it to zero first (see
+:func:`kgslice.graph.open_for_rewrite`), and then deletes the
+``edges_NNN.tsv`` files the new manifest does not list, so a trainer that
+globs ``edges_*.tsv`` loads only the new slice. No other file in the
+directory is touched.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import re
 import warnings
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 
 from .errors import IoFailure, MalformedTerm
-from .graph import KIND_LITERAL, KnowledgeGraph, Subgraph, ingest_ntriples
+from .graph import KIND_LITERAL, KnowledgeGraph, Subgraph, ingest_ntriples, open_for_rewrite
 from .tasks import LabelMap
 
 UNTYPED = "__untyped__"
 LITERAL_TYPE = "__literal__"
+_EDGE_FILE = re.compile(r"edges_[0-9]{3,}\.tsv")
 
 
 class DanglingLabelWarning(UserWarning):
@@ -67,7 +77,7 @@ def _write(path: Path, lines) -> str:
     """
     digest = hashlib.sha256()
     lines = iter(lines)
-    with open(path, "wb") as fh:
+    with open_for_rewrite(path, "wb") as fh:
         while chunk := "".join(islice(lines, _CHUNK_LINES)):
             data = chunk.encode("utf-8")
             fh.write(data)
@@ -181,9 +191,14 @@ def export_bundle(
         "label_dictionary": list(labels.label_terms) if labels is not None else [],
     }
     manifest["checksums"] = dict(sorted(checksums.items()))
-    with open(outdir / "manifest.json", "w", encoding="utf-8") as fh:
+    with open_for_rewrite(outdir / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    # edge files of an earlier, bigger bundle in this directory
+    with os.scandir(outdir) as entries:
+        for entry in entries:
+            if _EDGE_FILE.fullmatch(entry.name) and entry.name not in edge_files:
+                os.unlink(entry.path)
     return ExportBundle(outdir=outdir, manifest=manifest)
 
 

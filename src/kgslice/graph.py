@@ -20,8 +20,11 @@ from __future__ import annotations
 import csv
 import gzip
 import io
+import os
 import re
+import stat
 from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
@@ -593,6 +596,36 @@ def open_maybe_gzip(path):
         return gzip.open(path, "rb") if gzipped else open(path, "rb")
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
+
+
+def _open_untruncated(path, flags):
+    # open()'s own flags keep O_CLOEXEC (and O_BINARY on Windows); os.open
+    # would default to mode 0o777
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+@contextmanager
+def open_for_rewrite(path, mode, **kwargs):
+    """Open a file for writing it whole, without truncating it to zero first.
+
+    ``open(path, "w")`` passes ``O_TRUNC``. On ext4 and XFS, a file that
+    is truncated to zero and written again has its blocks allocated and
+    its writeback started at ``close``, so rewriting thousands of small
+    files waits on the disk. This writes over the old bytes in place and
+    truncates the file at the current position when the block ends, also
+    when a write raises, so the file holds exactly the bytes written, as
+    after ``O_TRUNC``. That holds only while the process survives: if it
+    is killed mid-write, the file keeps the new bytes written so far
+    followed by the old file's tail, where ``O_TRUNC`` would have left it
+    cut short. A pipe, terminal or device is not truncated, since
+    ``O_TRUNC`` does nothing to it either.
+    """
+    with open(path, mode, opener=_open_untruncated, **kwargs) as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
 
 
 def load_ntriples(

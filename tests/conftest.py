@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import io
+import os
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,3 +113,17 @@ def constant_features(vertices, dim: int, value: float = 1.0) -> dict[int, np.nd
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+@pytest.fixture
+def os_open_flags(monkeypatch):
+    """Record the flags of every ``os.open`` call, as a list per path."""
+    flags: dict[Path, list[int]] = {}
+    real_open = os.open
+
+    def spy(path, mode, *args, **kwargs):
+        flags.setdefault(Path(path), []).append(mode)
+        return real_open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    return flags

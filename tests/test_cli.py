@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -136,6 +137,25 @@ def test_extract_keep_label_edges(mini_kg, task_cfg, tmp_path):
     )
     assert rc == 0
     assert f"<{EX}hasLabel>" in (out / "subgraph.nt").read_text()
+
+
+def test_extract_into_an_earlier_out_equals_a_fresh_out(
+    mini_kg, task_cfg, tmp_path, os_open_flags
+):
+    common = [
+        "extract", "--engine", "sparql", "--kg", str(mini_kg), "--config", str(task_cfg),
+        "--d", "1", "--h", "1",
+    ]
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert main(common + ["--out", str(out), "--keep-label-edges"]) == 0
+    earlier = (out / "subgraph.nt").stat().st_size
+    assert main(common + ["--out", str(out)]) == 0
+    assert main(common + ["--out", str(fresh)]) == 0
+    files = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert files == {path.name: path.read_bytes() for path in fresh.iterdir()}
+    assert len(files["subgraph.nt"]) < earlier
+    for name in files:
+        assert not any(flags & os.O_TRUNC for flags in os_open_flags[out / name])
 
 
 def test_pipeline_metrics_and_export(mini_kg, task_cfg, tmp_path, capsys):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -9,7 +11,7 @@ from kgslice.export import DanglingLabelWarning, export_bundle, rebuild_bundle
 from kgslice.graph import subgraph_from_triples
 from kgslice.tasks import LabelMap, SplitSpec, TaskSpec, build_labels, make_splits, resolve_targets
 
-from conftest import EX, make_kg, nt, random_kg_lines
+from conftest import EX, make_kg, nt, random_kg, random_kg_lines
 from oracles import surface_triples
 
 
@@ -163,11 +165,45 @@ def test_byte_identical_rerun(rng, tmp_path):
 
 
 def test_checksums_match_contents(rng, tmp_path):
-    import hashlib
-
     kg = labeled_kg(rng)
     sg = full_subgraph(kg)
     bundle = export_bundle(sg, None, None, tmp_path)
     for name, digest in bundle.manifest["checksums"].items():
         actual = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert actual == digest
+
+
+def _files(outdir):
+    return {path.name: path.read_bytes() for path in outdir.iterdir()}
+
+
+@pytest.mark.parametrize("first,second", [("big", "small"), ("small", "big")])
+def test_reexport_equals_fresh_export(rng, tmp_path, first, second):
+    kg = random_kg(rng, n_vertices=80, n_predicates=8, n_types=4, n_triples=400)
+    slices = {"big": full_subgraph(kg), "small": kg.induced_subgraph(range(20))}
+    fresh = export_bundle(slices[second], None, None, tmp_path / "fresh")
+    out = tmp_path / "out"
+    earlier = export_bundle(slices[first], None, None, out)
+    # names that are not bundle edge files stay as they are
+    kept = {"edges_01.tsv": b"x\n", "edges_old.tsv": b"y\n", "notes.txt": b"z\n"}
+    for name, data in kept.items():
+        (out / name).write_bytes(data)
+    bundle = export_bundle(slices[second], None, None, out)
+    assert len(earlier.manifest["edge_files"]) != len(bundle.manifest["edge_files"])
+    assert _files(out) == {**_files(tmp_path / "fresh"), **kept}
+    assert bundle.manifest == fresh.manifest
+    for name, digest in bundle.manifest["checksums"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    edge_files = {name for name in _files(out) if name.startswith("edges_")}
+    assert edge_files - set(kept) == set(bundle.manifest["edge_files"])
+
+
+def test_reexport_opens_no_file_with_truncation(rng, tmp_path, os_open_flags):
+    kg = random_kg(rng, n_vertices=40, n_triples=150)
+    sg = full_subgraph(kg)
+    bundle = export_bundle(sg, None, None, tmp_path)
+    export_bundle(sg, None, None, tmp_path)
+    for name in [*bundle.manifest["checksums"], "manifest.json"]:
+        flags = os_open_flags[tmp_path / name]
+        assert len(flags) == 2
+        assert not any(f & os.O_TRUNC for f in flags)

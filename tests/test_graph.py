@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import gzip
 import io
+import os
 import random
 import sys
 import threading
@@ -20,6 +21,7 @@ from kgslice.graph import (
     hop_distances,
     ingest_ntriples,
     load_ntriples,
+    open_for_rewrite,
     open_maybe_gzip,
 )
 
@@ -296,6 +298,32 @@ def test_open_maybe_gzip_closes_the_file_it_opens(tmp_path, compressed):
         del fh  # a file left open warns when it is freed
         gc.collect()
     assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_open_for_rewrite_keeps_only_the_bytes_written(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("x" * 10000, encoding="utf-8")
+    with open_for_rewrite(path, "w", encoding="utf-8") as fh:
+        fh.write("short\n")
+    assert path.read_bytes() == b"short\n"
+    with pytest.raises(RuntimeError):
+        with open_for_rewrite(path, "wb") as fh:
+            fh.write(b"ab")
+            raise RuntimeError("write failed")
+    assert path.read_bytes() == b"ab"
+
+
+def test_open_for_rewrite_creates_files_as_open_does(tmp_path):
+    with open(tmp_path / "plain", "w"):
+        pass
+    with open_for_rewrite(tmp_path / "new", "w"):
+        pass
+    assert (tmp_path / "new").stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+
+def test_open_for_rewrite_writes_to_a_device():
+    with open_for_rewrite(os.devnull, "w", encoding="utf-8") as fh:
+        fh.write("discarded\n")
 
 
 def test_dictionary_dump(rng):
