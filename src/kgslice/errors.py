@@ -32,15 +32,27 @@ class MalformedTerm(KgsliceError):
 
 
 class UnknownVertex(KgsliceError):
-    pass
+    """A vertex the graph does not hold. Carries the IRI, surface form or id asked for."""
+
+    def __init__(self, vertex):
+        super().__init__(f"unknown vertex {vertex}: not in the graph")
+        self.vertex = vertex
 
 
 class UnknownType(KgsliceError):
-    pass
+    """A class no type triple of the graph has as its object. Carries the class asked for."""
+
+    def __init__(self, type_):
+        super().__init__(f"unknown type {type_}: no type triple in the graph has it as object")
+        self.type = type_
 
 
 class UnknownPredicate(KgsliceError):
-    pass
+    """A predicate the graph does not hold. Carries the IRI or surface form asked for."""
+
+    def __init__(self, predicate):
+        super().__init__(f"unknown predicate {predicate}: not in the graph")
+        self.predicate = predicate
 
 
 class EmptyTargetSet(KgsliceError):

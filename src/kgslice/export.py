@@ -16,6 +16,17 @@ lexicographically smallest type; the full assertion list lives in
 types.tsv so a rebuild loses nothing. Everything is sorted, so the same
 inputs produce byte-identical bundles.
 
+The edge files are built as array work: each non-type triple gets one
+integer key from the ranks, in string order, of its source type, its
+predicate IRI and its target type, and one ``lexsort`` by key, source and
+target dense id orders every row. Each run of equal keys is one edge file,
+written from its own slice of the sorted arrays. Ascending keys are the
+groups' string order, so the files, their numbering and the manifest are
+the ones a per-triple grouping and sort gives.
+
+:func:`rebuild_bundle` checks every file against the sha256 and row
+count in ``manifest.json`` before it reads the bundle.
+
 Exporting into a directory that holds an earlier bundle rewrites each
 file in place, without truncating it to zero first (see
 :func:`kgslice.graph.open_for_rewrite`), and then deletes the
@@ -33,7 +44,10 @@ import re
 import warnings
 from dataclasses import dataclass
 from itertools import islice
+from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 from .errors import IoFailure, MalformedTerm
 from .graph import KIND_LITERAL, KnowledgeGraph, Subgraph, ingest_ntriples, open_for_rewrite
@@ -52,19 +66,6 @@ class DanglingLabelWarning(UserWarning):
 class ExportBundle:
     outdir: Path
     manifest: dict
-
-
-def _primary_types(sg: Subgraph) -> dict[int, str]:
-    kg = sg.kg
-    primary: dict[int, str] = {}
-    for s, _, o in sg.type_triples:  # the smallest asserted type
-        lexical = kg.lexical(o)
-        if s not in primary or lexical < primary[s]:
-            primary[s] = lexical
-    for v in sg.vertices:
-        if v not in primary:
-            primary[v] = LITERAL_TYPE if kg.kind(v) == KIND_LITERAL else UNTYPED
-    return primary
 
 
 _CHUNK_LINES = 8192  # lines encoded per write: one file is never held whole
@@ -106,22 +107,40 @@ def export_bundle(
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
 
-    primary = _primary_types(sg)
-    by_type: dict[str, list[int]] = {}
-    for v in sg.vertices:
-        by_type.setdefault(primary[v], []).append(v)
-    dense: dict[int, int] = {}
-    members_by_type = []
-    for type_name in sorted(by_type):
-        members = sorted(by_type[type_name], key=kg.term)
-        for i, v in enumerate(members):
-            dense[v] = i
-        members_by_type.append((type_name, members))
+    # every vertex's smallest asserted type, else the literal or untyped bucket
+    smallest: dict[int, str] = {}
+    for s, _, o in sg.type_triples:
+        lexical = kg.lexical(o)
+        if s not in smallest or lexical < smallest[s]:
+            smallest[s] = lexical
+    verts = sorted(sg.vertices, key=kg.term)
+    names = [
+        smallest[v] if v in smallest else LITERAL_TYPE if kg.kind(v) == KIND_LITERAL else UNTYPED
+        for v in verts
+    ]
+    type_names = sorted(set(names))
+    type_rank = {t: i for i, t in enumerate(type_names)}
+    rank = np.fromiter(map(type_rank.__getitem__, names), dtype=np.int64, count=len(names))
+    # a stable sort by type keeps each type's members in term order
+    by_type = np.argsort(rank, kind="stable")
+    rank = rank[by_type]
+    ids = np.fromiter(verts, dtype=np.int64, count=len(verts))[by_type]
+    counts = np.bincount(rank, minlength=len(type_names))
+    dense = np.arange(len(ids)) - (np.cumsum(counts) - counts)[rank]
+    del smallest, verts, names, type_rank, by_type
     checksums = {}
     checksums["nodes.tsv"] = _write(
         outdir / "nodes.tsv",
-        (f"{t}\t{i}\t{kg.term(v)}\n" for t, vs in members_by_type for i, v in enumerate(vs)),
+        (
+            f"{type_names[r]}\t{i}\t{term}\n"
+            for r, i, term in zip(rank.tolist(), dense.tolist(), map(kg.term, ids.tolist()))
+        ),
     )
+    type_of = np.zeros(kg.vertex_count(), dtype=np.int64)
+    type_of[ids] = rank
+    dense_of = np.zeros(kg.vertex_count(), dtype=np.int64)
+    dense_of[ids] = dense
+    del rank, ids, dense
 
     type_rows = sorted(
         (kg.term(s), kg.lexical(o)) for s, _, o in sg.type_triples
@@ -131,34 +150,56 @@ def export_bundle(
     )
 
     labeled = labels.labels if labels is not None else {}
-    by_predicate_id: dict[tuple[str, int, str], list[tuple[int, int]]] = {}
+    s, o = sg.non_type_edges()
+    p = np.fromiter(map(itemgetter(1), sg.non_type_triples), dtype=np.int64, count=len(s))
     excluded_edges = 0
-    for s, p, o in sg.non_type_triples:
-        if exclude_label_edges and p == label_predicate and s in labeled:
-            excluded_edges += 1
-            continue
-        by_predicate_id.setdefault((primary[s], p, primary[o]), []).append((dense[s], dense[o]))
-    # predicate ids and IRIs correspond one to one, so no two groups merge
-    edge_groups = {
-        (src_type, kg.predicate_iri(p), dst_type): pairs
-        for (src_type, p, dst_type), pairs in by_predicate_id.items()
-    }
+    if exclude_label_edges and label_predicate is not None:
+        drop = p == label_predicate
+        drop[drop] = np.isin(s[drop], list(labeled))
+        excluded_edges = int(np.count_nonzero(drop))
+        keep = ~drop
+        s, p, o = s[keep], p[keep], o[keep]
+        del drop, keep
+    # group key: ranks of the source type, the predicate IRI and the target
+    # type, so ascending keys are the groups' string order
+    preds = sorted(np.flatnonzero(np.bincount(p)).tolist(), key=kg.predicate_iri)
+    pred_rank = np.zeros(kg.predicate_count(), dtype=np.int64)
+    pred_rank[preds] = np.arange(len(preds))
+    n_preds, n_types = len(preds), len(type_names)
+    key = type_of[s] * n_preds
+    key += pred_rank[p]
+    key *= n_types
+    key += type_of[o]
+    src, dst = dense_of[s], dense_of[o]
+    del s, p, o, type_of, dense_of, pred_rank
+    order = np.lexsort((dst, src, key))
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    group_keys = key[starts].tolist()
+    del key
+    src, dst = src[order], dst[order]
+    del order
+    bounds = [*starts.tolist(), len(src)]
 
     edge_files = {}
-    for i, key in enumerate(sorted(edge_groups)):
+    for i, k in enumerate(group_keys):
+        lo, hi = bounds[i], bounds[i + 1]
+        src_rank, rest = divmod(k, n_preds * n_types)
+        pred, dst_rank = divmod(rest, n_types)
         name = f"edges_{i:03d}.tsv"
-        rows = sorted(edge_groups[key])
-        checksums[name] = _write(outdir / name, (f"{src}\t{dst}\n" for src, dst in rows))
+        rows = zip(src[lo:hi].tolist(), dst[lo:hi].tolist())
+        checksums[name] = _write(outdir / name, map("%d\t%d\n".__mod__, rows))
         edge_files[name] = {
-            "src_type": key[0],
-            "predicate": key[1],
-            "dst_type": key[2],
-            "rows": len(rows),
+            "src_type": type_names[src_rank],
+            "predicate": kg.predicate_iri(preds[pred]),
+            "dst_type": type_names[dst_rank],
+            "rows": hi - lo,
         }
+    del src, dst
 
     label_rows = []
     for v, label_id in labeled.items():
-        if v not in dense:
+        if v not in sg.vertices:
             warnings.warn(
                 f"labeled vertex {v} is not in the subgraph; dropped",
                 DanglingLabelWarning,
@@ -172,7 +213,7 @@ def export_bundle(
 
     split_rows = []
     for v, part in (splits or {}).items():
-        if v in dense:
+        if v in sg.vertices:
             split_rows.append((kg.term(v), part))
     split_rows.sort()
     checksums["splits.tsv"] = _write(
@@ -182,7 +223,7 @@ def export_bundle(
     manifest = {
         "provenance": sg.provenance,
         "type_predicate": kg.type_predicate_iri,
-        "node_counts": {t: len(vs) for t, vs in sorted(by_type.items())},
+        "node_counts": dict(zip(type_names, counts.tolist())),
         "edge_files": edge_files,
         "type_assertions": len(type_rows),
         "labels": len(label_rows),
@@ -202,14 +243,42 @@ def export_bundle(
     return ExportBundle(outdir=outdir, manifest=manifest)
 
 
+def _check_file(path: Path, digest: str, rows: int) -> None:
+    """Raise IoFailure unless the file at ``path`` has sha256 ``digest`` and ``rows`` lines."""
+    sha = hashlib.sha256()
+    lines = 0
+    try:
+        with open(path, "rb") as fh:
+            while block := fh.read(1 << 20):
+                sha.update(block)
+                lines += block.count(b"\n")
+    except OSError as exc:
+        raise IoFailure(f"bundle file {path.name}: {exc}") from exc
+    if lines != rows:
+        raise IoFailure(f"bundle file {path.name} holds {lines} rows; manifest.json lists {rows}")
+    if sha.hexdigest() != digest:
+        raise IoFailure(f"bundle file {path.name} does not match its sha256 in manifest.json")
+
+
 def rebuild_bundle(outdir) -> KnowledgeGraph:
     """Reconstruct a KnowledgeGraph from an exported bundle.
 
-    Raises IoFailure when a term or predicate in the bundle is not valid
-    N-Triples where it occurs.
+    Raises IoFailure, naming the file, when a bundle file's sha256 or row
+    count differs from ``manifest.json`` (for example a file a killed
+    re-export left half rewritten), and when a term or predicate in the
+    bundle is not valid N-Triples where it occurs.
     """
     outdir = Path(outdir)
     manifest = json.loads((outdir / "manifest.json").read_text())
+    rows = {
+        "nodes.tsv": sum(manifest["node_counts"].values()),
+        "types.tsv": manifest["type_assertions"],
+        "labels.tsv": manifest["labels"],
+        "splits.tsv": manifest["splits"],
+        **{name: info["rows"] for name, info in manifest["edge_files"].items()},
+    }
+    for name, digest in manifest["checksums"].items():
+        _check_file(outdir / name, digest, rows[name])
     term_of: dict[tuple[str, int], str] = {}
     with open(outdir / "nodes.tsv", encoding="utf-8") as fh:
         for line in fh:

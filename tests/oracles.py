@@ -7,10 +7,26 @@ brute-force scans, dense matrices, textbook algorithms. Keep it that way.
 from __future__ import annotations
 
 import heapq
+import json
 import math
+import os
+import warnings
 from collections import Counter, deque
+from pathlib import Path
 
 import numpy as np
+
+from kgslice.errors import IoFailure
+from kgslice.export import (
+    _EDGE_FILE,
+    LITERAL_TYPE,
+    UNTYPED,
+    DanglingLabelWarning,
+    ExportBundle,
+    _write,
+)
+from kgslice.graph import KIND_LITERAL, Subgraph, open_for_rewrite
+from kgslice.tasks import LabelMap
 
 from conftest import TYPE_IRI
 
@@ -570,3 +586,135 @@ def reference_quality_report(sg, task, kg):
         no_connected_non_targets=not reached,
         neighbor_type_entropy=entropy(),
     )
+
+
+def _primary_types(sg: Subgraph) -> dict[int, str]:
+    kg = sg.kg
+    primary: dict[int, str] = {}
+    for s, _, o in sg.type_triples:  # the smallest asserted type
+        lexical = kg.lexical(o)
+        if s not in primary or lexical < primary[s]:
+            primary[s] = lexical
+    for v in sg.vertices:
+        if v not in primary:
+            primary[v] = LITERAL_TYPE if kg.kind(v) == KIND_LITERAL else UNTYPED
+    return primary
+
+
+def reference_export_bundle(
+    sg: Subgraph,
+    labels: LabelMap | None,
+    splits: dict[int, str] | None,
+    outdir,
+    exclude_label_edges: bool = False,
+    label_predicate: int | None = None,
+) -> ExportBundle:
+    """The per-triple dict-and-loop export that :func:`kgslice.export.export_bundle` replaced.
+
+    Writes the same files and returns the same manifest wrapper.
+
+    With exclude_label_edges, triples whose predicate is the label
+    predicate and whose subject carries a label are left out of the edge
+    files (they are the prediction answers, not input structure).
+    """
+    kg = sg.kg
+    outdir = Path(outdir)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+
+    primary = _primary_types(sg)
+    by_type: dict[str, list[int]] = {}
+    for v in sg.vertices:
+        by_type.setdefault(primary[v], []).append(v)
+    dense: dict[int, int] = {}
+    members_by_type = []
+    for type_name in sorted(by_type):
+        members = sorted(by_type[type_name], key=kg.term)
+        for i, v in enumerate(members):
+            dense[v] = i
+        members_by_type.append((type_name, members))
+    checksums = {}
+    checksums["nodes.tsv"] = _write(
+        outdir / "nodes.tsv",
+        (f"{t}\t{i}\t{kg.term(v)}\n" for t, vs in members_by_type for i, v in enumerate(vs)),
+    )
+
+    type_rows = sorted(
+        (kg.term(s), kg.lexical(o)) for s, _, o in sg.type_triples
+    )
+    checksums["types.tsv"] = _write(
+        outdir / "types.tsv", (f"{term}\t{type_iri}\n" for term, type_iri in type_rows)
+    )
+
+    labeled = labels.labels if labels is not None else {}
+    by_predicate_id: dict[tuple[str, int, str], list[tuple[int, int]]] = {}
+    excluded_edges = 0
+    for s, p, o in sg.non_type_triples:
+        if exclude_label_edges and p == label_predicate and s in labeled:
+            excluded_edges += 1
+            continue
+        by_predicate_id.setdefault((primary[s], p, primary[o]), []).append((dense[s], dense[o]))
+    # predicate ids and IRIs correspond one to one, so no two groups merge
+    edge_groups = {
+        (src_type, kg.predicate_iri(p), dst_type): pairs
+        for (src_type, p, dst_type), pairs in by_predicate_id.items()
+    }
+
+    edge_files = {}
+    for i, key in enumerate(sorted(edge_groups)):
+        name = f"edges_{i:03d}.tsv"
+        rows = sorted(edge_groups[key])
+        checksums[name] = _write(outdir / name, (f"{src}\t{dst}\n" for src, dst in rows))
+        edge_files[name] = {
+            "src_type": key[0],
+            "predicate": key[1],
+            "dst_type": key[2],
+            "rows": len(rows),
+        }
+
+    label_rows = []
+    for v, label_id in labeled.items():
+        if v not in dense:
+            warnings.warn(
+                f"labeled vertex {v} is not in the subgraph; dropped",
+                DanglingLabelWarning,
+            )
+            continue
+        label_rows.append((kg.term(v), label_id))
+    label_rows.sort()
+    checksums["labels.tsv"] = _write(
+        outdir / "labels.tsv", (f"{term}\t{label_id}\n" for term, label_id in label_rows)
+    )
+
+    split_rows = []
+    for v, part in (splits or {}).items():
+        if v in dense:
+            split_rows.append((kg.term(v), part))
+    split_rows.sort()
+    checksums["splits.tsv"] = _write(
+        outdir / "splits.tsv", (f"{term}\t{part}\n" for term, part in split_rows)
+    )
+
+    manifest = {
+        "provenance": sg.provenance,
+        "type_predicate": kg.type_predicate_iri,
+        "node_counts": {t: len(vs) for t, vs in sorted(by_type.items())},
+        "edge_files": edge_files,
+        "type_assertions": len(type_rows),
+        "labels": len(label_rows),
+        "splits": len(split_rows),
+        "excluded_label_edges": excluded_edges,
+        "label_dictionary": list(labels.label_terms) if labels is not None else [],
+    }
+    manifest["checksums"] = dict(sorted(checksums.items()))
+    with open_for_rewrite(outdir / "manifest.json", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    # edge files of an earlier, bigger bundle in this directory
+    with os.scandir(outdir) as entries:
+        for entry in entries:
+            if _EDGE_FILE.fullmatch(entry.name) and entry.name not in edge_files:
+                os.unlink(entry.path)
+    return ExportBundle(outdir=outdir, manifest=manifest)

@@ -309,6 +309,18 @@ def test_slice_term_absent_from_kg_exits_two(mini_kg, task_cfg, tmp_path, capsys
     assert f"{EX}stranger" in capsys.readouterr().err
 
 
+def test_export_without_kg_names_the_unknown_predicate(mini_kg, task_cfg, tmp_path, capsys):
+    # a slice with its label edges stripped has no label predicate of its own
+    slice_path = tmp_path / "stripped.nt"
+    lines = mini_kg.read_text(encoding="utf-8").splitlines()
+    slice_path.write_text(
+        "".join(f"{line}\n" for line in lines if f"<{EX}hasLabel>" not in line), encoding="utf-8"
+    )
+    argv = ["export", "--subgraph", str(slice_path), "--config", str(task_cfg)]
+    assert main([*argv, "--out", str(tmp_path / "bundle")]) == 2
+    assert capsys.readouterr().err == f"kgslice: unknown predicate {EX}hasLabel: not in the graph\n"
+
+
 def test_diff_versions(tmp_path, capsys):
     old = tmp_path / "old.nt"
     new = tmp_path / "new.nt"

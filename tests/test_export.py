@@ -3,6 +3,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
+import warnings
 
 import pytest
 
@@ -11,8 +13,8 @@ from kgslice.export import DanglingLabelWarning, export_bundle, rebuild_bundle
 from kgslice.graph import subgraph_from_triples
 from kgslice.tasks import LabelMap, SplitSpec, TaskSpec, build_labels, make_splits, resolve_targets
 
-from conftest import EX, make_kg, nt, random_kg, random_kg_lines
-from oracles import surface_triples
+from conftest import EX, TYPE_IRI, make_kg, nt, random_kg, random_kg_lines
+from oracles import reference_export_bundle, surface_triples
 
 
 def full_subgraph(kg):
@@ -94,7 +96,43 @@ def test_corrupt_bundle_fails_rebuild(tmp_path, name, old, new):
     text = path.read_text(encoding="utf-8")
     assert old in text
     path.write_text(text.replace(old, new), encoding="utf-8")
-    with pytest.raises(IoFailure):
+    # keep the manifest's checksum right, so the rebuild reaches the term checks
+    manifest_path = tmp_path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    if name in manifest["checksums"]:
+        manifest["checksums"][name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with pytest.raises(IoFailure, match="round-trip"):
+        rebuild_bundle(tmp_path)
+
+
+def test_rebuild_rejects_a_half_rewritten_bundle(rng, tmp_path):
+    # a killed re-export: a smaller bundle's nodes.tsv written over the start
+    # of a bigger one's, beside the bigger bundle's manifest
+    kg = random_kg(rng, n_vertices=80, n_predicates=6, n_types=4, n_triples=400)
+    big, small = tmp_path / "big", tmp_path / "small"
+    export_bundle(full_subgraph(kg), None, None, big)
+    export_bundle(kg.induced_subgraph(range(20)), None, None, small)
+    new_rows = (small / "nodes.tsv").read_bytes()
+    old = (big / "nodes.tsv").read_bytes()
+    assert len(new_rows) < len(old)
+    with open(big / "nodes.tsv", "r+b") as fh:
+        fh.write(new_rows)
+    with pytest.raises(IoFailure, match="nodes.tsv"):
+        rebuild_bundle(big)
+
+
+@pytest.mark.parametrize("damage", ["row added", "file missing"])
+def test_rebuild_names_the_edge_file_that_differs(rng, tmp_path, damage):
+    kg = random_kg(rng, n_vertices=40, n_triples=150)
+    bundle = export_bundle(full_subgraph(kg), None, None, tmp_path)
+    name = sorted(bundle.manifest["edge_files"])[-1]
+    if damage == "row added":
+        with open(tmp_path / name, "a", encoding="utf-8") as fh:
+            fh.write("0\t0\n")
+    else:
+        (tmp_path / name).unlink()
+    with pytest.raises(IoFailure, match=name):
         rebuild_bundle(tmp_path)
 
 
@@ -207,3 +245,82 @@ def test_reexport_opens_no_file_with_truncation(rng, tmp_path, os_open_flags):
         flags = os_open_flags[tmp_path / name]
         assert len(flags) == 2
         assert not any(f & os.O_TRUNC for f in flags)
+
+
+# type names on both sides of the __literal__ and __untyped__ buckets
+ORACLE_TYPES = ["A:t", "Z:t", "__a", "__m", "__z", f"{EX}T0", f"{EX}T1", "urn:t"]
+
+
+def oracle_kg(rng, n_vertices=60, n_predicates=6, n_triples=300, types=ORACLE_TYPES):
+    """A graph with several-typed, untyped, blank and literal vertices.
+
+    Predicate ids follow first use, which is shuffled, so id order and IRI
+    order differ. Returns the graph and the label predicate's IRI.
+    """
+    preds = [f"<{EX}q{k}>" for k in range(n_predicates)]
+    rng.shuffle(preds)
+    vertices = [f"<{EX}v{i}>" if i % 7 else f"_:b{i}" for i in range(n_vertices)]
+    lines = [f"{vertices[0]} {p} {vertices[1]} ." for p in preds]
+    for v in vertices:
+        for t in rng.sample(types, rng.choice([0, 1, 1, 2, 3])):
+            lines.append(f"{v} <{TYPE_IRI}> <{t}> .")
+    for _ in range(n_triples):
+        o = rng.choice(vertices) if rng.random() < 0.8 else f'"lit{rng.randrange(20)}"'
+        lines.append(f"{rng.choice(vertices)} {rng.choice(preds)} {o} .")
+    return make_kg(lines), preds[0]
+
+
+def export_both(sg, labels, splits, outdir, **kwargs):
+    """Export with the reference and with export_bundle; returns both bundles and their warnings."""
+    out = []
+    for name, fn in (("reference", reference_export_bundle), ("export", export_bundle)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            bundle = fn(sg, labels, splits, outdir / name, **kwargs)
+        out.append((bundle, [(w.category, str(w.message)) for w in caught]))
+    return out
+
+
+@pytest.mark.parametrize("view", ["full", "induced", "empty"])
+@pytest.mark.parametrize(
+    "exclude,label_predicate", [(False, "iri"), (True, "iri"), (True, None)]
+)
+@pytest.mark.parametrize("seed", range(3))
+def test_export_matches_reference(tmp_path, view, exclude, label_predicate, seed):
+    rng = random.Random(seed)
+    kg, label_iri = oracle_kg(rng)
+    if view == "full":
+        sg = full_subgraph(kg)
+    elif view == "induced":
+        sg = kg.induced_subgraph(rng.sample(range(kg.vertex_count()), kg.vertex_count() // 2))
+    else:
+        sg = subgraph_from_triples(kg, [])
+    # labels and splits also name vertices outside the slice
+    picked = rng.sample(range(kg.vertex_count()), kg.vertex_count() // 3)
+    labels = LabelMap(labels={v: rng.randrange(3) for v in picked}, label_terms=["L0", "L1", "L2"])
+    splits = {v: rng.choice(["train", "valid", "test"]) for v in picked[::2]}
+    (ref, ref_warned), (got, got_warned) = export_both(
+        sg,
+        labels,
+        splits,
+        tmp_path,
+        exclude_label_edges=exclude,
+        label_predicate=kg.predicate_id(label_iri) if label_predicate else None,
+    )
+    assert _files(tmp_path / "export") == _files(tmp_path / "reference")
+    assert got.manifest == ref.manifest
+    assert got_warned == ref_warned
+    if view != "full":
+        assert any(category is DanglingLabelWarning for category, _ in got_warned)
+    if exclude and label_predicate and view == "full":
+        assert got.manifest["excluded_label_edges"] > 0
+
+
+def test_export_matches_reference_past_a_thousand_edge_files(tmp_path):
+    types = ORACLE_TYPES + [f"{EX}U{i}" for i in range(6)]
+    kg, _ = oracle_kg(random.Random(5), n_vertices=300, n_predicates=12, n_triples=8000, types=types)
+    (ref, _), (got, _) = export_both(full_subgraph(kg), None, None, tmp_path)
+    assert len(got.manifest["edge_files"]) > 1000
+    assert "edges_1000.tsv" in got.manifest["edge_files"]
+    assert _files(tmp_path / "export") == _files(tmp_path / "reference")
+    assert got.manifest == ref.manifest
