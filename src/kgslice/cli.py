@@ -39,11 +39,12 @@ from .graph import (
 )
 from .influence import PprParams, extract_influence
 from .metrics import quality_report, render_reports, reports_tsv
-from .patterns import LocalBackend, PatternTask, pattern_task_for
+from .patterns import LocalBackend, PatternTask, check_pattern_shape, pattern_task_for
 from .rgcn import RgcnReferenceModel, prune_outside_reach, random_features, rgcn_forward
 from .tasks import (
     NODE_CLASSIFICATION,
     build_labels,
+    check_task_config,
     config_required,
     make_splits,
     read_config,
@@ -195,7 +196,25 @@ def _endpoint_extract(args, cfg, outdir: Path) -> Subgraph:
         raise
 
 
-def _local_extract(args, cfg) -> Subgraph:
+def _engine_params(args) -> WalkParams | PprParams | None:
+    """The engine's checked parameters: WalkParams for brw, PprParams for ibs."""
+    if args.engine == "brw":
+        return WalkParams(
+            walk_length=args.h,
+            batch_size=args.bs,
+            walks_per_seed=args.walks_per_seed,
+            seed=args.seed,
+            direction=args.direction,
+        )
+    check_at_least_one(args.bs, "batch size")
+    if args.engine == "ibs":
+        check_at_least_one(args.k, "k")
+        return PprParams(alpha=args.alpha, epsilon=args.epsilon)
+    check_pattern_shape(args.d, args.h)
+    return None
+
+
+def _local_extract(args, cfg, params) -> Subgraph:
     """Extraction from the ``--kg`` input with the chosen engine."""
     if not args.kg:
         raise KgsliceError("--kg is required unless --engine sparql uses --endpoint")
@@ -203,23 +222,9 @@ def _local_extract(args, cfg) -> Subgraph:
     task = task_from_config(kg, cfg)
 
     if args.engine == "brw":
-        params = WalkParams(
-            walk_length=args.h,
-            batch_size=args.bs,
-            walks_per_seed=args.walks_per_seed,
-            seed=args.seed,
-            direction=args.direction,
-        )
         return extract_random_walk(kg, task, params)
     if args.engine == "ibs":
-        return extract_influence(
-            kg,
-            task,
-            bs=args.bs,
-            k=args.k,
-            params=PprParams(alpha=args.alpha, epsilon=args.epsilon),
-            seed=args.seed,
-        )
+        return extract_influence(kg, task, bs=args.bs, k=args.k, params=params, seed=args.seed)
     return sparql_extract(
         LocalBackend(kg), pattern_task_for(kg, task), args.d, args.h, args.bs,
         workers=args.workers,
@@ -227,18 +232,19 @@ def _local_extract(args, cfg) -> Subgraph:
 
 
 def cmd_extract(args) -> int:
-    # every engine rejects a bad --timeout, --retries or --workers, and sparql
-    # and ibs a bad --bs, before any file is read or request sent
+    # every engine rejects a bad --timeout, --retries, --workers or engine
+    # parameter before any file is read or request sent, and a config no
+    # graph could make a task of before --kg is read or a request sent
     check_request_policy(args.timeout, args.retries)
     check_at_least_one(args.workers, "workers")
-    if args.engine in ("sparql", "ibs"):
-        check_at_least_one(args.bs, "batch size")
+    params = _engine_params(args)
     cfg = read_config(args.config)
+    check_task_config(cfg)
     outdir = Path(args.out)
     if args.engine == "sparql" and args.endpoint:
         sg = _endpoint_extract(args, cfg, outdir)
     else:
-        sg = _local_extract(args, cfg)
+        sg = _local_extract(args, cfg, params)
 
     nc = cfg.get("task", NODE_CLASSIFICATION).lower() == NODE_CLASSIFICATION
     if nc and "target_predicate" in cfg and not args.keep_label_edges:

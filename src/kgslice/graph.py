@@ -72,14 +72,13 @@ _GZIP_MAGIC = b"\x1f\x8b"
 class WalkIndex(NamedTuple):
     """The walk adjacency as lists indexed by vertex id.
 
-    ``neighbors[v]`` is the sorted walk list of ``v`` (``()`` if none) and
-    ``degree[v]`` its length. ``distinct[v]`` is ``neighbors[v]`` itself
-    when the list has no repeats, else its distinct ids ascending.
+    ``neighbors[v]`` is the sorted walk list of ``v`` (``()`` if none), in
+    which a neighbor repeats once per parallel edge, and ``degree[v]`` is
+    its length.
     """
 
     neighbors: list
     degree: list[int]
-    distinct: list
 
 
 def term_kind(surface: str) -> str:
@@ -388,11 +387,7 @@ class KnowledgeGraph:
         if self._walk_index is None:
             adj = self.walk_adjacency(BOTH)
             neighbors = [adj.get(v, ()) for v in range(len(self._terms))]
-            distinct = []
-            for lst in neighbors:
-                uniq = set(lst)
-                distinct.append(lst if len(uniq) == len(lst) else sorted(uniq))
-            self._walk_index = WalkIndex(neighbors, list(map(len, neighbors)), distinct)
+            self._walk_index = WalkIndex(neighbors, list(map(len, neighbors)))
         return self._walk_index
 
     def induced_subgraph(self, vs) -> Subgraph:

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import heapq
 import math
+import random
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .errors import DuplicateTarget, EmptyTargetSet, KgsliceError, check_at_least_one
 from .graph import BOTH, KnowledgeGraph, Subgraph
 from .tasks import TaskSpec, resolve_targets
-from .walks import _derived_rng, get_initial_vertices
+from .walks import derived_seed, get_initial_vertices
 
 
 @dataclass
@@ -51,7 +52,7 @@ class InfluenceScores:
 def approximate_ppr(kg: KnowledgeGraph, source: int, params: PprParams) -> InfluenceScores:
     """Forward-push PPR estimate from one source vertex."""
     kg._check_vertex(source)
-    neighbors, degree, distinct = kg.walk_index()
+    neighbors, degree = kg.walk_index()
     if not degree[source]:
         # the walk can only teleport home: the whole residual converts
         return InfluenceScores(source=source, scores={source: 1.0})
@@ -62,17 +63,13 @@ def approximate_ppr(kg: KnowledgeGraph, source: int, params: PprParams) -> Influ
     p_get, r_get = p.get, r.get
     push, pop = heapq.heappush, heapq.heappop
 
-    # lazy max-heap on residual/degree ratio, ties by vertex id; push order
-    # decides the scores bit for bit, so every branch below keeps it. The
-    # walk graph is symmetric: every vertex that gets residual has degree >= 1
-    heap: list[tuple[float, int]] = []
-
-    def enqueue(u: int) -> None:
-        ru, deg = r_get(u, 0.0), degree[u]
-        if ru >= eps * deg:
-            push(heap, (-(ru / deg), u))
-
-    enqueue(source)
+    # lazy max-heap on residual/degree ratio, ties by vertex id. A vertex is
+    # pushed each time its residual grows past its threshold; only the entry
+    # holding its current ratio is live, the check below skips the others.
+    # So a neighbor listed twice (parallel edges) pops exactly as if it had
+    # been pushed once, after all its shares landed. The walk graph is
+    # symmetric: every vertex that gets residual has degree >= 1
+    heap: list[tuple[float, int]] = [(-(1.0 / degree[source]), source)]
     while heap:
         neg_ratio, u = pop(heap)
         ru = r_get(u, 0.0)
@@ -82,21 +79,12 @@ def approximate_ppr(kg: KnowledgeGraph, source: int, params: PprParams) -> Influ
         p[u] = p_get(u, 0.0) + alpha * ru
         r[u] = 0.0
         share = keep * ru / deg
-        nbrs = neighbors[u]
-        if distinct[u] is nbrs:
-            # each neighbor gets one share, so its residual is final here
-            for w in nbrs:
-                rw = r_get(w, 0.0) + share
-                r[w] = rw
-                dw = degree[w]
-                if rw >= eps * dw:
-                    push(heap, (-(rw / dw), w))
-        else:
-            # parallel edges: all shares land before any neighbor is enqueued
-            for w in nbrs:
-                r[w] = r_get(w, 0.0) + share
-            for w in distinct[u]:
-                enqueue(w)
+        for w in neighbors[u]:
+            rw = r_get(w, 0.0) + share
+            r[w] = rw
+            dw = degree[w]
+            if rw >= eps * dw:
+                push(heap, (-(rw / dw), w))
 
     residuals = {u: ru for u, ru in r.items() if ru > 0.0}
     scores = {u: pu for u, pu in p.items() if pu > 0.0}
@@ -125,8 +113,7 @@ def select_topk(targets, scores: Iterable[InfluenceScores], k: int) -> list[tupl
     entry per target. Ties break toward the smaller vertex id; targets with
     fewer than k scored neighbors contribute fewer pairs.
     """
-    if k < 1:
-        raise KgsliceError("k must be >= 1")
+    check_at_least_one(k, "k")
     pairs: list[tuple[int, int]] = []
     for target, inf in zip(targets, scores, strict=True):
         # (-score, id) keys are unique, so this is the sorted order's first k
@@ -206,7 +193,7 @@ def extract_influence(
         raise EmptyTargetSet("task has no target vertices")
     pairs = select_topk(targets, influence_scores(kg, targets, params), k)
     if pairs:
-        partition = build_partition(pairs, bs, _derived_rng(seed, "partition"))
+        partition = build_partition(pairs, bs, random.Random(derived_seed(seed, "partition")))
     else:
         # every target is isolated in the walk graph: plain target batch
         partition = set(get_initial_vertices(bs, targets, seed))

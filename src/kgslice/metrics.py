@@ -155,21 +155,6 @@ def avg_distance_to_target(
 def quality_report(sg: Subgraph, task: TaskSpec, kg: KnowledgeGraph) -> QualityReport:
     """All indicators for ``sg`` relative to a task resolved on ``kg``."""
     targets = set(resolve_targets(kg, task)) & sg.vertices
-    if not sg.triples:
-        return QualityReport(
-            vertex_count=0,
-            vertex_count_no_literals=0,
-            triple_count=0,
-            target_count=0,
-            target_ratio=0.0,
-            node_type_count=0,
-            edge_type_count=0,
-            target_disconnected_ratio=0.0,
-            avg_distance_to_target=0.0,
-            no_connected_non_targets=True,
-            neighbor_type_entropy=0.0,
-            empty=True,
-        )
     ratio, n_types, n_preds = target_stats(sg, targets)
     dist = sg.undirected_distances(targets)
     avg, n_connected = avg_distance_to_target(sg, targets, dist)
@@ -189,6 +174,7 @@ def quality_report(sg: Subgraph, task: TaskSpec, kg: KnowledgeGraph) -> QualityR
         avg_distance_to_target=avg,
         no_connected_non_targets=n_connected == 0,
         neighbor_type_entropy=entropy,
+        empty=not sg.triples,
     )
 
 

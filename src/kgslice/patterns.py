@@ -126,12 +126,17 @@ def _render(shape: tuple[str, ...], anchor: str, tp: str) -> tuple[str, str, str
     return projection, bind, " ".join(patterns), filt
 
 
-def get_bgp(task: PatternTask, d: int, h: int) -> BgpQuery:
-    """Build the pattern query for (d, h); h is capped at 2."""
+def check_pattern_shape(d: int, h: int) -> None:
+    """Raise UnsupportedParams unless d (direction) and h (hops) are each 1 or 2."""
     if d not in (1, 2):
         raise UnsupportedParams(f"d must be 1 or 2, got {d}")
     if h not in (1, 2):
         raise UnsupportedParams(f"h must be 1 or 2, got {h}")
+
+
+def get_bgp(task: PatternTask, d: int, h: int) -> BgpQuery:
+    """Build the pattern query for (d, h); h is capped at 2."""
+    check_pattern_shape(d, h)
     dirs = ("out",) if d == 1 else ("out", "in")
     shapes = [shape for n in range(1, h + 1) for shape in itertools.product(dirs, repeat=n)]
     tp = task.type_predicate_iri

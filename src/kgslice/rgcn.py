@@ -19,7 +19,6 @@ pruned.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -27,12 +26,11 @@ import numpy as np
 
 from .errors import MissingFeature, UnsupportedParams
 from .graph import Subgraph, hop_distances
+from .walks import derived_seed
 
 
 def _derived_array(seed: int, scope: tuple, shape: tuple[int, ...]) -> np.ndarray:
-    key = ":".join(map(str, (seed, *scope))).encode()
-    digest = hashlib.sha256(key).digest()
-    gen = np.random.default_rng(int.from_bytes(digest[:8], "big"))
+    gen = np.random.default_rng(derived_seed(seed, *scope))
     return gen.uniform(-0.5, 0.5, size=shape)
 
 

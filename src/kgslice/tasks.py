@@ -38,14 +38,19 @@ class TaskSpec:
     top_n_labels: int | None = None
 
     def __post_init__(self):
-        if self.kind not in (NODE_CLASSIFICATION, LINK_PREDICTION):
-            raise KgsliceError(f"unknown task kind {self.kind!r}")
-        if self.kind == NODE_CLASSIFICATION and self.target_predicate is None:
-            raise KgsliceError("node classification requires a label predicate")
-        if self.kind == LINK_PREDICTION and self.target_predicate is None:
-            raise KgsliceError("link prediction requires a target predicate")
-        if self.top_n_labels is not None and self.top_n_labels < 1:
-            raise KgsliceError("top_n_labels must be >= 1")
+        _check_task(self.kind, self.target_predicate, self.top_n_labels)
+
+
+def _check_task(kind: str, target_predicate, top_n_labels: int | None) -> None:
+    """TaskSpec's rules; none needs a graph, so ``target_predicate`` may be an id or an IRI."""
+    if kind not in (NODE_CLASSIFICATION, LINK_PREDICTION):
+        raise KgsliceError(f"unknown task kind {kind!r}")
+    if kind == NODE_CLASSIFICATION and target_predicate is None:
+        raise KgsliceError("node classification requires a label predicate")
+    if kind == LINK_PREDICTION and target_predicate is None:
+        raise KgsliceError("link prediction requires a target predicate")
+    if top_n_labels is not None and top_n_labels < 1:
+        raise KgsliceError("top_n_labels must be >= 1")
 
 
 @dataclass
@@ -302,6 +307,16 @@ def config_required(cfg: dict[str, str], key: str) -> str:
     if key not in cfg:
         raise KgsliceError(f"config key {key} is required")
     return cfg[key]
+
+
+def check_task_config(cfg: dict[str, str]) -> None:
+    """Apply :class:`TaskSpec`'s rules to the config's own values, before any graph is read."""
+    config_required(cfg, "target_type")
+    _check_task(
+        cfg.get("task", NODE_CLASSIFICATION).lower(),
+        cfg.get("target_predicate"),
+        _config_value(cfg, "top_n_labels", int),
+    )
 
 
 def task_from_config(kg: KnowledgeGraph, cfg: dict[str, str]) -> TaskSpec:

@@ -32,10 +32,10 @@ class WalkParams:
             raise KgsliceError(f"bad walk direction {self.direction!r}")
 
 
-def _derived_rng(seed: int, *scope) -> random.Random:
-    """Independent RNG stream per (seed, scope); stable across runs."""
-    key = ":".join([str(seed), *map(str, scope)]).encode()
-    return random.Random(int.from_bytes(hashlib.sha256(key).digest()[:8], "big"))
+def derived_seed(seed: int, *scope) -> int:
+    """Independent 64-bit seed per (seed, scope); stable across runs and platforms."""
+    key = ":".join(map(str, (seed, *scope))).encode()
+    return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
 
 def get_initial_vertices(bs: int, targets, seed: int) -> list[int]:
@@ -45,7 +45,7 @@ def get_initial_vertices(bs: int, targets, seed: int) -> list[int]:
         raise EmptyTargetSet("no targets to seed walks from")
     if bs >= len(targets):
         return targets
-    rng = _derived_rng(seed, "init")
+    rng = random.Random(derived_seed(seed, "init"))
     return sorted(rng.sample(targets, bs))
 
 
@@ -82,7 +82,7 @@ def extract_random_walk(kg: KnowledgeGraph, task: TaskSpec, params: WalkParams) 
     visited: set[int] = set(initial)
     for v in initial:
         for w in range(params.walks_per_seed):
-            rng = _derived_rng(params.seed, "walk", v, w)
+            rng = random.Random(derived_seed(params.seed, "walk", v, w))
             visited |= random_walk_sample(kg, v, params.walk_length, params.direction, rng)
     sg = kg.induced_subgraph(visited)
     sg.provenance = {

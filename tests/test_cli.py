@@ -588,6 +588,60 @@ def test_extract_bad_workers_or_bs_exits_two(
         server.close()
 
 
+WALK_MESSAGE = "walk_length, batch_size, walks_per_seed must be >= 1"
+
+
+@pytest.mark.parametrize(
+    "engine,source,flag,cfg_edit,message",
+    [
+        ("ibs", "kg", ["--alpha", "2"], None, "alpha must be in (0, 1)"),
+        ("ibs", "kg", ["--epsilon", "nan"], None, "epsilon must be finite and > 0"),
+        ("ibs", "kg", ["--k", "0"], None, "k must be >= 1"),
+        ("brw", "kg", ["--h", "0"], None, WALK_MESSAGE),
+        ("brw", "kg", ["--walks-per-seed", "0"], None, WALK_MESSAGE),
+        ("brw", "kg", ["--bs", "0"], None, WALK_MESSAGE),
+        ("sparql", "kg", ["--h", "3"], None, "h must be 1 or 2, got 3"),
+        ("sparql", "kg", [], "drop target_predicate",
+         "node classification requires a label predicate"),
+        ("sparql", "endpoint", [], "drop target_predicate",
+         "node classification requires a label predicate"),
+        ("sparql", "kg", [], "top_n_labels = 0", "top_n_labels must be >= 1"),
+        ("sparql", "endpoint", [], "top_n_labels = 0", "top_n_labels must be >= 1"),
+    ],
+)
+def test_extract_bad_engine_parameter_or_task_exits_two_before_the_load(
+    mini_kg, task_cfg, tmp_path, capsys, engine, source, flag, cfg_edit, message
+):
+    """Engine parameters and graph-free task rules fail before --kg is read or a request sent."""
+    from kgslice.graph import load_ntriples
+    from sparql_double import SparqlDouble
+
+    lines = task_cfg.read_text(encoding="utf-8").splitlines()
+    if cfg_edit == "drop target_predicate":
+        lines = [line for line in lines if not line.startswith("target_predicate")]
+    elif cfg_edit is not None:
+        lines.append(cfg_edit)
+    cfg = tmp_path / "edited.cfg"
+    cfg.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    out = tmp_path / "out"
+    server = SparqlDouble(load_ntriples(mini_kg)[0])
+    try:
+        if source == "endpoint":
+            where = ["--endpoint", server.url]
+        else:
+            where = ["--kg", str(tmp_path / "missing.nt")]
+        rc = main(
+            ["extract", "--engine", engine, *where, "--config", str(cfg),
+             "--out", str(out), *flag]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"kgslice: {message}\n"
+        assert server.seen_headers == []
+        assert not out.exists()
+    finally:
+        server.close()
+
+
 @pytest.mark.parametrize("type_predicate", [TYPE_IRI, f"{EX}isa"])
 @pytest.mark.parametrize("d,h", [(1, 1), (2, 2)])
 def test_endpoint_extract_writes_the_local_slice(mini_kg, task_cfg, tmp_path, type_predicate, d, h):

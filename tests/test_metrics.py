@@ -9,6 +9,7 @@ from kgslice.errors import EmptySubgraph
 from kgslice.graph import ingest_ntriples, subgraph_from_triples
 from kgslice.influence import PprParams, extract_influence
 from kgslice.metrics import (
+    QualityReport,
     avg_distance_to_target,
     disconnected_ratio,
     neighbor_type_counts,
@@ -191,9 +192,20 @@ def test_avg_distance_matches_per_vertex_bfs(rng):
 def test_quality_report_empty():
     kg, _ = ingest_ntriples(nt("a", "a", "T").encode())
     sg = subgraph_from_triples(kg, [])
-    report = quality_report(sg, nc_task(kg), kg)
-    assert report.empty
-    assert report.vertex_count == 0
+    assert quality_report(sg, nc_task(kg), kg) == QualityReport(
+        vertex_count=0,
+        vertex_count_no_literals=0,
+        triple_count=0,
+        target_count=0,
+        target_ratio=0.0,
+        node_type_count=0,
+        edge_type_count=0,
+        target_disconnected_ratio=0.0,
+        avg_distance_to_target=0.0,
+        no_connected_non_targets=True,
+        neighbor_type_entropy=0.0,
+        empty=True,
+    )
 
 
 def test_quality_report_pure_function(rng):

@@ -116,13 +116,12 @@ def test_accessors_equal_brute_force_filters(edges, typed, rnd):
         assert [adj.get(v) for v in ids] == [expected.get(v) for v in ids]
         assert dict(adj) == expected
     both = walk_lists(kg, BOTH)
-    neighbors, degree, distinct = kg.walk_index()
-    assert len(neighbors) == len(degree) == len(distinct) == n
+    neighbors, degree = kg.walk_index()
+    assert len(neighbors) == len(degree) == n
     for v in range(n):
         lst = both.get(v, [])
         assert list(neighbors[v]) == lst
         assert degree[v] == len(lst)
-        assert list(distinct[v]) == sorted(set(lst))
     # a class is the vertex a type triple points at, named by its vertex id
     type_triples = [t for t in kg.triples if t[1] == kg.type_predicate]
     classes = {o for _, _, o in type_triples}
