@@ -105,6 +105,8 @@ def _load_slices(args, paths):
     the config.
     """
     cfg = read_config(args.config)
+    # a config that no graph could make a task of fails before --kg or a slice is read
+    check_task_config(cfg)
     kg = _load_kg(args.kg, type_predicate=args.type_predicate)[0] if args.kg else None
     slices = []
     for path in paths:

@@ -133,9 +133,10 @@ class Subgraph:
         """Subjects and objects of the non-type triples as read-only int64 arrays."""
         if self._edges is None:
             m = len(self._non_type)
-            flat = np.fromiter(chain.from_iterable(self._non_type), dtype=np.int64, count=3 * m)
-            spo = flat.reshape(m, 3)
-            s, o = spo[:, 0].copy(), spo[:, 2].copy()
+            s, o = (
+                np.fromiter(map(itemgetter(i), self._non_type), dtype=np.int64, count=m)
+                for i in (0, 2)
+            )
             s.flags.writeable = o.flags.writeable = False
             self._edges = (s, o)
         return self._edges

@@ -15,23 +15,41 @@ computes every vertex at once with exactly the operations, and the order,
 of a per-vertex loop (one gemv per row, never a gemm over the batch), so
 results are bit-reproducible no matter how the subgraph was built or
 pruned.
+
+Features and weights are uniform in [-0.5, 0.5) and derived in bulk by
+:func:`_uniform_rows`, keyed like a counter-based generator (Salmon et
+al., SC 2011): a vertex's feature row is a pure function of (seed,
+vertex id), a weight matrix of (seed, layer, predicate id, direction).
+No per-vertex generator is built, and a vertex gets the same row in any
+slice. This derivation replaced one numpy Generator per vertex, so
+embedding values differ from earlier versions for the same seed; the
+validator's verdicts do not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from hashlib import shake_128
 from operator import itemgetter
 
 import numpy as np
 
 from .errors import MissingFeature, UnsupportedParams
 from .graph import Subgraph, hop_distances
-from .walks import derived_seed
 
 
-def _derived_array(seed: int, scope: tuple, shape: tuple[int, ...]) -> np.ndarray:
-    gen = np.random.default_rng(derived_seed(seed, *scope))
-    return gen.uniform(-0.5, 0.5, size=shape)
+def _uniform_rows(seed: int, tag: str, keys, width: int) -> np.ndarray:
+    """One row of ``width`` floats in [-0.5, 0.5) per key, as an (n, width) array.
+
+    Row i is a pure function of (seed, tag, keys[i]): the key's
+    ``shake_128`` digest read as little-endian uint64s, whose top 53 bits
+    scale to [0, 1). No generator state is kept, so a key's row does not
+    depend on which other keys are asked for.
+    """
+    size = 8 * width
+    digests = b"".join(shake_128(f"{seed}:{tag}:{key}".encode()).digest(size) for key in keys)
+    bits = np.frombuffer(digests, dtype="<u8").reshape(-1, width)
+    return (bits >> 11) * 2.0**-53 - 0.5
 
 
 @dataclass
@@ -47,15 +65,19 @@ class RgcnReferenceModel:
             raise UnsupportedParams(f"RGCN dim must be >= 1, got {self.dim}")
 
     def self_weight(self, layer: int) -> np.ndarray:
-        return _derived_array(self.seed, ("w0", layer), (self.dim, self.dim))
+        d = self.dim
+        return _uniform_rows(self.seed, "w0", [layer], d * d).reshape(d, d)
 
     def relation_weight(self, layer: int, predicate: int, inverse: bool = False) -> np.ndarray:
+        d = self.dim
         tag = "wr-inv" if inverse else "wr"
-        return _derived_array(self.seed, (tag, layer, predicate), (self.dim, self.dim))
+        return _uniform_rows(self.seed, tag, [f"{layer}:{predicate}"], d * d).reshape(d, d)
 
 
 def random_features(vertices, dim: int, seed: int = 0) -> dict[int, np.ndarray]:
-    return {v: _derived_array(seed, ("feat", v), (dim,)) for v in vertices}
+    """One feature row per vertex, keyed by vertex id; rows are views of one (n, dim) array."""
+    vertices = list(vertices)
+    return dict(zip(vertices, _uniform_rows(seed, "feat", vertices, dim)))
 
 
 def _entity_mask(sg: Subgraph) -> np.ndarray:
@@ -149,7 +171,8 @@ def rgcn_forward(
             recv = receivers[lo:hi]
             z[recv] = z[recv] + np.matmul(w[None], msg[lo:hi, :, None])[:, :, 0]
         h = np.maximum(z, 0.0)
-    return {v: row.copy() for v, row in zip(verts, h)}
+    # h is a fresh array (np.array or np.maximum), so the rows alias no input
+    return dict(zip(verts, h))
 
 
 def message_reach(sg: Subgraph, targets, hops: int) -> set[int]:

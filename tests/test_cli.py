@@ -642,6 +642,25 @@ def test_extract_bad_engine_parameter_or_task_exits_two_before_the_load(
         server.close()
 
 
+@pytest.mark.parametrize("command", ["metrics", "compare", "validate", "export"])
+def test_slice_command_bad_task_config_exits_two_before_the_load(
+    mini_kg, task_cfg, tmp_path, capsys, command
+):
+    """The slice commands apply the graph-free task rules before --kg is read."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(task_cfg.read_text(encoding="utf-8") + "top_n_labels = 0\n", encoding="utf-8")
+    slices = {
+        "metrics": ["--subgraph", str(mini_kg)],
+        "compare": [str(mini_kg), str(mini_kg)],
+        "validate": ["--subgraph", str(mini_kg)],
+        "export": ["--subgraph", str(mini_kg), "--out", str(tmp_path / "out")],
+    }[command]
+    rc = main([command, *slices, "--config", str(cfg), "--kg", str(tmp_path / "missing.nt")])
+    assert rc == 2
+    assert capsys.readouterr().err == "kgslice: top_n_labels must be >= 1\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("type_predicate", [TYPE_IRI, f"{EX}isa"])
 @pytest.mark.parametrize("d,h", [(1, 1), (2, 2)])
 def test_endpoint_extract_writes_the_local_slice(mini_kg, task_cfg, tmp_path, type_predicate, d, h):

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgslice.errors import MissingFeature, UnsupportedParams
 from kgslice.graph import subgraph_from_triples
@@ -258,6 +260,44 @@ def test_influence_zero_iff_outside_reach(rng):
         else:
             assert inf <= 1e-6
     assert saw_positive  # at least the self pair carries influence
+
+
+@given(
+    st.lists(st.integers(0, 10**9), min_size=1, max_size=40),
+    st.integers(0, 39),
+    st.integers(1, 16),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=60, deadline=None)
+def test_feature_row_does_not_depend_on_the_other_vertices(vs, i, dim, seed):
+    # validate gives the full and the pruned slice one feature dict, so a
+    # vertex's row must be the one it would get alone
+    v = vs[i % len(vs)]
+    assert np.array_equal(random_features(vs, dim, seed)[v], random_features([v], dim, seed)[v])
+
+
+@pytest.mark.parametrize("dim", [1, 3, 8, 64])
+def test_features_and_weights_are_float64_in_range(dim):
+    feats = random_features(range(200), dim, seed=dim)
+    model = RgcnReferenceModel(layers=2, dim=dim, seed=dim)
+    weights = [model.self_weight(1), model.relation_weight(0, 3), model.relation_weight(0, 3, True)]
+    for row in feats.values():
+        assert row.dtype == np.float64 and row.shape == (dim,)
+    for w in weights:
+        assert w.dtype == np.float64 and w.shape == (dim, dim)
+    for a in [np.stack(list(feats.values())), *weights]:
+        assert a.min() >= -0.5 and a.max() < 0.5
+    assert random_features([], dim) == {}
+
+
+def test_derivation_golden_values():
+    # a changed derivation changes every embedding; it should not do so silently
+    row = random_features([7], 4, seed=3)[7]
+    assert row.tolist() == [
+        0.3702098276641629, -0.3517505192226056, -0.19954185728316343, 0.4523277682019451
+    ]
+    model = RgcnReferenceModel(layers=2, dim=3, seed=5)
+    assert model.relation_weight(1, 4, inverse=True)[0, 2] == -0.3997769899590867
 
 
 def test_constant_features_shape():
