@@ -86,7 +86,7 @@ def _write_subgraph(sg: Subgraph, outdir: Path) -> None:
     manifest = {
         "provenance": sg.provenance,
         "vertices": len(sg.vertices),
-        "triples": len(sg.triples),
+        "triples": len(sg.spo),
         "node_types": len(sg.node_type_ids),
         "predicates": len(sg.predicate_ids),
     }
@@ -112,7 +112,7 @@ def _load_slices(args, paths):
     for path in paths:
         if kg is None:
             own, _ = load_ntriples(path, type_predicate_iri=args.type_predicate, strict=True)
-            sg = subgraph_from_triples(own, own.triples)
+            sg = subgraph_from_triples(own, own.spo)
         else:
             with open_maybe_gzip(path) as fh:
                 triples = [
@@ -132,22 +132,20 @@ def _strip_label_edges(sg: Subgraph, target_type_iri: str, label_predicate_iri: 
     the graph of the returned rows.
     """
     kg = sg.kg
-    kept = sg.triples
+    label_edge = np.zeros(len(sg.spo), dtype=bool)
     try:
         target_type = kg.type_id(target_type_iri)
         label_predicate = kg.predicate_id(label_predicate_iri)
     except (UnknownType, UnknownPredicate):
         pass  # without the target type or the label predicate there is no label edge
     else:
-        target_vertices = {s for s, _, o in sg.type_triples if o == target_type}
-        kept = [
-            t
-            for t in sg.triples
-            if not (t[1] == label_predicate and t[0] in target_vertices)
-        ]
+        types = sg.type_spo
+        is_target = np.zeros(kg.vertex_count(), dtype=bool)
+        is_target[types[types[:, 2] == target_type, 0]] = True
+        label_edge = (sg.spo[:, 1] == label_predicate) & is_target[sg.spo[:, 0]]
     # vertices that only carried label edges drop out with them
-    out = subgraph_from_triples(kg, kept, provenance=dict(sg.provenance))
-    out.provenance["label_edges_excluded"] = len(sg.triples) - len(kept)
+    out = Subgraph(kg, sg.spo[~label_edge], dict(sg.provenance))
+    out.provenance["label_edges_excluded"] = int(np.count_nonzero(label_edge))
     return out
 
 
@@ -253,7 +251,7 @@ def cmd_extract(args) -> int:
         sg = _strip_label_edges(sg, cfg["target_type"], cfg["target_predicate"])
 
     _write_subgraph(sg, outdir)
-    print(f"extracted {len(sg.triples)} triples to {outdir}")
+    print(f"extracted {len(sg.spo)} triples to {outdir}")
     return 0
 
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from sys import intern
 from time import sleep
 
+import numpy as np
 import requests
 
 from .errors import (
@@ -220,12 +221,13 @@ def execution_planner(bgp: BgpQuery, counts, bs: int) -> QueryBatchPlan:
 def execute_plan(backend, bgp: BgpQuery, plan: QueryBatchPlan, workers: int = 1):
     """Run every job once; returns the row multiset.
 
-    Rows are id triples from a LocalBackend, surface-string triples from
-    an HttpBackend (whose requests do their own retrying). Workers pull
-    from a shared index; rows are concatenated in job order so even the
-    multiset is schedule-independent. A job that fails, or whose page
-    holds other than ``min(limit, count - offset)`` rows, aborts the
-    extraction with the completed jobs attached.
+    Rows are an (n, 3) id array from a LocalBackend, whose pages are
+    array slices joined with one concatenate, and a list of surface-string
+    triples from an HttpBackend (whose requests do their own retrying).
+    Workers pull from a shared index; rows are concatenated in job order
+    so even the multiset is schedule-independent. A job that fails, or
+    whose page holds other than ``min(limit, count - offset)`` rows,
+    aborts the extraction with the completed jobs attached.
     """
     check_at_least_one(workers, "workers")
     n_jobs = len(plan.jobs)
@@ -274,6 +276,8 @@ def execute_plan(backend, bgp: BgpQuery, plan: QueryBatchPlan, workers: int = 1)
         exc.completed_jobs = [i for i, r in enumerate(results) if r is not None]
         raise exc
 
+    if results and isinstance(results[0], np.ndarray):
+        return np.concatenate(results)
     rows: list = []
     for page in results:
         rows.extend(page)
@@ -285,11 +289,12 @@ def drop_duplicates(
 ) -> Subgraph:
     """Deduplicate raw (s, p, o) rows into a Subgraph.
 
-    With a local graph the rows are id triples in its id space and go
-    straight to ``subgraph_from_triples``, which dedups and sorts them.
-    Without one they are surface-string rows from an endpoint, with
-    interned terms (see ``HttpBackend._parse_rows``), so the dedup and the
-    sort find equal terms by identity. The dedup is ``dict.fromkeys``,
+    With a local graph the rows are id triples in its id space, an (n, 3)
+    array from ``execute_plan``, and go straight to
+    ``subgraph_from_triples``, which sorts and dedups them as an array.
+    Without one they are surface-string rows from an endpoint,
+    with interned terms (see ``HttpBackend._parse_rows``), so the dedup and
+    the sort find equal terms by identity. The dedup is ``dict.fromkeys``,
     which keeps first-seen order, so the sort merges the ordered runs of
     each page instead of sorting hash order. A fresh KnowledgeGraph, typed
     by ``type_predicate_iri``, is built from the sorted unique rows as
@@ -312,7 +317,7 @@ def drop_duplicates(
         fresh, _ = ingest_ntriples(statements, type_predicate_iri=type_predicate_iri)
     except MalformedTerm as exc:
         raise KgsliceError(f"endpoint returned unparsable terms: {exc}") from exc
-    return subgraph_from_triples(fresh, fresh.triples)
+    return subgraph_from_triples(fresh, fresh.spo)
 
 
 def sparql_extract(
@@ -343,7 +348,7 @@ def sparql_extract(
         "backend": backend.describe(),
         "branch_counts": counts,
     }
-    if not sg.triples:
+    if not len(sg.spo):
         log.warning("extraction produced an empty subgraph")
     return sg
 

@@ -31,6 +31,15 @@ class MalformedTerm(KgsliceError):
         self.term = term
 
 
+class IdSpaceExhausted(KgsliceError):
+    """More distinct terms, or predicates, than int32 ids can number. Carries what and the limit."""
+
+    def __init__(self, what: str, limit: int):
+        super().__init__(f"more than {limit} distinct {what}: ids are int32, so {limit} is the limit")
+        self.what = what
+        self.limit = limit
+
+
 class UnknownVertex(KgsliceError):
     """A vertex the graph does not hold. Carries the IRI, surface form or id asked for."""
 

@@ -44,7 +44,6 @@ import re
 import warnings
 from dataclasses import dataclass
 from itertools import islice
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -109,11 +108,12 @@ def export_bundle(
 
     # every vertex's smallest asserted type, else the literal or untyped bucket
     smallest: dict[int, str] = {}
-    for s, _, o in sg.type_triples:
+    type_pairs = sg.type_spo[:, ::2].tolist()
+    for s, o in type_pairs:
         lexical = kg.lexical(o)
         if s not in smallest or lexical < smallest[s]:
             smallest[s] = lexical
-    verts = sorted(sg.vertices, key=kg.term)
+    verts = sorted(sg.vertex_ids.tolist(), key=kg.term)
     names = [
         smallest[v] if v in smallest else LITERAL_TYPE if kg.kind(v) == KIND_LITERAL else UNTYPED
         for v in verts
@@ -142,16 +142,14 @@ def export_bundle(
     dense_of[ids] = dense
     del rank, ids, dense
 
-    type_rows = sorted(
-        (kg.term(s), kg.lexical(o)) for s, _, o in sg.type_triples
-    )
+    type_rows = sorted((kg.term(s), kg.lexical(o)) for s, o in type_pairs)
+    del type_pairs
     checksums["types.tsv"] = _write(
         outdir / "types.tsv", (f"{term}\t{type_iri}\n" for term, type_iri in type_rows)
     )
 
     labeled = labels.labels if labels is not None else {}
-    s, o = sg.non_type_edges()
-    p = np.fromiter(map(itemgetter(1), sg.non_type_triples), dtype=np.int64, count=len(s))
+    s, p, o = sg.non_type_spo.T
     excluded_edges = 0
     if exclude_label_edges and label_predicate is not None:
         drop = p == label_predicate
@@ -197,9 +195,11 @@ def export_bundle(
         }
     del src, dst
 
+    in_slice = np.zeros(kg.vertex_count(), dtype=bool)
+    in_slice[sg.vertex_ids] = True
     label_rows = []
     for v, label_id in labeled.items():
-        if v not in sg.vertices:
+        if not in_slice[v]:
             warnings.warn(
                 f"labeled vertex {v} is not in the subgraph; dropped",
                 DanglingLabelWarning,
@@ -213,7 +213,7 @@ def export_bundle(
 
     split_rows = []
     for v, part in (splits or {}).items():
-        if v in sg.vertices:
+        if in_slice[v]:
             split_rows.append((kg.term(v), part))
     split_rows.sort()
     checksums["splits.tsv"] = _write(

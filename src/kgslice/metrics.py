@@ -16,12 +16,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .errors import EmptySubgraph
-from .graph import KnowledgeGraph, Subgraph
+from .graph import KnowledgeGraph, Subgraph, distinct
 from .tasks import TaskSpec, resolve_targets
 
 
@@ -55,19 +54,14 @@ class QualityReport:
 
 
 def _types_by_vertex(kg: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Node types per vertex id: (first offset, count, flat class vertex ids)."""
-    n = kg.vertex_count()
-    m = len(kg.type_of)
-    typed = np.fromiter(kg.type_of, dtype=np.int64, count=m)
-    lens = np.fromiter(map(len, kg.type_of.values()), dtype=np.int64, count=m)
-    flat = np.fromiter(
-        chain.from_iterable(kg.type_of.values()), dtype=np.int64, count=int(lens.sum())
-    )
-    first = np.zeros(n, dtype=np.int64)
-    count = np.zeros(n, dtype=np.int64)
-    first[typed] = np.cumsum(lens) - lens
-    count[typed] = lens
-    return first, count, flat
+    """Node types per vertex id: (first offset, count, flat class vertex ids).
+
+    Read from the type predicate's slice, whose (s, o) order lists each
+    subject's classes together, ascending.
+    """
+    subjects, classes = kg.predicate_columns(kg.type_predicate)
+    count = np.bincount(subjects, minlength=kg.vertex_count())
+    return np.cumsum(count) - count, count, classes
 
 
 def neighbor_type_counts(sg: Subgraph) -> dict[int, int]:
@@ -88,9 +82,9 @@ def neighbor_type_counts(sg: Subgraph) -> dict[int, int]:
     # row r of edge end i reads flat[first[neighbor[i]] + r - starts[i]]
     pos = np.arange(int(k.sum())) - np.repeat(starts - first[neighbor], k)
     # a class is a vertex: pack (vertex, class) as vertex * n + class, in
-    # int64 for graphs under 3e9 vertices
+    # int64, which holds n**2 for any int32 id space
     n = kg.vertex_count()
-    pairs = np.unique(np.repeat(vertex, k) * n + flat[pos])
+    pairs = distinct(np.repeat(vertex, k) * n + flat[pos])
     n_distinct = np.bincount(pairs // n, minlength=n).tolist()
     is_literal = kg.literal_flags()
     return {v: n_distinct[v] for v in sg.vertices if not is_literal[v]}
@@ -165,7 +159,7 @@ def quality_report(sg: Subgraph, task: TaskSpec, kg: KnowledgeGraph) -> QualityR
     return QualityReport(
         vertex_count=len(sg.vertices),
         vertex_count_no_literals=len(sg.entity_vertices()),
-        triple_count=len(sg.triples),
+        triple_count=len(sg.spo),
         target_count=len(targets),
         target_ratio=ratio,
         node_type_count=n_types,
@@ -174,7 +168,7 @@ def quality_report(sg: Subgraph, task: TaskSpec, kg: KnowledgeGraph) -> QualityR
         avg_distance_to_target=avg,
         no_connected_non_targets=n_connected == 0,
         neighbor_type_entropy=entropy,
-        empty=not sg.triples,
+        empty=not len(sg.spo),
     )
 
 

@@ -21,8 +21,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import UnknownPredicate, UnknownType, UnsupportedParams
-from .graph import RDF_TYPE, KnowledgeGraph
+from .graph import RDF_TYPE, KnowledgeGraph, distinct, type_mask
 from .tasks import LINK_PREDICTION, NODE_CLASSIFICATION, TaskSpec
 
 BRIDGE = "bridge"  # shape of the LP branch that returns the bridge edges
@@ -182,18 +184,19 @@ def get_bgp(task: PatternTask, d: int, h: int) -> BgpQuery:
 class LocalBackend:
     """Evaluates pattern branches directly on a KnowledgeGraph.
 
-    Branch rows are id triples, enumerated once and memoized. Each
-    expansion hop keeps a distinct, ascending frontier, and every row
-    fixes the frontier vertex it leaves from (its subject on an outgoing
-    last hop, its object on an incoming one), so a branch's rows are its
-    distinct solutions, in a fixed order: frontier ascending, adjacency
-    lists sorted. A LIMIT/OFFSET page is a slice of those rows, so a
-    branch's pages tile it exactly.
+    Branch rows are an (m, 3) int32 array of id triples, enumerated once
+    and memoized. Each expansion hop gathers the CSR slices of a distinct,
+    ascending frontier, and every row fixes the frontier vertex it leaves
+    from (its subject on an outgoing last hop, its object on an incoming
+    one), so a branch's rows are its distinct solutions, in a fixed order:
+    frontier ascending, each vertex's slice in (p, o) or (p, s) order. A
+    LIMIT/OFFSET page is a slice of those rows, so a branch's pages tile
+    it exactly.
     """
 
     def __init__(self, kg: KnowledgeGraph):
         self.kg = kg
-        self._cache: dict[Branch, list[tuple[int, int, int]]] = {}
+        self._cache: dict[Branch, np.ndarray] = {}
 
     def describe(self) -> str:
         return "local"
@@ -205,29 +208,29 @@ class LocalBackend:
             return []
         return self.kg.vertices_of_type(tid)
 
-    def _lp_anchors(self, bgp: BgpQuery) -> tuple[list[int], list[int], list[tuple[int, int]]]:
+    def _lp_anchors(self, bgp: BgpQuery) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Subject anchors, object anchors and the bridge rows, each ascending."""
         kg = self.kg
         task = bgp.task
         try:
             pt = kg.predicate_id(task.target_predicate_iri)
         except UnknownPredicate:
-            return [], [], []
-        subj_ok = set(self._type_instances(task.target_type_iri))
-        obj_ok = (
-            set(self._type_instances(task.object_type_iri))
-            if task.object_type_iri
-            else None
-        )
-        pairs = [
-            (s, o)
-            for s, _, o in kg.predicate_triples(pt)
-            if s in subj_ok and (obj_ok is None or o in obj_ok)
-        ]
-        subjects = sorted({s for s, _ in pairs})
-        objects = sorted({o for _, o in pairs})
-        return subjects, objects, sorted(pairs)
+            pt = None
+        subjects, objects = kg.predicate_columns(pt)
+        ok = np.zeros(kg.vertex_count(), dtype=bool)
+        ok[self._type_instances(task.target_type_iri)] = True
+        keep = ok[subjects]
+        if task.object_type_iri:
+            ok[:] = False
+            ok[self._type_instances(task.object_type_iri)] = True
+            keep &= ok[objects]
+        subjects, objects = subjects[keep], objects[keep]
+        # the predicate's slice is in (s, o) order and unique: so are the
+        # bridges (none when the predicate is unknown)
+        bridges = np.column_stack([subjects, np.full_like(subjects, pt or 0), objects])
+        return distinct(subjects), distinct(objects), bridges
 
-    def _emit(self, anchors, shape: tuple[str, ...]) -> list[tuple[int, int, int]]:
+    def _emit(self, anchors, shape: tuple[str, ...]) -> np.ndarray:
         """Rows of ``shape`` walked from ``anchors``, with the FILTERs of _render.
 
         The rows are distinct when the anchors are: see the class docstring.
@@ -235,13 +238,14 @@ class LocalBackend:
         kg = self.kg
         tp = kg.type_predicate
         for hop in shape[:-1]:
-            step, far = (kg.out_triples, 2) if hop == "out" else (kg.in_triples, 0)
-            anchors = sorted({t[far] for v in anchors for t in step(v) if t[1] != tp})
+            rows, far = (kg.out_rows(anchors), 2) if hop == "out" else (kg.in_rows(anchors), 0)
+            anchors = distinct(rows[~type_mask(rows[:, 1], tp), far])
         if shape[-1] == "out":
-            return list(itertools.chain.from_iterable(map(kg.out_triples, anchors)))
-        return [t for v in anchors for t in kg.in_triples(v) if t[1] != tp]
+            return kg.out_rows(anchors)
+        rows = kg.in_rows(anchors)
+        return rows[~type_mask(rows[:, 1], tp)]
 
-    def _branch_rows(self, bgp: BgpQuery, index: int) -> list[tuple[int, int, int]]:
+    def _branch_rows(self, bgp: BgpQuery, index: int) -> np.ndarray:
         branch = bgp.branches[index]
         cached = self._cache.get(branch)
         if cached is not None:
@@ -250,20 +254,19 @@ class LocalBackend:
             anchors = self._type_instances(bgp.task.target_type_iri)
             rows = self._emit(anchors, branch.shape)
         else:
-            subjects, objects, pairs = self._lp_anchors(bgp)
+            subjects, objects, bridges = self._lp_anchors(bgp)
             if branch.shape == BRIDGE:
-                pt = self.kg.predicate_id(bgp.task.target_predicate_iri) if pairs else None
-                rows = [(s, pt, o) for s, o in pairs]
+                rows = bridges
             else:
                 anchors = subjects if branch.side == SUBJECT_SIDE else objects
                 rows = self._emit(anchors, branch.shape)
+        rows.flags.writeable = False
         self._cache[branch] = rows
         return rows
 
     def branch_count(self, bgp: BgpQuery, index: int) -> int:
         return len(self._branch_rows(bgp, index))
 
-    def fetch(self, bgp: BgpQuery, index: int, limit: int, offset: int):
-        """Id rows of one LIMIT/OFFSET page of a branch."""
+    def fetch(self, bgp: BgpQuery, index: int, limit: int, offset: int) -> np.ndarray:
+        """One LIMIT/OFFSET page of a branch: a read-only slice of its (m, 3) id rows."""
         return self._branch_rows(bgp, index)[offset : offset + limit]
-

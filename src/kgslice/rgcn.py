@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from hashlib import shake_128
-from operator import itemgetter
 
 import numpy as np
 
@@ -104,7 +103,7 @@ def _message_plan(sg: Subgraph, rows: np.ndarray):
     """
     s, o = sg.non_type_edges()
     keep = _entity_mask(sg)
-    pred = np.fromiter(map(itemgetter(1), sg.non_type_triples), dtype=np.int64, count=len(s))
+    pred = sg.non_type_spo[:, 1].astype(np.int64)
     pred, s, o = pred[keep], np.searchsorted(rows, s[keep]), np.searchsorted(rows, o[keep])
     key = np.concatenate([2 * pred, 2 * pred + 1])
     recv = np.concatenate([o, s])

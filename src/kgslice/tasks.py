@@ -9,6 +9,8 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import KgsliceError, MissingTimeValue, NotNodeClassification
 from .graph import KnowledgeGraph
 
@@ -99,8 +101,8 @@ def resolve_targets(kg: KnowledgeGraph, task: TaskSpec) -> list[int]:
     if task.kind == NODE_CLASSIFICATION:
         targets = of_type
     else:
-        subjects = {s for s, _, _ in kg.predicate_triples(task.target_predicate)}
-        targets = sorted(set(of_type) & subjects)
+        subjects, _ = kg.predicate_columns(task.target_predicate)
+        targets = np.intersect1d(np.asarray(of_type, dtype=np.int64), subjects).tolist()
     if not targets:
         warnings.warn("task resolves to an empty target set", EmptyTargetSetWarning)
     return targets
@@ -116,14 +118,16 @@ def build_labels(kg: KnowledgeGraph, task: TaskSpec) -> LabelMap:
     """
     if task.kind != NODE_CLASSIFICATION:
         raise NotNodeClassification(task.kind)
-    targets = set(resolve_targets(kg, task))
+    is_target = np.zeros(kg.vertex_count(), dtype=bool)
+    is_target[resolve_targets(kg, task)] = True
+    # the label predicate's slice, in (s, o) order, cut to the targets
+    subjects, objects = kg.predicate_columns(task.target_predicate)
+    keep = is_target[subjects]
+    subjects, objects = subjects[keep].tolist(), objects[keep].tolist()
     pairs: dict[int, list[int]] = {}
-    freq: Counter[int] = Counter()
-    for v in sorted(targets):
-        for _, p, o in kg.out_triples(v):
-            if p == task.target_predicate:
-                pairs.setdefault(v, []).append(o)
-                freq[o] += 1
+    for v, o in zip(subjects, objects):
+        pairs.setdefault(v, []).append(o)
+    freq: Counter[int] = Counter(objects)
 
     def rank_key(label_vertex: int):
         return (-freq[label_vertex], kg.lexical(label_vertex))
@@ -172,12 +176,18 @@ def _compare_key(a, b):
     return (sa > sb) - (sa < sb)
 
 
-def _time_of(kg: KnowledgeGraph, v: int, time_predicate: int):
-    values = [
-        parse_time_value(kg.term(o))
-        for _, p, o in kg.out_triples(v)
-        if p == time_predicate
-    ]
+def _time_values(kg: KnowledgeGraph, time_predicate: int) -> dict[int, list[int]]:
+    """Each subject's objects under ``time_predicate``, ascending, from the predicate's slice."""
+    values: dict[int, list[int]] = {}
+    subjects, objects = kg.predicate_columns(time_predicate)
+    for v, o in zip(subjects.tolist(), objects.tolist()):
+        values.setdefault(v, []).append(o)
+    return values
+
+
+def _time_of(kg: KnowledgeGraph, v: int, objects: list[int]):
+    """The time value of ``v``, whose time objects are ``objects``."""
+    values = [parse_time_value(kg.term(o)) for o in objects]
     if not values:
         raise MissingTimeValue(v)
     # earliest value wins when the dump carries several
@@ -218,8 +228,9 @@ def make_splits(
     if split.schema == SPLIT_TIME:
         t1 = parse_time_value(str(split.train_cut))
         t2 = parse_time_value(str(split.valid_cut))
+        times = _time_values(kg, split.time_predicate)
         for v in population:
-            value = _time_of(kg, v, split.time_predicate)
+            value = _time_of(kg, v, times.get(v, []))
             if _compare_key(value, t1) <= 0:
                 assignment[v] = TRAIN
             elif _compare_key(value, t2) <= 0:

@@ -12,6 +12,7 @@ import math
 import os
 import warnings
 from collections import Counter, deque
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +89,70 @@ def walk_lists(kg, direction: str) -> dict[int, list[int]]:
         if direction == "both":
             lists.setdefault(o, []).append(s)
     return {v: sorted(lst) for v, lst in lists.items()}
+
+
+@dataclass
+class ReferenceStore:
+    """What a graph's store holds, computed in plain Python; see :func:`reference_store`."""
+
+    spo: list[tuple[int, int, int]]
+    ops: list[tuple[int, int, int]]
+    pso: list[tuple[int, int, int]]
+    subject_offsets: list[int]
+    object_offsets: list[int]
+    predicate_offsets: list[int]
+    by_type: dict[int, list[int]]
+    walk: dict[str, dict[int, list[int]]]  # direction -> walk lists
+    neighbors: list  # walk lists of "both" by vertex id, () for none
+
+
+def _reference_offsets(rows, column: int, n: int) -> list[int]:
+    """``offsets[i]``: how many rows hold an id below i in ``column``."""
+    return [sum(1 for t in rows if t[column] < i) for i in range(n + 1)]
+
+
+def reference_store(statements, type_predicate_iri: str) -> ReferenceStore:
+    """The store of the graph built from ``statements``, from ``sorted(set(id triples))``.
+
+    Terms and predicates are numbered in first-encounter order, as the
+    builder numbers them; every order is a Python sort of the unique id
+    triples and every offset a count, with no array and no index.
+    """
+    terms: dict[str, int] = {}
+    preds: dict[str, int] = {}
+    ids = [
+        (terms.setdefault(s, len(terms)), preds.setdefault(p, len(preds)), terms.setdefault(o, len(terms)))
+        for s, p, o in statements
+    ]
+    spo = sorted(set(ids))
+    n = len(terms)
+    tp = preds.get(f"<{type_predicate_iri}>")
+    literal = [t.startswith('"') for t in terms]
+    by_type: dict[int, list[int]] = {}
+    for s, p, o in spo:
+        if p == tp:
+            by_type.setdefault(o, []).append(s)
+    walk: dict[str, dict[int, list[int]]] = {}
+    for direction in ("outgoing", "both"):
+        lists: dict[int, list[int]] = {}
+        for s, p, o in spo:
+            if p == tp or literal[s] or literal[o]:
+                continue
+            lists.setdefault(s, []).append(o)
+            if direction == "both":
+                lists.setdefault(o, []).append(s)
+        walk[direction] = {v: sorted(lst) for v, lst in lists.items()}
+    return ReferenceStore(
+        spo=spo,
+        ops=sorted(spo, key=lambda t: (t[2], t[1], t[0])),
+        pso=sorted(spo, key=lambda t: (t[1], t[0], t[2])),
+        subject_offsets=_reference_offsets(spo, 0, n),
+        object_offsets=_reference_offsets(spo, 2, n),
+        predicate_offsets=_reference_offsets(spo, 1, len(preds)),
+        by_type=by_type,
+        walk=walk,
+        neighbors=[walk["both"].get(v, ()) for v in range(n)],
+    )
 
 
 def bfs_distances(adj, sources):

@@ -101,13 +101,16 @@ class SparqlDouble:
                         " order by", 1
                     )[0]:
                         kg = self.backend.kg
-                        rows = self.backend.fetch(bgp, i, limit, offset)[: self.max_rows]
+                        page = self.backend.fetch(bgp, i, limit, offset)[: self.max_rows]
                         obj_term = kg.term
                         if self.abbreviate_literals:
                             obj_term = lambda v: abbreviate(kg.term(v))  # noqa: E731
                         return [
                             ("?s", "?p", "?o"),
-                            *((kg.term(s), kg.predicate_term(p), obj_term(o)) for s, p, o in rows),
+                            *(
+                                (kg.term(s), kg.predicate_term(p), obj_term(o))
+                                for s, p, o in page.tolist()
+                            ),
                         ]
         return None
 

@@ -118,7 +118,7 @@ def test_03_pagination_and_worker_invariance():
                 counts = get_graph_size(backend, bgp)
                 plan = execution_planner(bgp, counts, bs)
                 rows = execute_plan(backend, bgp, plan, workers=workers)
-                dedup = sorted(set(rows))
+                dedup = sorted(set(map(tuple, rows.tolist())))
                 if reference is None:
                     reference = dedup
                 assert dedup == reference, f"bs={bs} P={workers} diverged"

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from kgslice import graph
 from kgslice.cli import main
 
 from conftest import EX, TYPE_IRI, nt
@@ -58,6 +59,14 @@ def test_missing_subcommand_exits_one():
 def test_runtime_failure_exits_two(tmp_path, task_cfg):
     missing = tmp_path / "nope.nt"
     assert main(["ingest", str(missing)]) == 2
+
+
+def test_more_ids_than_the_limit_exits_two(mini_kg, monkeypatch, capsys):
+    """Past the id limit (3 here, not 2**31 - 1) the CLI names the limit and exits 2."""
+    monkeypatch.setattr(graph, "MAX_IDS", 3)
+    assert main(["ingest", str(mini_kg)]) == 2
+    err = capsys.readouterr().err
+    assert err == "kgslice: more than 3 distinct terms: ids are int32, so 3 is the limit\n"
 
 
 def test_invalid_utf8_exits_two(mini_kg, tmp_path, capsys):

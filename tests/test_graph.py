@@ -9,15 +9,28 @@ import sys
 import threading
 import warnings
 import weakref
+from array import array
 
 import numpy as np
 import pytest
 
-from kgslice.errors import IoFailure, MalformedTerm, ParseError, UnknownType, UnknownVertex
+from kgslice import graph
+from kgslice.errors import (
+    IdSpaceExhausted,
+    IoFailure,
+    KgsliceError,
+    MalformedTerm,
+    ParseError,
+    UnknownType,
+    UnknownVertex,
+)
 from kgslice.graph import (
     BOTH,
+    MAX_IDS,
     OUTGOING,
     WalkAdjacency,
+    build_graph,
+    check_id_space,
     hop_distances,
     ingest_ntriples,
     load_ntriples,
@@ -50,6 +63,15 @@ def test_duplicate_statement_collapses():
     a = kg.vertex_id(f"{EX}a")
     paper = kg.type_id(f"{EX}Paper")
     assert kg.type_of[a] == (paper,)
+
+
+def test_by_type_lists_classes_in_the_order_of_their_first_type_triple():
+    # b (id 0) has class C2 (id 2) and a (id 3) has class C1 (id 1): in (s, o)
+    # order C2's type triple comes first, although C1 has the smaller id
+    kg = make_kg([nt("b", "p0", "C1"), nt("C2", "p0", "b"), nt("b", "a", "C2"), nt("a", "a", "C1")])
+    c1, c2 = kg.vertex_id(f"{EX}C1"), kg.vertex_id(f"{EX}C2")
+    assert c1 < c2
+    assert list(kg.by_type.items()) == [(c2, [kg.vertex_id(f"{EX}b")]), (c1, [kg.vertex_id(f"{EX}a")])]
 
 
 def test_malformed_lines_collected_with_line_numbers(rng):
@@ -100,6 +122,70 @@ def test_statements_with_a_malformed_term_raise_naming_it(statement, term, stric
         ingest_ntriples([good, statement], strict=strict)
     assert exc.value.term == term
     assert repr(term) in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "statements, first",
+    [
+        # the literal subject "x" has id 0, the bad IRI id 2
+        ([('"x"', f"<{EX}p>", f"<{EX}o>"), (f"<{EX}a b>", f"<{EX}p>", f"<{EX}o>")], '"x"'),
+        # the bad IRI has id 0, the literal subject id 2
+        ([(f"<{EX}a b>", f"<{EX}p>", f"<{EX}o>"), ('"x"', f"<{EX}p>", f"<{EX}o>")], f"<{EX}a b>"),
+        # "x" is a subject only in the second statement, after the bad term got id 1
+        ([(f"<{EX}a>", f"<{EX}p>", '"x"'), (f"<{EX}b c>", f"<{EX}p>", f"<{EX}o>"),
+          ('"x"', f"<{EX}p>", f"<{EX}o>")], '"x"'),
+        ([(f"<{EX}a>", f"<{EX}p>", '"x"'), (f"<{EX}a>", f"<{EX}p>", '"y z" ')], '"y z" '),
+        # a bad vertex comes before a bad predicate, whatever their ids
+        ([(f"<{EX}a>", f"<{EX}p q>", f"<{EX}o>"), ('"x"', f"<{EX}p>", f"<{EX}o>")], '"x"'),
+        ([(f"<{EX}a>", f"<{EX}p q>", f"<{EX}o>"), (f"<{EX}a>", f"<{EX}p>", '"x"')], f"<{EX}p q>"),
+        ([(f"<{EX}a>", f"<{EX}p>", '"x"')], None),  # a literal object is fine
+    ],
+)
+def test_malformed_term_is_the_first_offender_in_id_order(statements, first):
+    kg = build_graph(statements)
+    assert kg.malformed_term() == first
+    if first is not None:
+        with pytest.raises(MalformedTerm) as exc:
+            ingest_ntriples(statements)
+        assert exc.value.term == first
+
+
+def test_id_space_check_at_the_int32_boundary():
+    assert MAX_IDS == 2**31 - 1 == np.iinfo(np.int32).max
+    check_id_space(MAX_IDS, MAX_IDS)
+    for terms, predicates, what in ((MAX_IDS + 1, 1, "terms"), (1, MAX_IDS + 1, "predicates")):
+        with pytest.raises(IdSpaceExhausted, match=f"more than 2147483647 distinct {what}") as exc:
+            check_id_space(terms, predicates)
+        assert isinstance(exc.value, KgsliceError)
+        assert (exc.value.what, exc.value.limit) == (what, MAX_IDS)
+
+
+@pytest.mark.parametrize("what", ["terms", "predicates"])
+def test_build_graph_refuses_more_ids_than_the_limit(monkeypatch, what):
+    """The check build_graph runs, at a limit of 3 instead of 2**31 - 1."""
+    monkeypatch.setattr(graph, "MAX_IDS", 3)
+    if what == "terms":  # a, b and c are 3 terms; d is the 4th
+        fits = [(f"<{EX}a>", f"<{EX}p>", f"<{EX}b>"), (f"<{EX}c>", f"<{EX}p>", f"<{EX}a>")]
+        extra = (f"<{EX}c>", f"<{EX}p>", f"<{EX}d>")
+    else:
+        fits = [(f"<{EX}a>", f"<{EX}p{i}>", f"<{EX}b>") for i in range(3)]
+        extra = (f"<{EX}a>", f"<{EX}p3>", f"<{EX}b>")
+    assert build_graph(fits).triple_count() == len(fits)
+    with pytest.raises(IdSpaceExhausted, match=f"more than 3 distinct {what}"):
+        build_graph([*fits, extra])
+
+
+def test_build_graph_names_the_limit_when_an_id_overflows_its_column(monkeypatch):
+    """An id past the column's C range raises IdSpaceExhausted, not a bare OverflowError.
+
+    Columns of signed chars stand in for int32 columns, so the 129th term
+    overflows instead of the 2**31st.
+    """
+    monkeypatch.setattr(graph, "array", lambda typecode: array("b"))
+    monkeypatch.setattr(graph, "MAX_IDS", 127)
+    statements = [(f"<{EX}v{i}>", f"<{EX}p>", f"<{EX}v{i + 1}>") for i in range(200)]
+    with pytest.raises(IdSpaceExhausted, match="more than 127 distinct terms"):
+        build_graph(statements)
 
 
 def test_literal_forms_preserved():

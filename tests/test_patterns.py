@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from kgslice.endpoint import (
@@ -295,7 +296,7 @@ def test_cross_batch_size_and_worker_invariance(rng):
             counts = get_graph_size(backend, bgp)
             plan = execution_planner(bgp, counts, bs)
             rows = execute_plan(backend, bgp, plan, workers=workers)
-            dedup = sorted(set(rows))
+            dedup = sorted(set(map(tuple, rows.tolist())))
             if reference is None:
                 reference = dedup
             assert dedup == reference
@@ -323,9 +324,9 @@ def test_local_fetch_returns_id_triples(rng):
     kg = make_kg(random_kg_lines(rng, n_vertices=40, n_triples=150, literal_fraction=0.1))
     bgp = get_bgp(nc_pattern("T0"), 2, 1)
     page = LocalBackend(kg).fetch(bgp, 0, 10, 0)
-    assert len(page) == 10
-    assert all(type(x) is int for row in page for x in row)
-    assert set(page) <= set(kg.triples)
+    assert page.shape == (10, 3) and page.dtype == np.int32
+    assert not page.flags.writeable  # a slice of the memoized rows
+    assert set(map(tuple, page.tolist())) <= set(kg.triples)
 
 
 def test_local_pages_tile_memoized_branch_rows(rng):
@@ -338,7 +339,7 @@ def test_local_pages_tile_memoized_branch_rows(rng):
             rows = backend._branch_rows(bgp, i)
             for bs in (1, 7, max(count, 1)):
                 pages = [backend.fetch(bgp, i, bs, offset) for offset in range(0, count, bs)]
-                assert [row for page in pages for row in page] == rows
+                assert np.array_equal(np.concatenate([rows[:0], *pages]), rows)
 
 
 def test_local_sparql_extract_equals_local_match_at_any_page_size(rng):
@@ -394,7 +395,7 @@ def test_branch_rows_are_the_distinct_solutions_of_the_branch_text(seed):
             for h in (1, 2):
                 bgp = get_bgp(task, d, h)
                 for i in range(len(bgp.branches)):
-                    rows = backend._branch_rows(bgp, i)
+                    rows = list(map(tuple, backend._branch_rows(bgp, i).tolist()))
                     solutions = branch_solutions(kg, bgp, i)
                     where = f"{task.kind} d{d}h{h} branch {i}"
                     assert len(set(rows)) == len(rows), where

@@ -5,13 +5,22 @@ from __future__ import annotations
 import io
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgslice.endpoint import local_sparql_extract
 from kgslice.errors import UnknownType
-from kgslice.graph import BOTH, OUTGOING, RDF_TYPE, ingest_ntriples, subgraph_from_triples
+from kgslice.graph import (
+    BOTH,
+    OUTGOING,
+    RDF_TYPE,
+    build_graph,
+    ingest_ntriples,
+    sorted_unique_rows,
+    subgraph_from_triples,
+)
 from kgslice.influence import PprParams, extract_influence
 from kgslice.patterns import pattern_task_for
 from kgslice.rgcn import prune_outside_reach
@@ -27,7 +36,7 @@ from kgslice.tasks import (
 )
 from kgslice.walks import WalkParams, extract_random_walk
 
-from oracles import surface_triples, walk_lists
+from oracles import reference_store, surface_triples, walk_lists
 
 _name = st.integers(min_value=0, max_value=30)
 _triple = st.tuples(_name, st.integers(min_value=0, max_value=4), _name)
@@ -139,6 +148,71 @@ def test_accessors_equal_brute_force_filters(edges, typed, rnd):
             if 0 <= c < n:
                 with pytest.raises(UnknownType):
                     kg.type_id(kg.term(c))
+
+
+_vertex = st.integers(min_value=0, max_value=6)
+# few vertices and predicates: duplicate statements, parallel edges and
+# self-loops are common; an object is a vertex or a literal
+_statement = st.tuples(_vertex, st.integers(min_value=0, max_value=3), st.one_of(_vertex, _vertex.map(str)))
+
+
+@given(st.lists(_statement, max_size=60), st.booleans(), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_column_store_equals_the_plain_python_reference(statements, typed, rnd):
+    """The three orders, the CSR offsets, by_type, the walk lists and slices equal the reference.
+
+    Statements may repeat; without ``typed`` the graph has no type
+    predicate, and with no statement it is empty. The reference
+    (:func:`oracles.reference_store`) sorts the unique id triples in Python.
+    """
+    surfaces = [
+        (
+            f"<http://ex/v{s}>",
+            f"<{RDF_TYPE}>" if typed and p == 0 else f"<http://ex/p{p}>",
+            f'"lit{o}"' if isinstance(o, str) else f"<http://ex/v{o}>",
+        )
+        for s, p, o in statements
+    ]
+    kg = build_graph(surfaces)
+    ref = reference_store(surfaces, RDF_TYPE)
+    assert kg.spo.dtype == np.int32 and not kg.spo.flags.writeable
+    assert kg.spo.tolist() == [list(t) for t in ref.spo]
+    assert np.array_equal(np.column_stack([kg.s, kg.p, kg.o]), kg.spo)
+    assert list(zip(kg._in_s.tolist(), kg._in_p.tolist())) == [(s, p) for s, p, _ in ref.ops]
+    assert list(zip(kg._pred_s.tolist(), kg._pred_o.tolist())) == [(s, o) for s, _, o in ref.pso]
+    assert kg._subject_offsets.tolist() == ref.subject_offsets
+    assert kg._object_offsets.tolist() == ref.object_offsets
+    assert kg._predicate_offsets.tolist() == ref.predicate_offsets
+    # equal, and in the same order: each class from its first type triple
+    assert list(kg.by_type.items()) == list(ref.by_type.items())
+    for direction in (OUTGOING, BOTH):
+        assert dict(kg.walk_adjacency(direction)) == ref.walk[direction]
+    neighbors, degree = kg.walk_index()
+    assert [list(lst) for lst in neighbors] == [list(lst) for lst in ref.neighbors]
+    assert degree == [len(lst) for lst in ref.neighbors]
+    # a slice from unsorted rows with repeats, given as tuples or as an array
+    rows = [rnd.choice(ref.spo) for _ in range(rnd.randrange(3 * len(ref.spo) + 1))]
+    tp = kg.type_predicate
+    expected = sorted(set(rows))
+    for given_rows in (rows, np.array(rows, dtype=np.int64).reshape(-1, 3)):
+        sg = subgraph_from_triples(kg, given_rows)
+        assert sg.spo.tolist() == [list(t) for t in expected]
+        assert sg.triples == tuple(expected)
+        assert sg.type_triples == tuple(t for t in expected if t[1] == tp)
+        assert sg.non_type_triples == tuple(t for t in expected if t[1] != tp)
+        assert sg.vertices == {s for s, _, _ in expected} | {o for _, p, o in expected if p != tp}
+
+
+_id = st.one_of(st.integers(min_value=0, max_value=4), st.integers(2**31 - 3, 2**31 - 1))
+
+
+@given(st.lists(st.tuples(_id, _id, _id), max_size=40))
+@settings(max_examples=80, deadline=None)
+def test_sorted_unique_rows_with_and_without_a_packed_key(rows):
+    """Small id ranges sort by one int64 key, ranges near 2**31 by a lexsort: same result."""
+    got = sorted_unique_rows(np.array(rows, dtype=np.int32).reshape(-1, 3))
+    assert got.dtype == np.int32
+    assert got.tolist() == [list(t) for t in sorted(set(rows))]
 
 
 def _slices(kg, keep, seed):
