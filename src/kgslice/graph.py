@@ -172,6 +172,13 @@ def distinct(ids: np.ndarray) -> np.ndarray:
     return ids[keep]
 
 
+def id_array(ids) -> np.ndarray:
+    """An id array or any iterable of ids as an int64 array."""
+    if isinstance(ids, np.ndarray):
+        return ids.astype(np.int64, copy=False)
+    return np.fromiter(ids, dtype=np.int64)
+
+
 def _offsets(ids: np.ndarray, n: int) -> np.ndarray:
     """CSR offsets of sorted ``ids`` over 0..n-1: id i holds ``offsets[i]:offsets[i + 1]``."""
     offsets = np.zeros(n + 1, dtype=np.int64)
@@ -203,7 +210,10 @@ class Subgraph:
     :func:`subgraph_from_triples`. ``vertices`` is the entity view: the
     subjects and objects of non-type triples plus the subjects of type
     triples. Class vertices that occur only as objects of type triples are
-    tracked in ``node_type_ids``, not in ``vertices``.
+    tracked in ``node_type_ids``, not in ``vertices``. ``vertex_ids`` holds
+    the same vertices as a sorted array, and a position in it is a
+    vertex's slice-local id: the metrics and the reach tests work in that
+    dense id space, so their arrays follow the slice, not the parent.
 
     ``triples``, ``non_type_triples`` and ``type_triples`` are tuple views
     of the rows, built on first read at about a tuple object per triple;
@@ -218,7 +228,6 @@ class Subgraph:
     def __post_init__(self):
         _read_only(self.spo)
         self._is_type = type_mask(self.spo[:, 1], self.kg.type_predicate)
-        self._edges: tuple[np.ndarray, np.ndarray] | None = None
 
     @cached_property
     def non_type_spo(self) -> np.ndarray:
@@ -249,20 +258,39 @@ class Subgraph:
     def type_triples(self) -> tuple[tuple[int, int, int], ...]:
         return tuple(_tuples(self.type_spo))
 
-    def non_type_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Subjects and objects of the non-type triples as read-only int64 arrays."""
-        if self._edges is None:
-            rows = self.non_type_spo
-            self._edges = (
-                _read_only(rows[:, 0].astype(np.int64)),
-                _read_only(rows[:, 2].astype(np.int64)),
-            )
-        return self._edges
+    def local_ids(self, ids) -> np.ndarray:
+        """Slice-local ids of those parent ``ids`` that are slice vertices.
 
-    def undirected_distances(self, sources) -> dict[int, int]:
-        """:func:`hop_distances` from ``sources`` over the non-type triples viewed undirected."""
-        s, o = self.non_type_edges()
-        return hop_distances(np.concatenate([s, o]), np.concatenate([o, s]), sources)
+        A slice-local id is a position in ``vertex_ids``; ids outside the
+        slice are dropped, the rest keep their order.
+        """
+        vs = self.vertex_ids
+        ids = id_array(ids)
+        pos = np.searchsorted(vs, ids)
+        hit = pos < len(vs)
+        hit[hit] = vs[pos[hit]] == ids[hit]
+        return pos[hit]
+
+    @cached_property
+    def local_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Subjects and objects of the non-type triples as slice-local ids, read-only int32."""
+        vs, rows = self.vertex_ids, self.non_type_spo
+        return tuple(
+            _read_only(np.searchsorted(vs, rows[:, i]).astype(np.int32)) for i in (0, 2)
+        )
+
+    def undirected_distances(self, sources) -> np.ndarray:
+        """:func:`hop_distances` from ``sources`` over the non-type triples viewed undirected.
+
+        ``sources`` are parent ids; those outside the slice are ignored.
+        The result is aligned with ``vertex_ids``: the hop level of each
+        slice vertex, -1 where no source reaches it.
+        """
+        s, o = self.local_edges
+        return hop_distances(
+            np.concatenate([s, o]), np.concatenate([o, s]), self.local_ids(sources),
+            n=len(self.vertex_ids),
+        )
 
     @property
     def node_type_ids(self) -> set[int]:
@@ -276,7 +304,12 @@ class Subgraph:
 
     @cached_property
     def vertex_ids(self) -> np.ndarray:
-        """``vertices`` as a read-only id array, ascending."""
+        """``vertices`` as a read-only id array, ascending.
+
+        A vertex's position here is its slice-local id, the id space of
+        :meth:`local_ids`, :attr:`local_edges` and
+        :meth:`undirected_distances`.
+        """
         return _read_only(distinct(np.concatenate([self.spo[:, 0], self.non_type_spo[:, 2]])))
 
     def entity_vertices(self) -> list[int]:
@@ -291,7 +324,7 @@ class Subgraph:
         their subject. Unlike induced_subgraph this never reaches back
         into the parent graph for triples the extraction did not retain.
         """
-        ids = np.fromiter(keep, dtype=np.int64)
+        ids = id_array(keep)
         inside = np.zeros(self.kg.vertex_count(), dtype=bool)
         inside[ids[(ids >= 0) & (ids < len(inside))]] = True
         spo = self.spo
@@ -592,7 +625,7 @@ class KnowledgeGraph:
         not c is in ``vs``. A vertex of ``vs`` that no retained triple
         touches is not in the result.
         """
-        ids = np.fromiter(vs, dtype=np.int64)
+        ids = id_array(vs)
         unknown = ids[(ids < 0) | (ids >= len(self._terms))]
         if len(unknown):
             raise UnknownVertex(int(unknown[0]))
@@ -836,20 +869,28 @@ def subgraph_from_triples(kg: KnowledgeGraph, triples, provenance=None) -> Subgr
     return Subgraph(kg, sorted_unique_rows(rows), provenance or {})
 
 
-def hop_distances(tails, heads, sources, max_hops: int | None = None) -> dict[int, int]:
-    """Hop count from the nearest source to each vertex, breadth first.
+def hop_distances(
+    tails, heads, sources, max_hops: int | None = None, n: int = 0
+) -> np.ndarray:
+    """Hop level of each vertex from the nearest source, breadth first.
 
     Edge ``i`` leads from ``tails[i]`` to ``heads[i]``; pass both
     orientations of each edge for an undirected view. Duplicate edges and
-    self-loops are harmless. The result covers every vertex within
-    ``max_hops`` of a source (every reachable one when None); sources are
-    at distance 0. A negative ``max_hops`` raises ValueError.
+    self-loops are harmless. Ids are non-negative and below 2**31. The
+    result is an int32 array over ids 0..N-1, N the largest of ``n`` and
+    every edge end and source plus one: sources at level 0, every vertex
+    within ``max_hops`` of a source (every reachable one when None) at
+    its hop count, and -1 for the rest. A negative ``max_hops`` raises
+    ValueError. Callers number their vertices densely first (slices use
+    positions in ``Subgraph.vertex_ids``), so the array is the size of
+    the graph walked.
 
-    The edges become a CSR over vertex ids (a stable argsort by tail,
-    offsets from a bincount). The level-by-level loop then runs in Python
-    over the CSR converted to lists, so the work is O(n + E) for the
-    largest vertex id n. (A numpy frontier vectorised per level was far
-    slower on long paths: one round of array calls per level.)
+    The edges become an int32 CSR (a stable argsort by tail, offsets from
+    a bincount), read in the level loop through memoryviews, which index
+    and slice without converting the CSR to lists; the loop writes each
+    level into the result as it reaches a vertex. The work is O(N + E). A
+    numpy frontier vectorised per level was far slower on long paths: one
+    round of array calls per level.
     """
     if max_hops is not None and max_hops < 0:
         raise ValueError(f"max_hops must be >= 0 or None, got {max_hops}")
@@ -857,21 +898,23 @@ def hop_distances(tails, heads, sources, max_hops: int | None = None) -> dict[in
     heads = np.asarray(heads, dtype=np.int64)
     if tails.shape != heads.shape:
         raise ValueError(f"{len(tails)} tails but {len(heads)} heads")
-    n = int(max(tails.max(), heads.max())) + 1 if len(tails) else 0
-    offsets = np.zeros(n + 1, dtype=np.int64)
+    sources = distinct(id_array(sources))
+    n = max([n, *(int(a.max()) + 1 for a in (tails, heads, sources) if len(a))])
+    offsets = np.zeros(n + 1, dtype=np.int32 if len(tails) < 2**31 else np.int64)
     np.cumsum(np.bincount(tails, minlength=n), out=offsets[1:])
-    offsets = offsets.tolist()
-    nbrs = heads[np.argsort(tails, kind="stable")].tolist()
-    dist = dict.fromkeys(sources, 0)
-    frontier = [u for u in dist if u < n]
+    nbrs = heads[np.argsort(tails, kind="stable")].astype(np.int32)
+    levels = np.full(n, -1, dtype=np.int32)
+    levels[sources] = 0
+    offset, nbr, level = memoryview(offsets), memoryview(nbrs), memoryview(levels)
+    frontier = sources.tolist()
     hops = 0
     while frontier and hops != max_hops:
         hops += 1
         reached = []
         for u in frontier:
-            for w in nbrs[offsets[u]:offsets[u + 1]]:
-                if w not in dist:
-                    dist[w] = hops
+            for w in nbr[offset[u]:offset[u + 1]]:
+                if level[w] < 0:
+                    level[w] = hops
                     reached.append(w)
         frontier = reached
-    return dist
+    return levels

@@ -199,9 +199,9 @@ def extract_influence(
         partition = set(get_initial_vertices(bs, targets, seed))
     sg = kg.induced_subgraph(partition)
 
-    reachable = set(sg.undirected_distances(set(targets) & sg.vertices))
-    if reachable != sg.vertices:
-        sg = kg.induced_subgraph(reachable)
+    reached = sg.undirected_distances(targets) >= 0
+    if not reached.all():
+        sg = kg.induced_subgraph(sg.vertex_ids[reached])
     sg.provenance = {
         "engine": "ibs",
         "batch_size": bs,

@@ -7,14 +7,24 @@ and the Shannon entropy (bits) of the per-vertex distinct-neighbor-type
 counts.
 
 All topology runs on the subgraph's non-type triples viewed undirected.
-Node types are looked up in the parent graph's dictionary, so sparsely
+Node types are looked up in the parent graph's type triples, so sparsely
 type-annotated extractions are still measured against real vertex types.
+
+Every indicator is array work over slice-local ids, the positions of the
+slice's vertices in the sorted ``Subgraph.vertex_ids``: targets become a
+mask over them, one :meth:`Subgraph.undirected_distances` BFS gives the
+hop level of each (-1 where no target reaches it) for both distance
+indicators, and the neighbor-type counts are one array over them. No
+per-vertex Python object and no array the size of the parent graph is
+built, so memory follows the slice. The public functions take targets as
+any iterable of parent ids. The entropy sums its terms in ascending order
+of the count value, the order of the count histogram, so it does not
+depend on how the slice was built.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,118 +63,145 @@ class QualityReport:
     )
 
 
-def _types_by_vertex(kg: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Node types per vertex id: (first offset, count, flat class vertex ids).
+def _target_mask(sg: Subgraph, targets) -> np.ndarray:
+    """Which slice vertices, by slice-local id, are among the parent ids ``targets``."""
+    mask = np.zeros(len(sg.vertex_ids), dtype=bool)
+    mask[sg.local_ids(targets)] = True
+    return mask
 
-    Read from the type predicate's slice, whose (s, o) order lists each
-    subject's classes together, ascending.
+
+def _entity_mask(sg: Subgraph) -> np.ndarray:
+    """Which slice vertices, by slice-local id, are not literals."""
+    return ~sg.kg.literal_mask()[sg.vertex_ids]
+
+
+def _neighbor_type_counts(sg: Subgraph) -> np.ndarray:
+    """Distinct node types among each slice vertex's neighbors, by slice-local id.
+
+    Each vertex's classes are one range of the type predicate's subject
+    column, sorted by (s, o), found by two binary searches per slice
+    vertex, so no array the size of the parent graph is built.
     """
+    kg = sg.kg
     subjects, classes = kg.predicate_columns(kg.type_predicate)
-    count = np.bincount(subjects, minlength=kg.vertex_count())
-    return np.cumsum(count) - count, count, classes
+    vs = sg.vertex_ids
+    first = np.searchsorted(subjects, vs)
+    count = np.searchsorted(subjects, vs, side="right") - first
+    s, o = sg.local_edges
+    vertex = np.concatenate([s, o])
+    neighbor = np.concatenate([o, s])
+    # one row per (edge end, type of the other end); distinct (vertex, type) pairs
+    k = count[neighbor]
+    starts = np.cumsum(k) - k
+    # row r of edge end i reads classes[first[neighbor[i]] + r - starts[i]]
+    pos = np.arange(int(k.sum())) - np.repeat(starts - first[neighbor], k)
+    # pack (vertex, class) as vertex * n + class, in int64, which holds
+    # len(vs) * n for any int32 id space
+    n = kg.vertex_count()
+    pairs = distinct(np.repeat(vertex.astype(np.int64), k) * n + classes[pos])
+    return np.bincount(pairs // n, minlength=len(vs))
 
 
 def neighbor_type_counts(sg: Subgraph) -> dict[int, int]:
-    """Distinct node types among each entity vertex's neighbors.
+    """Distinct node types among each entity vertex's neighbors, by vertex id, ascending.
 
     Neighbors are taken in both directions over non-type edges; literal
     neighbors carry no types and literal vertices are not counted
     themselves.
     """
-    kg = sg.kg
-    s, o = sg.non_type_edges()
-    vertex = np.concatenate([s, o])
-    neighbor = np.concatenate([o, s])
-    # one row per (edge end, type of the other end); distinct (vertex, type) pairs
-    first, count, flat = _types_by_vertex(kg)
-    k = count[neighbor]
-    starts = np.cumsum(k) - k
-    # row r of edge end i reads flat[first[neighbor[i]] + r - starts[i]]
-    pos = np.arange(int(k.sum())) - np.repeat(starts - first[neighbor], k)
-    # a class is a vertex: pack (vertex, class) as vertex * n + class, in
-    # int64, which holds n**2 for any int32 id space
-    n = kg.vertex_count()
-    pairs = distinct(np.repeat(vertex, k) * n + flat[pos])
-    n_distinct = np.bincount(pairs // n, minlength=n).tolist()
-    is_literal = kg.literal_flags()
-    return {v: n_distinct[v] for v in sg.vertices if not is_literal[v]}
+    entity = _entity_mask(sg)
+    counts = _neighbor_type_counts(sg)
+    return dict(zip(sg.vertex_ids[entity].tolist(), counts[entity].tolist()))
 
 
 def neighbor_type_entropy(sg: Subgraph) -> float:
-    """Entropy (bits) of the neighbor-type-count distribution."""
-    counts = neighbor_type_counts(sg)
-    if not counts:
+    """Entropy (bits) of the neighbor-type-count distribution of the entity vertices.
+
+    The terms are summed in ascending order of the count value, the order
+    of the count histogram.
+    """
+    counts = _neighbor_type_counts(sg)[_entity_mask(sg)]
+    if not len(counts):
         raise EmptySubgraph("no entity vertices to measure")
-    hist = Counter(counts.values())
-    n = len(counts)
+    hist = np.bincount(counts)
     h = 0.0
-    for c in hist.values():
-        p = c / n
+    for c in hist[hist > 0].tolist():
+        p = c / len(counts)
         h -= p * math.log2(p)
     return h
 
 
 def target_stats(sg: Subgraph, targets) -> tuple[float, int, int]:
-    """(target ratio %, |C'|, |R'|); ratio over non-literal vertices."""
-    targets = set(targets)
-    entity = sg.entity_vertices()
-    n_targets = len(targets & sg.vertices)
-    ratio = 100.0 * n_targets / len(entity) if entity else 0.0
+    """(target ratio %, |C'|, |R'|); ratio over non-literal vertices.
+
+    ``targets`` are parent ids; those outside the slice are not counted.
+    """
+    n_entity = int(np.count_nonzero(_entity_mask(sg)))
+    n_targets = len(sg.local_ids(targets))
+    ratio = 100.0 * n_targets / n_entity if n_entity else 0.0
     return ratio, len(sg.node_type_ids), len(sg.predicate_ids)
 
 
-def disconnected_ratio(sg: Subgraph, targets, dist: dict[int, int] | None = None) -> float:
+def disconnected_ratio(sg: Subgraph, targets, levels: np.ndarray | None = None) -> float:
     """Percent of non-target vertices with no undirected path to a target.
 
-    ``dist``, when given, is ``sg.undirected_distances(targets)``.
+    ``targets`` are parent ids; ``levels``, when given, is
+    ``sg.undirected_distances(targets)``.
     """
-    targets = set(targets) & sg.vertices
-    non_targets = [v for v in sg.vertices if v not in targets]
-    if not non_targets:
+    non_target = ~_target_mask(sg, targets)
+    n_non_targets = int(np.count_nonzero(non_target))
+    if not n_non_targets:
         return 0.0
-    if dist is None:
-        dist = sg.undirected_distances(targets)
-    n_disconnected = sum(1 for v in non_targets if v not in dist)
-    return 100.0 * n_disconnected / len(non_targets)
+    if levels is None:
+        levels = sg.undirected_distances(targets)
+    n_disconnected = int(np.count_nonzero(levels[non_target] < 0))
+    return 100.0 * n_disconnected / n_non_targets
 
 
 def avg_distance_to_target(
-    sg: Subgraph, targets, dist: dict[int, int] | None = None
+    sg: Subgraph, targets, levels: np.ndarray | None = None
 ) -> tuple[float, int]:
     """Mean hop distance of connected non-target vertices to any target.
 
     Returns (mean, connected count); disconnected vertices are left to
     disconnected_ratio. A zero count means there was nothing to average.
-    ``dist``, when given, is ``sg.undirected_distances(targets)``.
+    The mean is the exact integer sum of the distances over the count.
+    ``targets`` are parent ids; ``levels``, when given, is
+    ``sg.undirected_distances(targets)``.
     """
-    targets = set(targets) & sg.vertices
-    if dist is None:
-        dist = sg.undirected_distances(targets)
-    reached = [d for v, d in dist.items() if v not in targets and v in sg.vertices]
-    if not reached:
+    if levels is None:
+        levels = sg.undirected_distances(targets)
+    reached = levels[~_target_mask(sg, targets)]
+    reached = reached[reached >= 0]
+    if not len(reached):
         return 0.0, 0
-    return sum(reached) / len(reached), len(reached)
+    return int(reached.sum(dtype=np.int64)) / len(reached), len(reached)
 
 
 def quality_report(sg: Subgraph, task: TaskSpec, kg: KnowledgeGraph) -> QualityReport:
-    """All indicators for ``sg`` relative to a task resolved on ``kg``."""
-    targets = set(resolve_targets(kg, task)) & sg.vertices
+    """All indicators for ``sg`` relative to a task resolved on ``kg``.
+
+    Works on slice-local ids throughout: the targets become the sorted
+    slice vertices among them, and one BFS serves both distance
+    indicators.
+    """
+    targets = sg.vertex_ids[sg.local_ids(resolve_targets(kg, task))]
     ratio, n_types, n_preds = target_stats(sg, targets)
-    dist = sg.undirected_distances(targets)
-    avg, n_connected = avg_distance_to_target(sg, targets, dist)
+    levels = sg.undirected_distances(targets)
+    avg, n_connected = avg_distance_to_target(sg, targets, levels)
     try:
         entropy = neighbor_type_entropy(sg)
     except EmptySubgraph:
         entropy = 0.0
     return QualityReport(
-        vertex_count=len(sg.vertices),
-        vertex_count_no_literals=len(sg.entity_vertices()),
+        vertex_count=len(sg.vertex_ids),
+        vertex_count_no_literals=int(np.count_nonzero(_entity_mask(sg))),
         triple_count=len(sg.spo),
         target_count=len(targets),
         target_ratio=ratio,
         node_type_count=n_types,
         edge_type_count=n_preds,
-        target_disconnected_ratio=disconnected_ratio(sg, targets, dist),
+        target_disconnected_ratio=disconnected_ratio(sg, targets, levels),
         avg_distance_to_target=avg,
         no_connected_non_targets=n_connected == 0,
         neighbor_type_entropy=entropy,

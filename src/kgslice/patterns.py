@@ -100,7 +100,8 @@ class BgpQuery:
 def _render(shape: tuple[str, ...], anchor: str, tp: str) -> tuple[str, str, str, str]:
     """SPARQL pieces of a hop shape walked from ``anchor``.
 
-    Returns (projection, bind, triple patterns, FILTER). Expansion hop i
+    Returns (projection, bind, triple patterns, FILTER); the projection
+    is the display form, with ``bind`` as a bare alias. Expansion hop i
     binds ``?pi`` and ``?oi`` (outgoing) or ``?si`` (incoming); the last
     hop matches ``?s ?p ?o`` with the vertex it leaves from standing in for
     ``?s`` or ``?o``, which ``bind`` states as ``"?x as ?s"`` or
@@ -128,6 +129,17 @@ def _render(shape: tuple[str, ...], anchor: str, tp: str) -> tuple[str, str, str
     return projection, bind, " ".join(patterns), filt
 
 
+def _select(projection: str, bind: str) -> str:
+    """The select clause of an executed hop branch.
+
+    Production [9] ``SelectClause`` of SPARQL 1.1 admits an alias only as
+    ``( Expression AS Var )``, so the executed texts wrap ``bind`` in
+    parentheses; the display form ``BgpQuery.full_text`` keeps the paper's
+    bare alias.
+    """
+    return "select distinct " + projection.replace(bind, f"({bind})")
+
+
 def check_pattern_shape(d: int, h: int) -> None:
     """Raise UnsupportedParams unless d (direction) and h (hops) are each 1 or 2."""
     if d not in (1, 2):
@@ -148,13 +160,14 @@ def get_bgp(task: PatternTask, d: int, h: int) -> BgpQuery:
         prefix = f"?v {a} <{task.target_type_iri}> ."
         branches, display = [], []
         for shape in shapes:
-            projection, _, patterns, filt = _render(shape, "?v", tp)
-            branches.append(
-                Branch(shape, None, f"select distinct {projection}", f"{prefix} {patterns}{filt}")
-            )
-            display.append(f"select {projection} where {{ {prefix} {patterns} }}")
-        parts = display if h == 1 else [b.text for b in branches]
-        full = "select ?s ?p ?o { " + " union ".join(parts) + " }"
+            projection, bind, patterns, filt = _render(shape, "?v", tp)
+            where = f"{prefix} {patterns}{filt}"
+            branches.append(Branch(shape, None, _select(projection, bind), where))
+            if h == 1:
+                display.append(f"select {projection} where {{ {prefix} {patterns} }}")
+            else:
+                display.append(f"select distinct {projection} where {{ {where} }}")
+        full = "select ?s ?p ?o { " + " union ".join(display) + " }"
         return BgpQuery(task=task, d=d, h=h, full_text=full, branches=branches)
 
     if task.kind != LINK_PREDICTION:
@@ -168,14 +181,13 @@ def get_bgp(task: PatternTask, d: int, h: int) -> BgpQuery:
         prefix += f"?vj {a} <{task.object_type_iri}> . "
     prefix += f"?vi <{pt}> ?vj ."
 
-    branches = [Branch(BRIDGE, None, f"select ?vi as ?s <{pt}> as ?p ?vj as ?o", prefix)]
+    branches = [Branch(BRIDGE, None, f"select (?vi as ?s) (<{pt}> as ?p) (?vj as ?o)", prefix)]
     arms = ["{ bind (?vi as ?s) bind (<" + pt + "> as ?p) bind (?vj as ?o) }"]
     for side, var in ((SUBJECT_SIDE, "?vi"), (OBJECT_SIDE, "?vj")):
         for shape in shapes:
             projection, bind, patterns, filt = _render(shape, var, tp)
-            branches.append(
-                Branch(shape, side, f"select distinct {projection}", f"{prefix} {patterns}{filt}")
-            )
+            where = f"{prefix} {patterns}{filt}"
+            branches.append(Branch(shape, side, _select(projection, bind), where))
             arms.append(f"{{ {patterns} bind ({bind}) }}")
     full = "select ?s ?p ?o where { " + prefix + " " + " union ".join(arms) + " }"
     return BgpQuery(task=task, d=d, h=h, full_text=full, branches=branches)

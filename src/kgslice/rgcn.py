@@ -81,12 +81,12 @@ def random_features(vertices, dim: int, seed: int = 0) -> dict[int, np.ndarray]:
 
 def _entity_mask(sg: Subgraph) -> np.ndarray:
     """Which non-type triples join two non-literal vertices."""
-    s, o = sg.non_type_edges()
-    literal = sg.kg.literal_mask()
+    s, o = sg.local_edges
+    literal = sg.kg.literal_mask()[sg.vertex_ids]
     return ~(literal[s] | literal[o])
 
 
-def _message_plan(sg: Subgraph, rows: np.ndarray):
+def _message_plan(sg: Subgraph):
     """The entity edges of ``sg``, grouped once for every layer of a forward pass.
 
     Each triple (s, p, o) gives two message edges: o receives s under key
@@ -101,10 +101,13 @@ def _message_plan(sg: Subgraph, rows: np.ndarray):
       ``senders`` is a (messages, count) block of sender rows, each row
       ascending.
     """
-    s, o = sg.non_type_edges()
+    s, o = sg.local_edges
     keep = _entity_mask(sg)
+    # the row of each entity vertex, by slice-local id: its rank among the
+    # entity vertices, the row order of sg.entity_vertices()
+    row = np.cumsum(~sg.kg.literal_mask()[sg.vertex_ids]) - 1
     pred = sg.non_type_spo[:, 1].astype(np.int64)
-    pred, s, o = pred[keep], np.searchsorted(rows, s[keep]), np.searchsorted(rows, o[keep])
+    pred, s, o = pred[keep], row[s[keep]], row[o[keep]]
     key = np.concatenate([2 * pred, 2 * pred + 1])
     recv = np.concatenate([o, s])
     send = np.concatenate([s, o])
@@ -147,7 +150,7 @@ def rgcn_forward(
         if v not in feats:
             raise MissingFeature(v)
     h = np.array([np.asarray(feats[v], dtype=float) for v in verts]) if verts else np.zeros((0, model.dim))
-    keys, receivers, sums = _message_plan(sg, np.asarray(verts, dtype=np.int64))
+    keys, receivers, sums = _message_plan(sg)
     for layer in range(model.layers):
         # Each product is one matrix times one vector: np.matmul runs this
         # stack of (d, d) @ (d, 1) as one gemv per row, the same call as
@@ -176,12 +179,13 @@ def rgcn_forward(
 
 def message_reach(sg: Subgraph, targets, hops: int) -> set[int]:
     """Vertices with a message-passing path of <= hops into a target."""
-    s, o = sg.non_type_edges()
+    s, o = sg.local_edges
     keep = _entity_mask(sg)
     s, o = s[keep], o[keep]
     # messages run both ways along each entity edge
     tails, heads = np.concatenate([s, o]), np.concatenate([o, s])
-    return set(hop_distances(tails, heads, set(targets) & sg.vertices, hops))
+    levels = hop_distances(tails, heads, sg.local_ids(targets), hops, n=len(sg.vertex_ids))
+    return set(sg.vertex_ids[levels >= 0].tolist())
 
 
 def prune_outside_reach(sg: Subgraph, targets, hops: int) -> Subgraph:

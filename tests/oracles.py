@@ -155,6 +155,11 @@ def reference_store(statements, type_predicate_iri: str) -> ReferenceStore:
     )
 
 
+def levels_as_dict(levels) -> dict[int, int]:
+    """A ``hop_distances`` level array as {vertex: hops} over the reached vertices."""
+    return {v: d for v, d in enumerate(levels.tolist()) if d >= 0}
+
+
 def bfs_distances(adj, sources):
     dist = {s: 0 for s in sources}
     q = deque(sources)
@@ -260,7 +265,8 @@ def branch_solutions(kg, bgp, index: int) -> list[tuple[int, int, int]]:
     def passes(sol) -> bool:
         return all(kg.predicate_term(sol[var]) != constant(term) for var, term in filters)
 
-    words = branch.select_clause.split()[1:]
+    # an alias is written "(expr as ?var)"
+    words = branch.select_clause.replace("(", " ").replace(")", " ").split()[1:]
     if words[0] == "distinct":
         words = words[1:]
     projection = []  # one expression per projected variable, in ?s ?p ?o order
@@ -397,11 +403,15 @@ def rescan_partition(pairs, bs: int, rng) -> set[int]:
 
 
 def entropy_of_counts(counts) -> float:
-    """Shannon entropy (bits) of the empirical distribution of ``counts``."""
+    """Shannon entropy (bits) of the empirical distribution of ``counts``.
+
+    The terms are summed in ascending order of the count value, as
+    ``kgslice.metrics`` sums them.
+    """
     hist = Counter(counts)
     n = sum(hist.values())
     h = 0.0
-    for c in hist.values():
+    for _, c in sorted(hist.items()):
         prob = c / n
         h -= prob * math.log2(prob)
     return h
@@ -619,7 +629,7 @@ def reference_quality_report(sg, task, kg):
         hist = Counter(counts.values())
         n = len(counts)
         h = 0.0
-        for c in hist.values():
+        for _, c in sorted(hist.items()):  # ascending count value
             p = c / n
             h -= p * math.log2(p)
         return h

@@ -41,6 +41,7 @@ from kgslice.graph import (
 from conftest import EX, iri, make_kg, nt, random_kg, random_kg_lines
 from oracles import (
     bfs_distances,
+    levels_as_dict,
     filter_induced,
     scan_vertices_of_type,
     surface_triples,
@@ -454,10 +455,10 @@ def test_hop_distances_match_bfs_oracle(rng):
         adj = oracle_undirected_adjacency(kg)
         sources = rng.sample(range(kg.vertex_count()), rng.randrange(0, 4))
         dist = bfs_distances(adj, sources)
-        assert hop_distances(tails, heads, sources) == dist
+        assert levels_as_dict(hop_distances(tails, heads, sources)) == dist
         for max_hops in range(4):
             near = {v: d for v, d in dist.items() if d <= max_hops}
-            assert hop_distances(tails, heads, sources, max_hops) == near
+            assert levels_as_dict(hop_distances(tails, heads, sources, max_hops)) == near
 
 
 def test_hop_distances_on_random_edge_arrays(rng):
@@ -481,26 +482,51 @@ def test_hop_distances_on_random_edge_arrays(rng):
         sources = rng.sample(range(n + 5), rng.randrange(0, 5))
         dist = bfs_distances(adj, sources)
         arrays = np.array(tails, dtype=np.int64), np.array(heads, dtype=np.int64)
-        assert hop_distances(*arrays, sources) == dist
-        assert hop_distances(tails, heads, set(sources)) == dist
+        assert levels_as_dict(hop_distances(*arrays, sources)) == dist
+        assert levels_as_dict(hop_distances(tails, heads, set(sources))) == dist
         for max_hops in range(4):
             near = {v: d for v, d in dist.items() if d <= max_hops}
-            assert hop_distances(*arrays, sources, max_hops) == near
+            assert levels_as_dict(hop_distances(*arrays, sources, max_hops)) == near
 
 
 def test_hop_distances_follow_edge_direction():
     # 0 -> 1 -> 2, 3 -> 1
     tails, heads = [0, 1, 3], [1, 2, 1]
-    assert hop_distances(tails, heads, [0]) == {0: 0, 1: 1, 2: 2}
-    assert hop_distances(heads, tails, [2]) == {2: 0, 1: 1, 0: 2, 3: 2}
-    assert hop_distances([], [], [7]) == {7: 0}
+    assert levels_as_dict(hop_distances(tails, heads, [0])) == {0: 0, 1: 1, 2: 2}
+    assert levels_as_dict(hop_distances(heads, tails, [2])) == {2: 0, 1: 1, 0: 2, 3: 2}
+    assert levels_as_dict(hop_distances([], [], [7])) == {7: 0}
+
+
+def test_hop_distances_return_int32_levels_with_minus_one_for_unreached():
+    levels = hop_distances([0, 2], [1, 3], [0], n=6)
+    assert levels.dtype == np.int32
+    assert levels.tolist() == [0, 1, -1, -1, -1, -1]
+    # n only pads: every edge end and source still gets its place
+    assert hop_distances([0], [1], [4], n=2).tolist() == [-1, -1, -1, -1, 0]
+
+
+def test_undirected_distances_align_with_vertex_ids(rng):
+    for _ in range(10):
+        kg = random_kg(rng, n_vertices=rng.randrange(10, 60), n_triples=rng.randrange(5, 150))
+        sg = kg.induced_subgraph(rng.sample(range(kg.vertex_count()), kg.vertex_count() // 2))
+        sources = rng.sample(range(kg.vertex_count()), 3)
+        adj: dict[int, set[int]] = {}
+        for s, _, o in sg.non_type_triples:
+            adj.setdefault(s, set()).add(o)
+            adj.setdefault(o, set()).add(s)
+        dist = bfs_distances(adj, [v for v in sources if v in sg.vertices])
+        levels = sg.undirected_distances(sources)
+        assert len(levels) == len(sg.vertex_ids)
+        assert levels_as_dict(levels) == {
+            i: dist[v] for i, v in enumerate(sg.vertex_ids.tolist()) if v in dist
+        }
 
 
 def test_hop_distances_reject_negative_max_hops():
     # the level loop stops at hops == max_hops, which a negative bound never meets
     with pytest.raises(ValueError, match="max_hops"):
         hop_distances([0, 1], [1, 2], [0], max_hops=-1)
-    assert hop_distances([0, 1], [1, 2], [0], max_hops=None) == {0: 0, 1: 1, 2: 2}
+    assert levels_as_dict(hop_distances([0, 1], [1, 2], [0], max_hops=None)) == {0: 0, 1: 1, 2: 2}
 
 
 def walk_case_kg(seed: int):

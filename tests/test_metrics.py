@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from kgslice.errors import EmptySubgraph
-from kgslice.graph import ingest_ntriples, subgraph_from_triples
+from kgslice.graph import KnowledgeGraph, ingest_ntriples, subgraph_from_triples
 from kgslice.influence import PprParams, extract_influence
 from kgslice.metrics import (
     QualityReport,
@@ -24,7 +26,16 @@ from kgslice.patterns import PatternTask
 from kgslice.tasks import TaskSpec
 from kgslice.walks import WalkParams, extract_random_walk
 
-from conftest import EX, Budget, make_kg, nt, random_kg, random_kg_lines, types_in_order
+from conftest import (
+    EX,
+    TYPE_IRI,
+    Budget,
+    make_kg,
+    nt,
+    random_kg,
+    random_kg_lines,
+    types_in_order,
+)
 from oracles import UnionFind, bfs_distances, entropy_of_counts, reference_quality_report
 
 
@@ -272,6 +283,32 @@ def test_quality_report_on_200k_vertex_path():
     assert report.avg_distance_to_target == n / 2
     # only v1 has a typed neighbor
     assert report.neighbor_type_entropy == entropy_of_counts([1] + [0] * (n - 1))
+
+
+def test_quality_report_memory_follows_the_slice():
+    # a 10-triple slice at the top of a 1M-vertex id space: one int64 array
+    # the size of the parent would take 8 MB
+    n = 1_000_000
+    terms = dict(zip((f"_:b{i}" for i in range(n)), range(n)))
+    preds = {f"<{TYPE_IRI}>": 0, f"<{EX}p0>": 1}
+    base, cls = n - 20, n - 1
+    rows = [(base + i, 1, base + i + 1) for i in range(6)] + [(base + i, 0, cls) for i in range(4)]
+    kg = KnowledgeGraph(terms, preds, np.array(rows, dtype=np.int32), TYPE_IRI)
+    del terms
+    sg = subgraph_from_triples(kg, kg.spo)
+    task = TaskSpec(kind="nc", target_type=cls, target_predicate=1)
+    kg.literal_mask()  # the graph's own cached index, shared by all its slices
+    tracemalloc.start()
+    try:
+        report = quality_report(sg, task, kg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+    # the report reads the slice's id arrays, not its vertex set
+    assert "vertices" not in sg.__dict__
+    assert report == reference_quality_report(sg, task, kg)
+    assert (report.vertex_count, report.target_count, report.triple_count) == (7, 4, 10)
 
 
 def test_extractors_report_zero_disconnection(rng):

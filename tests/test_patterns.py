@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -96,40 +97,41 @@ def test_lp_query_contains_bridge_once():
 
 # <TP> stands for the type predicate, <PREFIX> for the LP anchor pattern
 NC_D2H2_BRANCHES = [
-    "select distinct ?v as ?s ?p ?o where { ?v a <http://ex/T> . ?v ?p ?o . }",
-    "select distinct ?s ?p ?v as ?o where { ?v a <http://ex/T> . ?s ?p ?v . filter (?p != <TP>) }",
-    "select distinct ?o1 as ?s ?p ?o where { ?v a <http://ex/T> . ?v ?p1 ?o1 . ?o1 ?p ?o . "
+    "select distinct (?v as ?s) ?p ?o where { ?v a <http://ex/T> . ?v ?p ?o . }",
+    "select distinct ?s ?p (?v as ?o) where { ?v a <http://ex/T> . ?s ?p ?v . "
+    "filter (?p != <TP>) }",
+    "select distinct (?o1 as ?s) ?p ?o where { ?v a <http://ex/T> . ?v ?p1 ?o1 . ?o1 ?p ?o . "
     "filter (?p1 != <TP>) }",
-    "select distinct ?s ?p ?o1 as ?o where { ?v a <http://ex/T> . ?v ?p1 ?o1 . ?s ?p ?o1 . "
+    "select distinct ?s ?p (?o1 as ?o) where { ?v a <http://ex/T> . ?v ?p1 ?o1 . ?s ?p ?o1 . "
     "filter (?p1 != <TP> && ?p != <TP>) }",
-    "select distinct ?s1 as ?s ?p ?o where { ?v a <http://ex/T> . ?s1 ?p1 ?v . ?s1 ?p ?o . "
+    "select distinct (?s1 as ?s) ?p ?o where { ?v a <http://ex/T> . ?s1 ?p1 ?v . ?s1 ?p ?o . "
     "filter (?p1 != <TP>) }",
-    "select distinct ?s ?p ?s1 as ?o where { ?v a <http://ex/T> . ?s1 ?p1 ?v . ?s ?p ?s1 . "
+    "select distinct ?s ?p (?s1 as ?o) where { ?v a <http://ex/T> . ?s1 ?p1 ?v . ?s ?p ?s1 . "
     "filter (?p1 != <TP> && ?p != <TP>) }",
 ]
 
 LP_PREFIX = "?vi a <http://ex/T> . ?vj a <http://ex/U> . ?vi <http://ex/linked> ?vj ."
 LP_D2H2_BRANCHES = [
-    "select ?vi as ?s <http://ex/linked> as ?p ?vj as ?o where { <PREFIX> }",
-    "select distinct ?vi as ?s ?p ?o where { <PREFIX> ?vi ?p ?o . }",
-    "select distinct ?s ?p ?vi as ?o where { <PREFIX> ?s ?p ?vi . filter (?p != <TP>) }",
-    "select distinct ?o1 as ?s ?p ?o where { <PREFIX> ?vi ?p1 ?o1 . ?o1 ?p ?o . "
+    "select (?vi as ?s) (<http://ex/linked> as ?p) (?vj as ?o) where { <PREFIX> }",
+    "select distinct (?vi as ?s) ?p ?o where { <PREFIX> ?vi ?p ?o . }",
+    "select distinct ?s ?p (?vi as ?o) where { <PREFIX> ?s ?p ?vi . filter (?p != <TP>) }",
+    "select distinct (?o1 as ?s) ?p ?o where { <PREFIX> ?vi ?p1 ?o1 . ?o1 ?p ?o . "
     "filter (?p1 != <TP>) }",
-    "select distinct ?s ?p ?o1 as ?o where { <PREFIX> ?vi ?p1 ?o1 . ?s ?p ?o1 . "
+    "select distinct ?s ?p (?o1 as ?o) where { <PREFIX> ?vi ?p1 ?o1 . ?s ?p ?o1 . "
     "filter (?p1 != <TP> && ?p != <TP>) }",
-    "select distinct ?s1 as ?s ?p ?o where { <PREFIX> ?s1 ?p1 ?vi . ?s1 ?p ?o . "
+    "select distinct (?s1 as ?s) ?p ?o where { <PREFIX> ?s1 ?p1 ?vi . ?s1 ?p ?o . "
     "filter (?p1 != <TP>) }",
-    "select distinct ?s ?p ?s1 as ?o where { <PREFIX> ?s1 ?p1 ?vi . ?s ?p ?s1 . "
+    "select distinct ?s ?p (?s1 as ?o) where { <PREFIX> ?s1 ?p1 ?vi . ?s ?p ?s1 . "
     "filter (?p1 != <TP> && ?p != <TP>) }",
-    "select distinct ?vj as ?s ?p ?o where { <PREFIX> ?vj ?p ?o . }",
-    "select distinct ?s ?p ?vj as ?o where { <PREFIX> ?s ?p ?vj . filter (?p != <TP>) }",
-    "select distinct ?o1 as ?s ?p ?o where { <PREFIX> ?vj ?p1 ?o1 . ?o1 ?p ?o . "
+    "select distinct (?vj as ?s) ?p ?o where { <PREFIX> ?vj ?p ?o . }",
+    "select distinct ?s ?p (?vj as ?o) where { <PREFIX> ?s ?p ?vj . filter (?p != <TP>) }",
+    "select distinct (?o1 as ?s) ?p ?o where { <PREFIX> ?vj ?p1 ?o1 . ?o1 ?p ?o . "
     "filter (?p1 != <TP>) }",
-    "select distinct ?s ?p ?o1 as ?o where { <PREFIX> ?vj ?p1 ?o1 . ?s ?p ?o1 . "
+    "select distinct ?s ?p (?o1 as ?o) where { <PREFIX> ?vj ?p1 ?o1 . ?s ?p ?o1 . "
     "filter (?p1 != <TP> && ?p != <TP>) }",
-    "select distinct ?s1 as ?s ?p ?o where { <PREFIX> ?s1 ?p1 ?vj . ?s1 ?p ?o . "
+    "select distinct (?s1 as ?s) ?p ?o where { <PREFIX> ?s1 ?p1 ?vj . ?s1 ?p ?o . "
     "filter (?p1 != <TP>) }",
-    "select distinct ?s ?p ?s1 as ?o where { <PREFIX> ?s1 ?p1 ?vj . ?s ?p ?s1 . "
+    "select distinct ?s ?p (?s1 as ?o) where { <PREFIX> ?s1 ?p1 ?vj . ?s ?p ?s1 . "
     "filter (?p1 != <TP> && ?p != <TP>) }",
 ]
 
@@ -164,7 +166,9 @@ def test_golden_d2h2_nc_branch_texts(tp):
     bgp = get_bgp(PatternTask(kind="nc", target_type_iri=f"{EX}T", type_predicate_iri=tp), 2, 2)
     texts = [b.text for b in bgp.branches]
     assert texts == golden(NC_D2H2_BRANCHES, tp)
-    assert bgp.full_text == "select ?s ?p ?o { " + " union ".join(texts) + " }"
+    # the display form unions the same texts with the paper's bare alias
+    display = [re.sub(r"\((\?\w+ as \?[so])\)", r"\1", t) for t in texts]
+    assert bgp.full_text == "select ?s ?p ?o { " + " union ".join(display) + " }"
 
 
 @pytest.mark.parametrize("tp", [TYPE_IRI, f"{EX}isA"])
@@ -180,7 +184,7 @@ def test_golden_d2h2_lp_full_text_with_and_without_object_type():
     without = get_bgp(lp_pattern(obj_type=None), 2, 2)
     prefix = "?vi a <http://ex/T> . ?vi <http://ex/linked> ?vj ."
     assert without.full_text == f"select ?s ?p ?o where {{ {prefix} {LP_D2H2_ARMS} }}"
-    assert without.branches[1].text == f"select distinct ?vi as ?s ?p ?o where {{ {prefix} ?vi ?p ?o . }}"
+    assert without.branches[1].text == f"select distinct (?vi as ?s) ?p ?o where {{ {prefix} ?vi ?p ?o . }}"
 
 
 def test_lp_without_object_type():
@@ -431,3 +435,83 @@ def test_provenance_recorded(rng):
     assert sg.provenance["engine"] == "sparql"
     assert sg.provenance["d"] == 1
     assert sg.provenance["backend"] == "local"
+
+
+# Production [9] SelectClause of SPARQL 1.1, as far as the renderer uses it:
+# 'select' ('distinct')? ( Var | '(' Expression 'as' Var ')' )+, where an
+# Expression is a variable, an IRI or count(*).
+_VAR = r"\?[A-Za-z_]\w*"
+_EXPRESSION = rf"(?:{_VAR}|<[^<>\s]*>|count\(\*\))"
+_SELECT_CLAUSE = rf"select(?: distinct)?(?: (?:{_VAR}|\({_EXPRESSION} as {_VAR}\)))+"
+# SelectQuery: SelectClause DatasetClause? WhereClause SolutionModifier
+_SELECT_QUERY = re.compile(
+    rf"(?P<select>{_SELECT_CLAUSE}) (?:from <[^<>\s]*> )?where \{{ (?P<group>.*) \}}"
+    rf"(?: order by \?s \?p \?o limit \d+ offset \d+)?"
+)
+# SubSelect: SelectClause WhereClause, as the one pattern of a group
+_SUB_SELECT = re.compile(rf"\{{ (?P<select>{_SELECT_CLAUSE}) where \{{ (?P<group>.*) \}} \}}")
+
+
+def recognise_select(text: str) -> int:
+    """Check a query text's select clauses against the grammar; return how many it has.
+
+    Each projected variable appears once, and no alias names a variable
+    that the clause's own group pattern binds (SPARQL 1.1, section 18.2.1).
+    """
+    m = _SELECT_QUERY.fullmatch(text)
+    assert m, f"not a SelectQuery in the grammar's form: {text}"
+    clauses = 0
+    while m:
+        items = re.findall(rf"\({_EXPRESSION} as ({_VAR})\)|({_VAR})", m["select"])
+        names = [alias or var for alias, var in items]
+        assert len(names) == len(set(names)), text
+        for alias, _ in items:
+            if alias:
+                assert not re.search(rf"\{alias}\b", m["group"]), f"{alias} is bound: {text}"
+        clauses += 1
+        group = m["group"]
+        m = _SUB_SELECT.fullmatch(group)
+        assert m or " select " not in f" {group}", f"a nested select outside a SubSelect: {text}"
+    return clauses
+
+
+def executed_texts():
+    """Every text the engines send: count and page queries of every branch."""
+    for tp in (TYPE_IRI, f"{EX}isA"):
+        tasks = [PatternTask("nc", f"{EX}T", type_predicate_iri=tp)]
+        tasks += [
+            PatternTask("lp", f"{EX}T", f"{EX}linked", obj, type_predicate_iri=tp)
+            for obj in (f"{EX}U", None)
+        ]
+        for task in tasks:
+            for d in (1, 2):
+                for h in (1, 2):
+                    for branch in get_bgp(task, d, h).branches:
+                        for graph_iri in (None, f"{EX}graph"):
+                            yield branch.count_query(graph_iri), 2
+                            yield branch.page_query(1000, 2000, graph_iri), 1
+
+
+def test_executed_texts_follow_the_select_clause_grammar():
+    texts = list(executed_texts())
+    # 2 type predicates x (11 NC + 26 LP + 26 LP without object type) branches,
+    # each with and without a graph IRI, count and page query
+    assert len(texts) == 2 * (11 + 26 + 26) * 2 * 2
+    for text, clauses in texts:
+        assert recognise_select(text) == clauses, text
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # the bare alias that the paper's listing and BgpQuery.full_text use
+        "select distinct ?o1 as ?s ?p ?o where { ?v a <http://ex/T> . ?v ?p1 ?o1 . ?o1 ?p ?o . }",
+        "select ?vi as ?s <http://ex/linked> as ?p ?vj as ?o "
+        "where { ?vi <http://ex/linked> ?vj . }",
+        # an alias naming a variable its own group binds
+        "select distinct (?v as ?o) ?p ?s where { ?v a <http://ex/T> . ?v ?p ?o . }",
+    ],
+)
+def test_select_recogniser_rejects_texts_outside_the_grammar(text):
+    with pytest.raises(AssertionError):
+        recognise_select(text)
