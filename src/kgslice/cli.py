@@ -46,6 +46,7 @@ from .tasks import (
     build_labels,
     check_task_config,
     config_required,
+    config_task_kind,
     make_splits,
     read_config,
     resolve_targets,
@@ -168,7 +169,7 @@ def cmd_ingest(args) -> int:
 def _endpoint_extract(args, cfg, outdir: Path) -> Subgraph:
     """Pattern extraction against ``--endpoint``; a failed job leaves partial.json."""
     task = PatternTask(
-        kind=cfg.get("task", NODE_CLASSIFICATION).lower(),
+        kind=config_task_kind(cfg),
         target_type_iri=config_required(cfg, "target_type"),
         target_predicate_iri=cfg.get("target_predicate"),
         object_type_iri=cfg.get("object_type"),
@@ -188,7 +189,7 @@ def _endpoint_extract(args, cfg, outdir: Path) -> Subgraph:
         outdir.mkdir(parents=True, exist_ok=True)
         partial = {
             "failed_job": list(exc.job),
-            "completed_jobs": getattr(exc, "completed_jobs", []),
+            "completed_jobs": exc.completed_jobs,
             "cause": str(exc.cause),
         }
         with open_for_rewrite(outdir / "partial.json", "w", encoding="utf-8") as fh:
@@ -246,7 +247,7 @@ def cmd_extract(args) -> int:
     else:
         sg = _local_extract(args, cfg, params)
 
-    nc = cfg.get("task", NODE_CLASSIFICATION).lower() == NODE_CLASSIFICATION
+    nc = config_task_kind(cfg) == NODE_CLASSIFICATION
     if nc and "target_predicate" in cfg and not args.keep_label_edges:
         sg = _strip_label_edges(sg, cfg["target_type"], cfg["target_predicate"])
 

@@ -122,6 +122,7 @@ class JobFailed(KgsliceError):
         super().__init__(f"job {job} failed: {cause}")
         self.job = job
         self.cause = cause
+        self.completed_jobs = []  # the plan's finished jobs, by index, set by execute_plan
 
 
 def check_at_least_one(value: int, name: str) -> None:

@@ -180,10 +180,31 @@ def id_array(ids) -> np.ndarray:
 
 
 def _offsets(ids: np.ndarray, n: int) -> np.ndarray:
-    """CSR offsets of sorted ``ids`` over 0..n-1: id i holds ``offsets[i]:offsets[i + 1]``."""
+    """CSR offsets of ``ids`` over 0..n-1: sorted, id i holds ``offsets[i]:offsets[i + 1]``."""
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(ids, minlength=n), out=offsets[1:])
     return _read_only(offsets)
+
+
+def csr(tails: np.ndarray, heads: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The edges ``tails[i] -> heads[i]`` over ids 0..n-1 as read-only CSR arrays.
+
+    Returns int64 ``offsets`` and int32 ``neighbours``: the heads of
+    ``v``'s edges are ``neighbours[offsets[v]:offsets[v + 1]]``,
+    ascending, one entry per edge, so a parallel edge repeats its head.
+    Ids are non-negative and below ``n``, and ``n`` is below 2**31. The
+    edges are sorted as one int64 key each, ``tail * n + head``, built,
+    sorted and cut back to its head in place, then narrowed to int32. The
+    offsets come first, as ``bincount`` may copy int32 tails to int64, so
+    at most one int64 array the size of the edges is alive at a time here.
+    """
+    offsets = _offsets(tails, n)
+    key = tails.astype(np.int64)
+    key *= n
+    key += heads
+    key.sort()
+    np.remainder(key, n, out=key)
+    return offsets, _read_only(key.astype(np.int32))
 
 
 def _tuples(rows: np.ndarray):
@@ -241,10 +262,7 @@ class Subgraph:
 
     @cached_property
     def vertices(self) -> frozenset[int]:
-        # every subject, then the objects of non-type triples, inserted in
-        # row order: the set, and the order it iterates in, are the same
-        # whichever way the slice was built
-        return frozenset(chain(self.spo[:, 0].tolist(), self.non_type_spo[:, 2].tolist()))
+        return frozenset(self.vertex_ids.tolist())
 
     @cached_property
     def triples(self) -> tuple[tuple[int, int, int], ...]:
@@ -368,9 +386,10 @@ class KnowledgeGraph:
 
     Construction happens through :func:`build_graph` (which
     :func:`ingest_ntriples` calls); afterwards the instance is read-only
-    and safe to share across threads. The literal mask, the walk index and
-    each vertex's walk list are built on first use; threads racing to build
-    one may both build it, with equal results.
+    and safe to share across threads. The literal mask, each direction's
+    walk CSR, each vertex's walk list and the walk index are built on
+    first use; threads racing to build one may both build it, with equal
+    results.
     """
 
     def __init__(
@@ -410,7 +429,6 @@ class KnowledgeGraph:
         self._walk_adj: dict[str, WalkAdjacency] = {}
         self._walk_index: WalkIndex | None = None
         self._literal_mask: np.ndarray | None = None
-        self._literal_flags: list[bool] | None = None
 
     # -- dictionary ----------------------------------------------------
 
@@ -437,12 +455,6 @@ class KnowledgeGraph:
             mask = np.fromiter((t[:1] == '"' for t in self._terms), dtype=bool, count=n)
             self._literal_mask = _read_only(mask)
         return self._literal_mask
-
-    def literal_flags(self) -> list[bool]:
-        """:meth:`literal_mask` as a Python list, for per-vertex reads. Built once and cached."""
-        if self._literal_flags is None:
-            self._literal_flags = self.literal_mask().tolist()
-        return self._literal_flags
 
     def lexical(self, v: int) -> str:
         return term_lexical(self._terms[v])
@@ -589,28 +601,16 @@ class KnowledgeGraph:
     def walk_index(self) -> WalkIndex:
         """The ``both`` :meth:`walk_adjacency` indexed by vertex id, sharing its lists.
 
-        Built in bulk: both ends of every walk edge packed into one int64
-        key, vertex * n + neighbor (n**2 fits, as n < 2**31), one sort of
-        the keys and a bincount. A list the adjacency built already is
-        kept, and the adjacency gets every other one. That graph is
-        symmetric: every neighbor of a vertex has degree at least 1. Built
-        once and cached.
+        Every list the adjacency has not cut yet is cut from its CSR, which
+        is turned into one Python list for that, and kept by the adjacency.
+        That graph is symmetric: every neighbor of a vertex has degree at
+        least 1. Built once and cached.
         """
         if self._walk_index is None:
-            n = len(self._terms)
-            keep = ~(self.literal_mask()[self.o] | type_mask(self.p, self.type_predicate))
-            s, o = self.s[keep], self.o[keep]
-            key = np.concatenate([s, o]).astype(np.int64)
-            key *= n
-            key += np.concatenate([o, s])
-            del s, o, keep
-            key.sort()
-            heads = (key % n).tolist()
-            ends = np.cumsum(np.bincount(key // n, minlength=n)).tolist()
-            del key
-            lists = self.walk_adjacency(BOTH)._lists
+            adj = self.walk_adjacency(BOTH)
+            lists, heads = adj._lists, adj._neighbours.tolist()
             start = 0
-            for v, end in enumerate(ends):
+            for v, end in enumerate(adj._offsets[1:].tolist()):
                 if lists[v] is None:
                     lists[v] = heads[start:end] or ()
                 start = end
@@ -656,25 +656,26 @@ class WalkAdjacency(Mapping):
     choice over the list is a uniform choice over edges. A vertex with no
     such edge has no list: ``adj.get(v)`` returns None.
 
-    The first read of a vertex builds its list from its slices of the
-    graph's id columns, read through memoryviews, and keeps it, so a walk
-    pays only for the vertices it visits; iteration and ``len`` read every
-    vertex the same way, and :meth:`KnowledgeGraph.walk_index` fills in
-    every list not read yet, in bulk. Only the sorted list is stored, in
-    one assignment, so threads racing on a vertex may build its list twice
-    but never see a partial one. The adjacency holds those columns, not
-    the graph that caches it, so a graph is freed by reference count once
-    its last user lets go.
+    The walk edges are selected once, when the adjacency is made, and
+    become one :func:`csr`. The first read of a vertex cuts its list from
+    the CSR, read through memoryviews, and keeps it, so a walk makes lists
+    only for the vertices it visits; iteration and ``len`` read every
+    vertex the same way, and :meth:`KnowledgeGraph.walk_index` cuts every
+    list not read yet from the same CSR, in bulk. A list is stored in one
+    assignment, so threads racing on a vertex may cut its list twice but
+    never see a partial one. The adjacency holds its CSR, not the graph
+    that caches it, so a graph is freed by reference count once its last
+    user lets go.
     """
 
     def __init__(self, kg: KnowledgeGraph, direction: str):
-        self._out = (memoryview(kg.p), memoryview(kg.o), memoryview(kg._subject_offsets))
-        self._in = None
+        walk = ~(kg.literal_mask()[kg.o] | type_mask(kg.p, kg.type_predicate))
+        tails, heads = kg.s[walk], kg.o[walk]
         if direction == BOTH:
-            self._in = (memoryview(kg._in_s), memoryview(kg._in_p), memoryview(kg._object_offsets))
-        self._type_predicate = kg.type_predicate
-        self._is_literal = kg.literal_flags()
-        # None: not built yet; (): no list, shared instead of one empty list per vertex
+            tails, heads = np.concatenate([tails, heads]), np.concatenate([heads, tails])
+        offsets, neighbours = csr(tails, heads, kg.vertex_count())
+        self._offsets, self._neighbours = memoryview(offsets), memoryview(neighbours)
+        # None: not cut yet; (): no list, shared instead of one empty list per vertex
         self._lists: list[list[int] | tuple | None] = [None] * kg.vertex_count()
 
     def get(self, v, default=None):
@@ -683,23 +684,8 @@ class WalkAdjacency(Mapping):
             return default
         lst = lists[v]
         if lst is None:
-            tp, is_literal = self._type_predicate, self._is_literal
-            predicates, objects, offsets = self._out
-            lo, hi = offsets[v], offsets[v + 1]
-            # plain loops: most lists are short, and before CPython 3.12 a
-            # comprehension costs a call of its own, more than such a loop
-            lst = []
-            for p, o in zip(predicates[lo:hi], objects[lo:hi]):
-                if p != tp and not is_literal[o]:
-                    lst.append(o)
-            if self._in is not None and not is_literal[v]:
-                subjects, predicates, offsets = self._in
-                lo, hi = offsets[v], offsets[v + 1]
-                for s, p in zip(subjects[lo:hi], predicates[lo:hi]):
-                    if p != tp:
-                        lst.append(s)
-            lst.sort()
-            lists[v] = lst = lst or ()
+            offsets = self._offsets
+            lists[v] = lst = self._neighbours[offsets[v]:offsets[v + 1]].tolist() or ()
         return lst if lst else default
 
     def __getitem__(self, v) -> list[int]:
@@ -885,12 +871,12 @@ def hop_distances(
     positions in ``Subgraph.vertex_ids``), so the array is the size of
     the graph walked.
 
-    The edges become an int32 CSR (a stable argsort by tail, offsets from
-    a bincount), read in the level loop through memoryviews, which index
-    and slice without converting the CSR to lists; the loop writes each
-    level into the result as it reaches a vertex. The work is O(N + E). A
-    numpy frontier vectorised per level was far slower on long paths: one
-    round of array calls per level.
+    The edges become one :func:`csr`, read in the level loop through
+    memoryviews, which index and slice without converting the CSR to
+    lists; the loop writes each level into the result as it reaches a
+    vertex. Past the CSR's sort the work is O(N + E). A numpy frontier
+    vectorised per level was far slower on long paths: one round of array
+    calls per level.
     """
     if max_hops is not None and max_hops < 0:
         raise ValueError(f"max_hops must be >= 0 or None, got {max_hops}")
@@ -900,9 +886,7 @@ def hop_distances(
         raise ValueError(f"{len(tails)} tails but {len(heads)} heads")
     sources = distinct(id_array(sources))
     n = max([n, *(int(a.max()) + 1 for a in (tails, heads, sources) if len(a))])
-    offsets = np.zeros(n + 1, dtype=np.int32 if len(tails) < 2**31 else np.int64)
-    np.cumsum(np.bincount(tails, minlength=n), out=offsets[1:])
-    nbrs = heads[np.argsort(tails, kind="stable")].astype(np.int32)
+    offsets, nbrs = csr(tails, heads, n)
     levels = np.full(n, -1, dtype=np.int32)
     levels[sources] = 0
     offset, nbr, level = memoryview(offsets), memoryview(nbrs), memoryview(levels)

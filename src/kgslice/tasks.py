@@ -320,18 +320,22 @@ def config_required(cfg: dict[str, str], key: str) -> str:
     return cfg[key]
 
 
+def config_task_kind(cfg: dict[str, str]) -> str:
+    """The config's task kind, lowercased; node classification without the key."""
+    return cfg.get("task", NODE_CLASSIFICATION).lower()
+
+
 def check_task_config(cfg: dict[str, str]) -> None:
     """Apply :class:`TaskSpec`'s rules to the config's own values, before any graph is read."""
     config_required(cfg, "target_type")
     _check_task(
-        cfg.get("task", NODE_CLASSIFICATION).lower(),
+        config_task_kind(cfg),
         cfg.get("target_predicate"),
         _config_value(cfg, "top_n_labels", int),
     )
 
 
 def task_from_config(kg: KnowledgeGraph, cfg: dict[str, str]) -> TaskSpec:
-    kind = cfg.get("task", NODE_CLASSIFICATION).lower()
     target_type = kg.type_id(config_required(cfg, "target_type"))
     target_predicate = (
         kg.predicate_id(cfg["target_predicate"]) if "target_predicate" in cfg else None
@@ -339,7 +343,7 @@ def task_from_config(kg: KnowledgeGraph, cfg: dict[str, str]) -> TaskSpec:
     object_type = kg.type_id(cfg["object_type"]) if "object_type" in cfg else None
     top_n = _config_value(cfg, "top_n_labels", int)
     return TaskSpec(
-        kind=kind,
+        kind=config_task_kind(cfg),
         target_type=target_type,
         target_predicate=target_predicate,
         object_type=object_type,

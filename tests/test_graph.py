@@ -7,6 +7,7 @@ import os
 import random
 import sys
 import threading
+import tracemalloc
 import warnings
 import weakref
 from array import array
@@ -589,6 +590,25 @@ def test_walked_graph_freed_by_reference_count():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_walk_adjacency_build_peaks_near_its_csr():
+    """Building the ``both`` walk CSR keeps at most one int64 copy of the edges at a time.
+
+    The build peaks at about 20 bytes per walk-edge end (its int32 ends,
+    one int64 key and the int32 neighbours) plus 16 per vertex (offsets
+    and the list slots); another int64 array of the ends would pass 28.
+    """
+    kg = random_kg(random.Random(5), n_vertices=5000, n_triples=30000, literal_fraction=0.2)
+    tracemalloc.start()
+    try:
+        adj = kg.walk_adjacency(BOTH)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ends = sum(map(len, adj.values()))
+    assert ends > 40000
+    assert peak <= 24 * ends + 16 * kg.vertex_count()
 
 
 def test_walk_adjacency_rejects_bad_direction():

@@ -17,6 +17,7 @@ from kgslice.graph import (
     OUTGOING,
     RDF_TYPE,
     build_graph,
+    csr,
     ingest_ntriples,
     sorted_unique_rows,
     subgraph_from_triples,
@@ -72,6 +73,30 @@ def test_ingestion_is_deterministic(triples):
     assert [kg1.out_triples(v) for v in range(kg1.vertex_count())] == [
         kg2.out_triples(v) for v in range(kg2.vertex_count())
     ]
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=60),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from([np.int32, np.int64]),
+)
+@settings(max_examples=80, deadline=None)
+def test_csr_equals_sorted_neighbour_lists(edges, isolated, dtype):
+    """Each tail's CSR slice is its heads, sorted, one per edge.
+
+    Seven ids make self-loops and parallel edges common; ``isolated`` ids
+    past the largest edge end have empty slices, and no edges at all give
+    empty neighbours. The edge arrays are left as they were.
+    """
+    n = max((max(e) + 1 for e in edges), default=0) + isolated
+    tails = np.array([t for t, _ in edges], dtype=dtype)
+    heads = np.array([h for _, h in edges], dtype=dtype)
+    offsets, neighbours = csr(tails, heads, n)
+    assert len(offsets) == n + 1 and offsets[0] == 0 and offsets[-1] == len(edges)
+    assert [neighbours[offsets[v]:offsets[v + 1]].tolist() for v in range(n)] == [
+        sorted(h for t, h in edges if t == v) for v in range(n)
+    ]
+    assert tails.tolist() == [t for t, _ in edges] and heads.tolist() == [h for _, h in edges]
 
 
 _small = st.integers(min_value=0, max_value=8)
