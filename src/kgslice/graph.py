@@ -34,11 +34,13 @@ import os
 import re
 import stat
 from array import array
+from collections import defaultdict
 from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, islice, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -78,10 +80,21 @@ _TRIPLE_RE = re.compile(
     r"[ \t]+(" + _OBJECT + r")"
     r"[ \t]*\.[ \t]*$"
 )
+# the statement grammar over a block of lines: ^ and $ match at each line's
+# ends, and a split gives (separator, s, p, o) per match and a last separator
+_STATEMENTS_RE = re.compile(_TRIPLE_RE.pattern, re.MULTILINE)
+_UNDECODED_RE = re.compile("[\udc80-\udcff]")
 _TERM_RE = re.compile(_OBJECT)
 _PREDICATE_RE = re.compile(_IRI)
 
 _GZIP_MAGIC = b"\x1f\x8b"
+
+# characters read and split at a time; small blocks leave the terms a load
+# keeps close together in memory, as a line at a time does
+_BLOCK_CHARS = 4096
+# statements interned at a time when they come as rows, not as text
+_BATCH_ROWS = 4096
+_SUBJECT_OF, _PREDICATE_OF, _OBJECT_OF = itemgetter(0), itemgetter(1), itemgetter(2)
 
 
 class WalkIndex(NamedTuple):
@@ -701,41 +714,150 @@ class WalkAdjacency(Mapping):
         return sum(1 for _ in self)
 
 
-def read_ntriples(source, errors: list[ParseError] | None = None):
-    """Yield the (subject, predicate, object) surface forms of each statement.
+def _parse_lines(lines, lineno: int, errors: list[ParseError] | None):
+    """Yield the (s, p, o) groups of each statement among ``lines``, numbered from ``lineno``.
 
-    ``source`` is bytes or a binary stream, decoded as UTF-8 one line at a
-    time; invalid UTF-8 raises :class:`IoFailure`. Blank lines and ``#``
-    comments are skipped. A malformed line is appended to ``errors`` as a
-    :class:`ParseError` and skipped, or raised when ``errors`` is None.
+    Blank lines and ``#`` comments are skipped. A malformed line is appended
+    to ``errors`` as a :class:`ParseError` and skipped, or raised when
+    ``errors`` is None.
+    """
+    for lineno, line in enumerate(lines, start=lineno):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        m = _TRIPLE_RE.match(line)
+        if m is None:
+            err = ParseError(lineno, "not a valid N-Triples statement", line)
+            if errors is None:
+                raise err
+            errors.append(err)
+            continue
+        yield m.groups()
+
+
+def _columns(rows: list):
+    """(s, p, o) rows as ``(ends, predicates)``: each subject and object in turn, each predicate."""
+    ends = [None] * (2 * len(rows))
+    ends[::2] = map(_SUBJECT_OF, rows)
+    ends[1::2] = map(_OBJECT_OF, rows)
+    return ends, map(_PREDICATE_OF, rows)
+
+
+def _blocks(text):
+    """The text in blocks of whole lines, about ``_BLOCK_CHARS`` each, without their final newline.
+
+    A line longer than a block makes one block of its own.
+    """
+    pending = []
+    while chunk := text.read(_BLOCK_CHARS):
+        cut = chunk.rfind("\n")
+        if cut < 0:
+            pending.append(chunk)
+            continue
+        pending.append(chunk[:cut])
+        yield "".join(pending)
+        pending = [chunk[cut + 1:]]
+    tail = "".join(pending)
+    if tail:
+        yield tail
+
+
+def _ntriples_columns(source, errors: list[ParseError] | None):
+    """The statements of N-Triples bytes or a binary stream as ``(ends, predicates)`` batches.
+
+    One batch per block of lines, in order; see :func:`read_ntriples`. A
+    block whose every line is a statement is split by one regex call, and
+    its columns are slices of the split. Any other block, and the lines
+    before an invalid UTF-8 byte, go through :func:`_parse_lines`.
     """
     if isinstance(source, bytes):
         source = io.BytesIO(source)
     # universal newlines end a line at CR, LF and CRLF only, as N-Triples
     # does; str.splitlines would also split at characters a literal may hold
-    # raw (\x0b, \x0c, \x1c-\x1e, \x85, \u2028, \u2029)
-    text = io.TextIOWrapper(source, encoding="utf-8")
+    # raw (\x0b, \x0c, \x1c-\x1e, \x85, \u2028, \u2029). An invalid byte
+    # decodes to a lone surrogate, so it is found at its line
+    text = io.TextIOWrapper(source, encoding="utf-8", errors="surrogateescape")
+    lineno = 1
     try:
-        for lineno, line in enumerate(text, start=1):
-            line = line.rstrip("\n")
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            m = _TRIPLE_RE.match(line)
-            if m is None:
-                err = ParseError(lineno, "not a valid N-Triples statement", line)
-                if errors is None:
-                    raise err
-                errors.append(err)
-                continue
-            yield m.groups()
-    except UnicodeDecodeError as exc:
-        raise IoFailure(f"input is not valid UTF-8: {exc}") from exc
+        for block in _blocks(text):
+            lines = block.count("\n") + 1
+            bad = None if block.isascii() else _UNDECODED_RE.search(block)
+            if bad is not None:
+                head = block[:bad.start()].split("\n")
+                yield _columns(list(_parse_lines(head[:-1], lineno, errors)))
+                raise IoFailure(
+                    f"input is not valid UTF-8: byte 0x{ord(bad.group()) - 0xDC00:02x} "
+                    f"on line {lineno + len(head) - 1}"
+                )
+            # a match spans one line or more, and starts a line: one match
+            # per line means every line is a statement
+            parts = _STATEMENTS_RE.split(block)
+            if len(parts) == 4 * lines + 1:
+                yield parts[1::2], parts[2::4]
+            else:
+                yield _columns(list(_parse_lines(block.split("\n"), lineno, errors)))
+            lineno += lines
     finally:
         # hand the stream back open; a caller that abandoned this generator
         # may have closed it already, and detaching would then fail to flush
         if not source.closed:
             text.detach()
+
+
+def read_ntriples(source, errors: list[ParseError] | None = None):
+    """Yield the (subject, predicate, object) surface forms of each statement.
+
+    ``source`` is bytes or a binary stream, decoded as UTF-8 and read a
+    block of lines at a time. Blank lines and ``#`` comments are skipped. A
+    malformed line is appended to ``errors`` as a :class:`ParseError` and
+    skipped, or raised when ``errors`` is None. Reading stops at the first
+    invalid UTF-8 byte with :class:`IoFailure` naming its line, whatever
+    ``errors`` is; the lines before it are read as usual, so with ``errors``
+    None a malformed line before that byte raises its ParseError and one
+    after it is never reached.
+    """
+    for ends, predicates in _ntriples_columns(source, errors):
+        # zip takes from its arguments left to right: subject, predicate, object
+        ends = iter(ends)
+        yield from zip(ends, predicates, ends)
+
+
+def _statement_columns(statements):
+    """(s, p, o) statements as ``(ends, predicates)`` batches of at most ``_BATCH_ROWS`` rows."""
+    rows = iter(statements)
+    while batch := list(islice(rows, _BATCH_ROWS)):
+        yield _columns(batch)
+
+
+def _intern(batches, type_predicate_iri: str) -> KnowledgeGraph:
+    """A KnowledgeGraph from ``(ends, predicates)`` batches of surface forms.
+
+    ``ends`` holds each statement's subject and object in turn. Each column
+    is interned whole, in C: terms and predicates are keys of a dict each,
+    where a missing key is added with the dict's length as its id, so ids
+    follow first encounter. More than ``MAX_IDS`` distinct terms, or
+    predicates, raise IdSpaceExhausted.
+    """
+    terms: defaultdict[str, int] = defaultdict()
+    terms.default_factory = terms.__len__
+    preds: defaultdict[str, int] = defaultdict()
+    preds.default_factory = preds.__len__
+    end_ids, pred_ids = array("i"), array("i")
+    try:
+        for ends, predicates in batches:
+            end_ids.extend(map(terms.__getitem__, ends))
+            pred_ids.extend(map(preds.__getitem__, predicates))
+    except OverflowError:  # an id past the C int range of the array
+        check_id_space(len(terms), len(preds))
+        raise
+    check_id_space(len(terms), len(preds))
+    # the graph looks terms up with get, but a lookup by [] must not add one
+    terms.default_factory = preds.default_factory = None
+    rows = np.empty((len(pred_ids), 3), dtype=np.int32)
+    rows[:, ::2] = np.frombuffer(end_ids, dtype=np.intc).reshape(-1, 2)
+    rows[:, 1] = np.frombuffer(pred_ids, dtype=np.intc)
+    del end_ids, pred_ids  # freed before the index build allocates its own
+    return KnowledgeGraph(terms, preds, rows, type_predicate_iri)
 
 
 def build_graph(statements, type_predicate_iri: str = RDF_TYPE) -> KnowledgeGraph:
@@ -744,24 +866,11 @@ def build_graph(statements, type_predicate_iri: str = RDF_TYPE) -> KnowledgeGrap
     Terms and predicates get dense ids in first-encounter order, each in
     its own id space; duplicate statements collapse to one triple. The
     surfaces are taken as they are: :func:`ingest_ntriples` checks them
-    when they come from anywhere but :func:`read_ntriples`. More than
+    when they come from anywhere but :func:`read_ntriples`. The statements
+    are read in bounded batches, never listed whole. More than
     ``MAX_IDS`` distinct terms, or predicates, raise IdSpaceExhausted.
     """
-    terms: dict[str, int] = {}
-    preds: dict[str, int] = {}
-    ids = array("i")  # the s, p and o ids of each statement in turn
-    add, term_id, pred_id = ids.append, terms.setdefault, preds.setdefault
-    try:
-        for s, p, o in statements:
-            add(term_id(s, len(terms)))
-            add(pred_id(p, len(preds)))
-            add(term_id(o, len(terms)))
-    except OverflowError:  # an id past the C int range of the array
-        check_id_space(len(terms), len(preds))
-        raise
-    check_id_space(len(terms), len(preds))
-    rows = np.frombuffer(ids, dtype=np.intc).reshape(-1, 3)
-    return KnowledgeGraph(terms, preds, rows, type_predicate_iri)
+    return _intern(_statement_columns(statements), type_predicate_iri)
 
 
 def ingest_ntriples(
@@ -772,9 +881,12 @@ def ingest_ntriples(
     """A KnowledgeGraph from N-Triples bytes or a binary stream, or from statements.
 
     Duplicate statements collapse to one triple. Bytes or a stream are read
-    by :func:`read_ntriples`: malformed lines are collected as
+    as :func:`read_ntriples` reads them, its columns interned without a
+    tuple per statement: malformed lines are collected as
     :class:`ParseError` records and skipped unless ``strict`` is set, in
-    which case the first one is raised. Any other ``source`` is an iterable
+    which case the first one is raised; invalid UTF-8 raises
+    :class:`IoFailure` in either mode, unless strict mode met a malformed
+    line before it. Any other ``source`` is an iterable
     of (subject, predicate, object) surface forms, taken as they are and
     then checked once per distinct term with
     :meth:`KnowledgeGraph.malformed_term`; a term N-Triples forbids where it
@@ -783,7 +895,7 @@ def ingest_ntriples(
     """
     errors: list[ParseError] = []
     if isinstance(source, bytes) or hasattr(source, "read"):
-        kg = build_graph(read_ntriples(source, None if strict else errors), type_predicate_iri)
+        kg = _intern(_ntriples_columns(source, None if strict else errors), type_predicate_iri)
         return kg, errors
     kg = build_graph(source, type_predicate_iri)
     bad = kg.malformed_term()
@@ -880,8 +992,8 @@ def hop_distances(
     """
     if max_hops is not None and max_hops < 0:
         raise ValueError(f"max_hops must be >= 0 or None, got {max_hops}")
-    tails = np.asarray(tails, dtype=np.int64)
-    heads = np.asarray(heads, dtype=np.int64)
+    # id arrays go to csr as they come, int32 ones uncopied
+    tails, heads = (a if isinstance(a, np.ndarray) else id_array(a) for a in (tails, heads))
     if tails.shape != heads.shape:
         raise ValueError(f"{len(tails)} tails but {len(heads)} heads")
     sources = distinct(id_array(sources))

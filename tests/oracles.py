@@ -7,6 +7,7 @@ brute-force scans, dense matrices, textbook algorithms. Keep it that way.
 from __future__ import annotations
 
 import heapq
+import io
 import json
 import math
 import os
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from kgslice.errors import IoFailure
+from kgslice.errors import IoFailure, ParseError
 from kgslice.export import (
     _EDGE_FILE,
     LITERAL_TYPE,
@@ -26,7 +27,7 @@ from kgslice.export import (
     ExportBundle,
     _write,
 )
-from kgslice.graph import KIND_LITERAL, Subgraph, open_for_rewrite
+from kgslice.graph import _TRIPLE_RE, KIND_LITERAL, Subgraph, open_for_rewrite
 from kgslice.tasks import LabelMap
 
 from conftest import TYPE_IRI
@@ -36,6 +37,39 @@ def surface_triples(kg, triples=None):
     """Triples as surface-form string tuples (id-space independent)."""
     src = kg.triples if triples is None else triples
     return {(kg.term(s), kg.predicate_term(p), kg.term(o)) for s, p, o in src}
+
+
+def reference_read_ntriples(source, errors: list[ParseError] | None = None):
+    """The (s, p, o) surface forms of each statement, matched one line at a time.
+
+    The reader as it was before it split whole blocks: every line of the
+    universal-newline text is stripped, skipped when blank or a ``#``
+    comment, else matched alone. A malformed line is appended to
+    ``errors`` as a :class:`ParseError` and skipped, or raised when
+    ``errors`` is None.
+    """
+    if isinstance(source, bytes):
+        source = io.BytesIO(source)
+    text = io.TextIOWrapper(source, encoding="utf-8")
+    try:
+        for lineno, line in enumerate(text, start=1):
+            line = line.rstrip("\n")
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            m = _TRIPLE_RE.match(line)
+            if m is None:
+                err = ParseError(lineno, "not a valid N-Triples statement", line)
+                if errors is None:
+                    raise err
+                errors.append(err)
+                continue
+            yield m.groups()
+    except UnicodeDecodeError as exc:
+        raise IoFailure(f"input is not valid UTF-8: {exc}") from exc
+    finally:
+        if not source.closed:
+            text.detach()
 
 
 def scan_vertices_of_type(kg, type_iri: str) -> list[int]:

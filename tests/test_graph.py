@@ -265,6 +265,31 @@ def test_invalid_utf8_raises_io_failure(strict, offset):
         ingest_ntriples(io.BytesIO(data), strict=strict)
 
 
+@pytest.mark.parametrize("block", [7, 4096])
+@pytest.mark.parametrize("offset", [0, 20000])
+def test_the_first_fault_in_the_file_is_raised(monkeypatch, block, offset):
+    """A malformed line and an invalid byte in one block: the earlier line decides.
+
+    Whatever the block and the decode chunk, reading stops at the invalid
+    byte with IoFailure naming its line, and strict mode raises a malformed
+    line before it as ParseError.
+    """
+    monkeypatch.setattr(graph, "_BLOCK_CHARS", block)
+    head = "".join(nt("a", "p0", f"v{i}") + "\n" for i in range(offset // 40)).encode("utf-8")
+    n = head.count(b"\n")
+    broken, undecodable = b"broken line\n", b'<x> <y> "\xff" .\n'
+    data = head + broken + undecodable
+    with pytest.raises(ParseError) as exc:
+        ingest_ntriples(data, strict=True)
+    assert (exc.value.line, exc.value.text) == (n + 1, "broken line")
+    with pytest.raises(IoFailure, match=f"not valid UTF-8: byte 0xff on line {n + 2}$"):
+        ingest_ntriples(data)
+    data = head + undecodable + broken
+    for strict in (True, False):
+        with pytest.raises(IoFailure, match=f"not valid UTF-8: byte 0xff on line {n + 1}$"):
+            ingest_ntriples(data, strict=strict)
+
+
 def test_vertices_of_type_star():
     kg = make_kg(
         [nt("hub", "a", "T")]
@@ -482,12 +507,13 @@ def test_hop_distances_on_random_edge_arrays(rng):
             adj.setdefault(u, []).append(w)
         sources = rng.sample(range(n + 5), rng.randrange(0, 5))
         dist = bfs_distances(adj, sources)
-        arrays = np.array(tails, dtype=np.int64), np.array(heads, dtype=np.int64)
-        assert levels_as_dict(hop_distances(*arrays, sources)) == dist
         assert levels_as_dict(hop_distances(tails, heads, set(sources))) == dist
-        for max_hops in range(4):
-            near = {v: d for v, d in dist.items() if d <= max_hops}
-            assert levels_as_dict(hop_distances(*arrays, sources, max_hops)) == near
+        for dtype in (np.int32, np.int64):
+            arrays = np.array(tails, dtype=dtype), np.array(heads, dtype=dtype)
+            assert levels_as_dict(hop_distances(*arrays, sources)) == dist
+            for max_hops in range(4):
+                near = {v: d for v, d in dist.items() if d <= max_hops}
+                assert levels_as_dict(hop_distances(*arrays, sources, max_hops)) == near
 
 
 def test_hop_distances_follow_edge_direction():

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import io
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kgslice import graph
 from kgslice.endpoint import local_sparql_extract
-from kgslice.errors import UnknownType
+from kgslice.errors import ParseError, UnknownType
 from kgslice.graph import (
     BOTH,
     OUTGOING,
@@ -19,6 +21,7 @@ from kgslice.graph import (
     build_graph,
     csr,
     ingest_ntriples,
+    read_ntriples,
     sorted_unique_rows,
     subgraph_from_triples,
 )
@@ -37,7 +40,7 @@ from kgslice.tasks import (
 )
 from kgslice.walks import WalkParams, extract_random_walk
 
-from oracles import reference_store, surface_triples, walk_lists
+from oracles import reference_read_ntriples, reference_store, surface_triples, walk_lists
 
 _name = st.integers(min_value=0, max_value=30)
 _triple = st.tuples(_name, st.integers(min_value=0, max_value=4), _name)
@@ -73,6 +76,74 @@ def test_ingestion_is_deterministic(triples):
     assert [kg1.out_triples(v) for v in range(kg1.vertex_count())] == [
         kg2.out_triples(v) for v in range(kg2.vertex_count())
     ]
+
+
+_gap = st.text(" \t", min_size=1, max_size=2)
+_subject = st.sampled_from(["<http://ex/v0>", "<http://ex/v1>", "<http://ex/v2>", "_:b0"])
+_object = _subject | st.sampled_from(['"x"', '"a\\"b"@en', '"1"^^<http://ex/int>', '"x\x85y\u2028"'])
+
+
+@st.composite
+def _statement(draw) -> str:
+    s, o = draw(_subject), draw(_object)
+    p = draw(st.sampled_from(["<http://ex/p0>", "<http://ex/p1>"]))
+    lead, tail = draw(st.sampled_from(["", " ", "\t "])), draw(st.sampled_from(["", " "]))
+    return f"{lead}{s}{draw(_gap)}{p}{draw(_gap)}{o}{draw(_gap)}.{tail}"
+
+
+_line = st.one_of(
+    _statement(),
+    _statement(),
+    st.text(" \t\x0c\x85\u2028", max_size=3),  # blank to str.strip
+    st.sampled_from(["# a comment", "  \t# an indented comment <a> <b> <c> ."]),
+    st.sampled_from(["not a triple", "<http://ex/v0> <http://ex/p0> .", '"x" <http://ex/p0> "y" .']),
+    # a literal broken across two lines: two malformed lines
+    st.just('<http://ex/v0> <http://ex/p0> "left\nright" .'),
+    st.integers(20, 90).map(lambda n: f'<http://ex/v1> <http://ex/p1> "{"z" * n}" .'),
+)
+
+
+@given(
+    st.lists(_line, max_size=30),
+    st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=3),
+    st.booleans(),
+    st.integers(min_value=1, max_value=24),
+    st.integers(min_value=1, max_value=5),
+)
+@example([], ["\n"], False, 1, 1)  # empty input
+@example(  # a term first seen as an object, then as a subject
+    ["<http://ex/v0> <http://ex/p0> <http://ex/v1> .", "<http://ex/v1> <http://ex/p1> <http://ex/v2> ."],
+    ["\n"], True, 4096, 1,
+)
+@settings(max_examples=150, deadline=None)
+def test_block_reader_equals_the_line_reader(lines, newlines, final_newline, block, batch):
+    """Blocks of a few characters, cut anywhere, read as the per-line reference reads."""
+    text = "".join(line + newlines[i % len(newlines)] for i, line in enumerate(lines))
+    if not final_newline and text:
+        text = text.rstrip("\r\n")
+    data = text.encode("utf-8")
+    ref_errors: list[ParseError] = []
+    statements = list(reference_read_ntriples(data, ref_errors))
+    ref_ids = [(e.line, e.reason, e.text) for e in ref_errors]
+    terms = list(dict.fromkeys(t for s, _, o in statements for t in (s, o)))
+    preds = list(dict.fromkeys(p for _, p, _ in statements))
+    spo = sorted({(terms.index(s), preds.index(p), terms.index(o)) for s, p, o in statements})
+    with mock.patch.object(graph, "_BLOCK_CHARS", block), mock.patch.object(graph, "_BATCH_ROWS", batch):
+        errors: list[ParseError] = []
+        assert list(read_ntriples(data, errors)) == statements
+        assert [(e.line, e.reason, e.text) for e in errors] == ref_ids
+        for source in (data, iter(statements)):
+            kg, errors = ingest_ntriples(source)
+            assert [(e.line, e.reason, e.text) for e in errors] == (ref_ids if source is data else [])
+            assert kg._terms == terms
+            assert kg._preds == preds
+            assert kg.triples == spo
+        if ref_errors:
+            with pytest.raises(ParseError) as exc:
+                ingest_ntriples(data, strict=True)
+            assert (exc.value.line, exc.value.reason, exc.value.text) == ref_ids[0]
+        else:
+            assert ingest_ntriples(data, strict=True)[0].triples == spo
 
 
 @given(
