@@ -21,7 +21,6 @@ from sys import intern
 from time import sleep
 
 import numpy as np
-import requests
 
 from .errors import (
     EndpointUnreachable,
@@ -102,8 +101,13 @@ class HttpBackend:
     """SPARQL-protocol client returning tab-separated (s, p, o) rows."""
 
     def __init__(self, config: EndpointConfig, session=None):
+        # imported here, not with the module: it is most of the package's
+        # import time, and only an endpoint command needs it
+        import requests
+
         self.config = config
         self.session = session or requests.Session()
+        self._transport_error = requests.RequestException
 
     def describe(self) -> str:
         return self.config.url
@@ -131,7 +135,7 @@ class HttpBackend:
                     headers=self._headers(),
                     timeout=cfg.timeout,
                 )
-            except requests.RequestException as exc:
+            except self._transport_error as exc:
                 last_exc = exc
                 log.warning("request failed (attempt %d): %s", attempt + 1, exc)
                 continue

@@ -85,6 +85,11 @@ def _write(path: Path, lines) -> str:
     return digest.hexdigest()
 
 
+def _in_slice(sg: Subgraph, ids) -> list[bool]:
+    """Whether each of the parent ``ids`` is a vertex of the slice."""
+    return np.isin(list(ids), sg.vertex_ids).tolist()
+
+
 def export_bundle(
     sg: Subgraph,
     labels: LabelMap | None,
@@ -136,11 +141,13 @@ def export_bundle(
             for r, i, term in zip(rank.tolist(), dense.tolist(), map(kg.term, ids.tolist()))
         ),
     )
-    type_of = np.zeros(kg.vertex_count(), dtype=np.int64)
-    type_of[ids] = rank
-    dense_of = np.zeros(kg.vertex_count(), dtype=np.int64)
-    dense_of[ids] = dense
-    del rank, ids, dense
+    # type rank and dense id by slice-local id, so both follow the slice
+    local = np.searchsorted(sg.vertex_ids, ids)
+    type_of = np.empty_like(rank)
+    type_of[local] = rank
+    dense_of = np.empty_like(dense)
+    dense_of[local] = dense
+    del rank, ids, dense, local
 
     type_rows = sorted((kg.term(s), kg.lexical(o)) for s, o in type_pairs)
     del type_pairs
@@ -149,11 +156,12 @@ def export_bundle(
     )
 
     labeled = labels.labels if labels is not None else {}
-    s, p, o = sg.non_type_spo.T
+    p = sg.non_type_spo[:, 1]
+    s, o = sg.local_edges
     excluded_edges = 0
     if exclude_label_edges and label_predicate is not None:
         drop = p == label_predicate
-        drop[drop] = np.isin(s[drop], list(labeled))
+        drop[drop] = np.isin(sg.non_type_spo[drop, 0], list(labeled))
         excluded_edges = int(np.count_nonzero(drop))
         keep = ~drop
         s, p, o = s[keep], p[keep], o[keep]
@@ -195,11 +203,9 @@ def export_bundle(
         }
     del src, dst
 
-    in_slice = np.zeros(kg.vertex_count(), dtype=bool)
-    in_slice[sg.vertex_ids] = True
     label_rows = []
-    for v, label_id in labeled.items():
-        if not in_slice[v]:
+    for (v, label_id), inside in zip(labeled.items(), _in_slice(sg, labeled)):
+        if not inside:
             warnings.warn(
                 f"labeled vertex {v} is not in the subgraph; dropped",
                 DanglingLabelWarning,
@@ -211,9 +217,10 @@ def export_bundle(
         outdir / "labels.tsv", (f"{term}\t{label_id}\n" for term, label_id in label_rows)
     )
 
+    splits = splits or {}
     split_rows = []
-    for v, part in (splits or {}).items():
-        if in_slice[v]:
+    for (v, part), inside in zip(splits.items(), _in_slice(sg, splits)):
+        if inside:
             split_rows.append((kg.term(v), part))
     split_rows.sort()
     checksums["splits.tsv"] = _write(

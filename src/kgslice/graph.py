@@ -13,10 +13,11 @@ kept as the id columns they serve, each with CSR offsets over vertex or
 predicate ids, so the triples of one subject, object or predicate are one
 slice of a column: the permutation indexes of RDF-3X (Neumann & Weikum,
 VLDB 2008), stored as arrays, not objects, as HDT's bitmap triples are
-(Fernández et al., J. Web Semantics 2013). The index is built in numpy:
-one sort and an adjacent-row dedup (:func:`sorted_unique_rows`), two
-stable argsorts and three bincounts. A triple becomes a Python tuple only
-in the views built for callers that ask for one.
+(Fernández et al., J. Web Semantics 2013): 28 bytes per triple, and 24
+per term for the vertex offsets and the term list. The index is built in
+numpy: one sort and an adjacent-row dedup (:func:`sorted_unique_rows`),
+two stable argsorts and three bincounts. A triple becomes a Python tuple
+only in the views built for callers that ask for one.
 
 Vertices cover IRIs, blank nodes, and literals (literals keep their full
 N-Triples surface form including datatype/language tags and never have
@@ -39,7 +40,7 @@ from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, groupby, islice, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -379,21 +380,20 @@ class KnowledgeGraph:
     """Immutable dictionary-encoded triple store over int32 id columns.
 
     ``spo`` is the read-only (m, 3) int32 array of every (s, p, o) id
-    triple once, sorted; ``s``, ``p`` and ``o`` are its columns, kept
-    contiguous. The (o, p, s) order keeps its subject and predicate
-    columns, the (p, s, o) order its subject and object columns, and CSR
-    offsets over vertex and predicate ids make the triples of one subject,
-    object or predicate one slice: :meth:`out_rows` and :meth:`in_rows`
-    gather the slices of many vertices at once as (k, 3) rows, and
-    :meth:`predicate_columns` returns one predicate's slice. ``by_type``
-    maps each class vertex to its instances, ascending, from the type
-    predicate's slice.
+    triple once, sorted; ``s``, ``p`` and ``o`` are views of its columns.
+    The (o, p, s) order keeps its subject and predicate columns, the
+    (p, s, o) order its subject and object columns, and CSR offsets over
+    vertex and predicate ids make the triples of one subject, object or
+    predicate one slice: :meth:`out_rows` and :meth:`in_rows` gather the
+    slices of many vertices at once as (k, 3) rows, and
+    :meth:`predicate_columns` returns one predicate's slice. A class's
+    instances are the type predicate's run in its (o, p, s) slice.
 
     ``triples``, ``type_of``, :meth:`out_triples`, :meth:`in_triples` and
     :meth:`predicate_triples` are views in tuples, built on demand for
     tests, oracles and the benchmark: ``triples`` and ``type_of`` once, on
     first read, at about a tuple per triple (``triples`` takes 28 MB for
-    204k triples, against 9 MB for all the id arrays); the three
+    204k triples, against 7 MB for all the id arrays); the three
     accessors on every call, for the one slice they return. No
     extraction, metric or export reads them.
 
@@ -419,26 +419,18 @@ class KnowledgeGraph:
         self.type_predicate: int | None = pred_ids.get(f"<{type_predicate_iri}>")
         n = len(self._terms)
         self.spo: np.ndarray = _read_only(sorted_unique_rows(ids))
-        self.s, self.p, self.o = (_read_only(self.spo[:, i].copy()) for i in range(3))
+        self.s, self.p, self.o = self.spo.T
         # stable sorts by one column: (s, p, o) order sorted by p gives
         # (p, s, o), and that sorted by o gives (o, p, s)
         by_predicate = np.argsort(self.p, kind="stable")
-        self._pred_s = _read_only(self.s[by_predicate])
-        self._pred_o = _read_only(self.o[by_predicate])
+        self._pred_s, self._pred_o = (_read_only(c[by_predicate]) for c in (self.s, self.o))
         by_object = by_predicate[np.argsort(self._pred_o, kind="stable")]
         del by_predicate
-        self._in_s = _read_only(self.s[by_object])
-        self._in_p = _read_only(self.p[by_object])
+        self._in_s, self._in_p = (_read_only(c[by_object]) for c in (self.s, self.p))
         del by_object
         self._subject_offsets = _offsets(self.s, n)
         self._object_offsets = _offsets(self.o, n)
         self._predicate_offsets = _offsets(self.p, len(self._preds))
-        # the type predicate's slice is in (s, o) order: each by_type list
-        # fills in ascending order
-        self.by_type: dict[int, list[int]] = {}
-        subjects, classes = self.predicate_columns(self.type_predicate)
-        for s, c in zip(subjects.tolist(), classes.tolist()):
-            self.by_type.setdefault(c, []).append(s)
         self._walk_adj: dict[str, WalkAdjacency] = {}
         self._walk_index: WalkIndex | None = None
         self._literal_mask: np.ndarray | None = None
@@ -498,14 +490,15 @@ class KnowledgeGraph:
         """Vertex id of a class IRI; UnknownType if it is never the object of a type triple."""
         try:
             c = self.vertex_id(iri_or_surface)
-        except UnknownVertex:
+            self._instances(c)
+        except (UnknownVertex, UnknownType):
             raise UnknownType(iri_or_surface) from None
-        if c not in self.by_type:
-            raise UnknownType(iri_or_surface)
         return c
 
     def type_count(self) -> int:
-        return len(self.by_type)
+        """Number of classes: vertices whose (o, p, s) slice holds a type-predicate run."""
+        rows = np.flatnonzero(type_mask(self._in_p, self.type_predicate))
+        return len(distinct(np.searchsorted(self._object_offsets, rows, side="right")))
 
     def predicate_count(self) -> int:
         return len(self._preds)
@@ -537,12 +530,22 @@ class KnowledgeGraph:
         if not 0 <= v < len(self._terms):
             raise UnknownVertex(v)
 
+    def _instances(self, c: int) -> np.ndarray:
+        """Instances of class ``c``, ascending: the type triples' run of its (o, p, s) slice.
+
+        That slice is sorted by (p, s). UnknownType if ``c`` is no vertex id or no class.
+        """
+        tp = self.type_predicate
+        if tp is not None and 0 <= c < len(self._terms):
+            lo, hi = self._object_offsets[c], self._object_offsets[c + 1]
+            start, end = lo + self._in_p[lo:hi].searchsorted((tp, tp + 1))
+            if start < end:
+                return self._in_s[start:end]
+        raise UnknownType(c)
+
     def vertices_of_type(self, c: int) -> list[int]:
         """Instances of the class vertex ``c``, ascending; UnknownType if ``c`` is no class."""
-        instances = self.by_type.get(c)
-        if instances is None:
-            raise UnknownType(c)
-        return list(instances)
+        return self._instances(c).tolist()
 
     def out_rows(self, vs) -> np.ndarray:
         """(k, 3) rows of the triples with a subject in ``vs``: by ``vs``, then (p, o)."""
@@ -577,21 +580,17 @@ class KnowledgeGraph:
     @cached_property
     def type_of(self) -> dict[int, tuple[int, ...]]:
         """Each typed vertex's classes, ascending: a view built on first read."""
-        types: dict[int, list[int]] = {}
         subjects, classes = self.predicate_columns(self.type_predicate)
-        for s, c in zip(subjects.tolist(), classes.tolist()):
-            types.setdefault(s, []).append(c)
-        return {v: tuple(cs) for v, cs in types.items()}
+        pairs = groupby(zip(subjects.tolist(), classes.tolist()), key=_SUBJECT_OF)
+        return {v: tuple(c for _, c in group) for v, group in pairs}
 
     def out_triples(self, v: int) -> list[tuple[int, int, int]]:
         """The triples with subject ``v``, sorted by (predicate, object): a view."""
-        lo, hi = self._subject_offsets[v], self._subject_offsets[v + 1]
-        return list(_tuples(self.spo[lo:hi]))
+        return list(_tuples(self.out_rows([v])))
 
     def in_triples(self, v: int) -> list[tuple[int, int, int]]:
         """The triples with object ``v``, sorted by (predicate, subject): a view."""
-        lo, hi = self._object_offsets[v], self._object_offsets[v + 1]
-        return list(zip(self._in_s[lo:hi].tolist(), self._in_p[lo:hi].tolist(), repeat(int(v))))
+        return list(_tuples(self.in_rows([v])))
 
     def predicate_triples(self, p: int | None) -> list[tuple[int, int, int]]:
         """The triples with predicate ``p``, sorted by (subject, object); [] for None: a view."""

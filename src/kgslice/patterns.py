@@ -213,12 +213,12 @@ class LocalBackend:
     def describe(self) -> str:
         return "local"
 
-    def _type_instances(self, type_iri: str) -> list[int]:
+    def _type_instances(self, type_iri: str) -> np.ndarray:
+        """The class's instances as an ascending id array, empty if it is no class."""
         try:
-            tid = self.kg.type_id(type_iri)
+            return self.kg._instances(self.kg.type_id(type_iri))
         except UnknownType:
-            return []
-        return self.kg.vertices_of_type(tid)
+            return np.empty(0, dtype=np.int32)
 
     def _lp_anchors(self, bgp: BgpQuery) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Subject anchors, object anchors and the bridge rows, each ascending."""

@@ -97,12 +97,12 @@ def resolve_targets(kg: KnowledgeGraph, task: TaskSpec) -> list[int]:
     result emits EmptyTargetSetWarning; extraction engines treat it as an
     error.
     """
-    of_type = kg.vertices_of_type(task.target_type)
+    of_type = kg._instances(task.target_type)
     if task.kind == NODE_CLASSIFICATION:
-        targets = of_type
+        targets = of_type.tolist()
     else:
         subjects, _ = kg.predicate_columns(task.target_predicate)
-        targets = np.intersect1d(np.asarray(of_type, dtype=np.int64), subjects).tolist()
+        targets = np.intersect1d(of_type, subjects).tolist()
     if not targets:
         warnings.warn("task resolves to an empty target set", EmptyTargetSetWarning)
     return targets

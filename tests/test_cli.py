@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kgslice
 from kgslice import graph
 from kgslice.cli import main
 
@@ -426,10 +430,10 @@ def test_endpoint_term_not_valid_ntriples_exits_two(
 def test_endpoint_count_not_a_non_negative_integer_exits_two(
     task_cfg, tmp_path, capsys, monkeypatch, reply
 ):
-    from kgslice import endpoint
+    import requests
     from sparql_double import StubSession
 
-    monkeypatch.setattr(endpoint.requests, "Session", lambda: StubSession(f"?c\n{reply}\n"))
+    monkeypatch.setattr(requests, "Session", lambda: StubSession(f"?c\n{reply}\n"))
     out = tmp_path / "remote"
     rc = main(
         [
@@ -444,6 +448,25 @@ def test_endpoint_count_not_a_non_negative_integer_exits_two(
         "not a non-negative integer\n"
     )
     assert not (out / "subgraph.nt").exists()
+
+
+def test_importing_the_cli_leaves_requests_unimported():
+    env = {**os.environ, "PYTHONPATH": str(Path(kgslice.__file__).parents[1])}
+    code = "import kgslice.cli, sys; sys.exit('requests' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_endpoint_extract_without_requests_fails_loudly(task_cfg, tmp_path, monkeypatch):
+    monkeypatch.setitem(sys.modules, "requests", None)  # import requests raises ImportError
+    out = tmp_path / "remote"
+    with pytest.raises(ImportError):
+        main(
+            [
+                "extract", "--engine", "sparql", "--endpoint", "http://127.0.0.1:9/sparql",
+                "--config", str(task_cfg), "--out", str(out),
+            ]
+        )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

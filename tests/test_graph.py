@@ -67,15 +67,6 @@ def test_duplicate_statement_collapses():
     assert kg.type_of[a] == (paper,)
 
 
-def test_by_type_lists_classes_in_the_order_of_their_first_type_triple():
-    # b (id 0) has class C2 (id 2) and a (id 3) has class C1 (id 1): in (s, o)
-    # order C2's type triple comes first, although C1 has the smaller id
-    kg = make_kg([nt("b", "p0", "C1"), nt("C2", "p0", "b"), nt("b", "a", "C2"), nt("a", "a", "C1")])
-    c1, c2 = kg.vertex_id(f"{EX}C1"), kg.vertex_id(f"{EX}C2")
-    assert c1 < c2
-    assert list(kg.by_type.items()) == [(c2, [kg.vertex_id(f"{EX}b")]), (c1, [kg.vertex_id(f"{EX}a")])]
-
-
 def test_malformed_lines_collected_with_line_numbers(rng):
     lines = random_kg_lines(rng, n_vertices=40, n_triples=80)
     lines = sorted(set(lines))
@@ -307,8 +298,21 @@ def test_vertices_of_type_unknown():
     # an IRI that is a vertex but never a type object is still unknown as a type
     with pytest.raises(UnknownType):
         kg.type_id(f"{EX}b")
+    # a non-class vertex, and ids outside 0..n-1: -1 would wrap to the last offset
+    for c in (kg.vertex_id(f"{EX}b"), -1, kg.vertex_count(), 999):
+        with pytest.raises(UnknownType):
+            kg.vertices_of_type(c)
+    assert kg.type_count() == 1
+
+
+def test_vertices_of_type_without_a_type_predicate():
+    kg = make_kg([nt("a", "p0", "T"), nt("a", "p1", "b")])
+    assert kg.type_predicate is None and kg.type_count() == 0
     with pytest.raises(UnknownType):
-        kg.vertices_of_type(999)
+        kg.type_id(f"{EX}T")
+    for c in range(-1, kg.vertex_count() + 1):
+        with pytest.raises(UnknownType):
+            kg.vertices_of_type(c)
 
 
 def test_vertices_of_type_matches_scan_oracle(rng):
@@ -635,6 +639,33 @@ def test_walk_adjacency_build_peaks_near_its_csr():
     ends = sum(map(len, adj.values()))
     assert ends > 40000
     assert peak <= 24 * ends + 16 * kg.vertex_count()
+
+
+def test_store_retains_one_copy_of_each_triple_order():
+    """A graph retains 28 bytes per triple and 24 per term, plus a few KiB.
+
+    Per triple: the (m, 3) int32 ``spo`` and the int32 (o, p, s) and
+    (p, s, o) columns, two each. Per term: the int64 subject and object
+    offsets and the term list's pointer. The rest is array and object
+    headers and the predicate offsets, about 3.5 KiB. A copy of any column
+    of ``spo`` would add 4 bytes per triple, 24 KB here.
+    """
+    n, m = 2000, 6000
+    rng = np.random.default_rng(6)
+    rows = np.column_stack(
+        [rng.integers(0, n, m), rng.integers(0, 5, m), rng.integers(0, n, m)]
+    ).astype(np.int32)
+    term_ids = {iri(f"v{i}"): i for i in range(n)}
+    pred_ids = {f"<{graph.RDF_TYPE}>": 0, **{iri(f"p{i}"): i for i in range(1, 5)}}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kg = graph.KnowledgeGraph(term_ids, pred_ids, rows, graph.RDF_TYPE)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kg.triple_count() > 5900 and kg.type_count() > 900
+    assert retained <= 28 * kg.triple_count() + 24 * kg.vertex_count() + 8192
 
 
 def test_walk_adjacency_rejects_bad_direction():
