@@ -141,9 +141,9 @@ def _strip_label_edges(sg: Subgraph, target_type_iri: str, label_predicate_iri: 
         pass  # without the target type or the label predicate there is no label edge
     else:
         types = sg.type_spo
-        is_target = np.zeros(kg.vertex_count(), dtype=bool)
-        is_target[types[types[:, 2] == target_type, 0]] = True
-        label_edge = (sg.spo[:, 1] == label_predicate) & is_target[sg.spo[:, 0]]
+        targets = types[types[:, 2] == target_type, 0]
+        label_edge = sg.spo[:, 1] == label_predicate
+        label_edge[label_edge] = np.isin(sg.spo[label_edge, 0], targets)
     # vertices that only carried label edges drop out with them
     out = Subgraph(kg, sg.spo[~label_edge], dict(sg.provenance))
     out.provenance["label_edges_excluded"] = int(np.count_nonzero(label_edge))
@@ -341,12 +341,15 @@ def build_parser() -> _Parser:
     parser.add_argument("-v", "--verbose", action="count", default=0)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_type_predicate(p):
+    def add_graph_inputs(p):
+        """The task config, the local dump and its type predicate."""
+        p.add_argument("--config", required=True)
+        p.add_argument("--kg", help="local N-Triples input")
         p.add_argument("--type-predicate", default=RDF_TYPE, metavar="IRI")
 
     p = sub.add_parser("ingest", help="parse an N-Triples file and report stats")
     p.add_argument("input")
-    add_type_predicate(p)
+    p.add_argument("--type-predicate", default=RDF_TYPE, metavar="IRI")
     p.add_argument("--strict", action="store_true")
     p.add_argument("--dict-out", metavar="TSV")
     p.add_argument("--nt-out", metavar="FILE")
@@ -354,10 +357,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("extract", help="extract a task-relevant subgraph")
     p.add_argument("--engine", choices=("brw", "ibs", "sparql"), required=True)
-    p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--kg", help="local N-Triples input")
-    add_type_predicate(p)
+    add_graph_inputs(p)
     p.add_argument("--endpoint", default=os.environ.get("KGSLICE_ENDPOINT"))
     p.add_argument("--graph", help="named graph IRI for endpoint extraction")
     p.add_argument("--h", type=int, default=1, help="hops (sparql) / walk length (brw)")
@@ -378,25 +379,19 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("metrics", help="quality indicators for one subgraph")
     p.add_argument("--subgraph", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--kg")
-    add_type_predicate(p)
+    add_graph_inputs(p)
     p.add_argument("--tsv", help="also write machine-readable output here")
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("compare", help="indicator matrix across subgraphs")
     p.add_argument("subgraphs", nargs="+")
-    p.add_argument("--config", required=True)
-    p.add_argument("--kg")
-    add_type_predicate(p)
+    add_graph_inputs(p)
     p.add_argument("--tsv")
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("validate", help="message-passing pruning invariance check")
     p.add_argument("--subgraph", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--kg")
-    add_type_predicate(p)
+    add_graph_inputs(p)
     p.add_argument("--layers", type=int, default=2)
     p.add_argument("--dim", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
@@ -404,9 +399,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("export", help="write a trainer-ready bundle")
     p.add_argument("--subgraph", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--kg")
-    add_type_predicate(p)
+    add_graph_inputs(p)
     p.add_argument("--out", required=True)
     p.add_argument("--keep-label-edges", action="store_true")
     p.set_defaults(func=cmd_export)

@@ -247,8 +247,12 @@ class Subgraph:
     triples. Class vertices that occur only as objects of type triples are
     tracked in ``node_type_ids``, not in ``vertices``. ``vertex_ids`` holds
     the same vertices as a sorted array, and a position in it is a
-    vertex's slice-local id: the metrics and the reach tests work in that
-    dense id space, so their arrays follow the slice, not the parent.
+    vertex's slice-local id. Every operation on a slice works in that
+    dense id space, so its arrays follow the slice, not the parent:
+    ``entity`` marks the non-literal vertices, read by the metrics, the
+    validator and ``entity_vertices``, and :meth:`restricted` cuts the
+    slice to a vertex subset, as the ``ibs`` stray pruning and the
+    validator's reach pruning do, without a mask over the parent.
 
     ``triples``, ``non_type_triples`` and ``type_triples`` are tuple views
     of the rows, built on first read at about a tuple object per triple;
@@ -307,9 +311,11 @@ class Subgraph:
     def local_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Subjects and objects of the non-type triples as slice-local ids, read-only int32."""
         vs, rows = self.vertex_ids, self.non_type_spo
-        return tuple(
-            _read_only(np.searchsorted(vs, rows[:, i]).astype(np.int32)) for i in (0, 2)
-        )
+        # ascending keys walk vs once: search the sorted objects, scatter back to row order
+        order = np.argsort(rows[:, 2])
+        o = np.empty(len(rows), dtype=np.int32)
+        o[order] = np.searchsorted(vs, rows[order, 2])
+        return _read_only(np.searchsorted(vs, rows[:, 0]).astype(np.int32)), _read_only(o)
 
     def undirected_distances(self, sources) -> np.ndarray:
         """:func:`hop_distances` from ``sources`` over the non-type triples viewed undirected.
@@ -344,24 +350,29 @@ class Subgraph:
         """
         return _read_only(distinct(np.concatenate([self.spo[:, 0], self.non_type_spo[:, 2]])))
 
+    @cached_property
+    def entity(self) -> np.ndarray:
+        """Which slice vertices, by slice-local id, are not literals; read-only."""
+        return _read_only(~self.kg.literal_mask()[self.vertex_ids])
+
     def entity_vertices(self) -> list[int]:
         """Sorted non-literal members of the entity view."""
-        vs = self.vertex_ids
-        return vs[~self.kg.literal_mask()[vs]].tolist()
+        return self.vertex_ids[self.entity].tolist()
 
     def restricted(self, keep) -> "Subgraph":
-        """This subgraph cut down to the given vertices.
+        """This subgraph cut down to the parent ids ``keep``, any iterable.
 
         Non-type triples need both endpoints kept; type triples follow
         their subject. Unlike induced_subgraph this never reaches back
         into the parent graph for triples the extraction did not retain.
+        Of a slice induced on a vertex set, the cut to any subset of its
+        vertices equals the parent's induced subgraph of that subset.
         """
-        ids = id_array(keep)
-        inside = np.zeros(self.kg.vertex_count(), dtype=bool)
-        inside[ids[(ids >= 0) & (ids < len(inside))]] = True
-        spo = self.spo
-        retained = inside[spo[:, 0]] & (self._is_type | inside[spo[:, 2]])
-        return Subgraph(self.kg, spo[retained], dict(self.provenance))
+        inside = np.zeros(len(self.vertex_ids), dtype=bool)
+        inside[self.local_ids(keep)] = True
+        retained = inside[np.searchsorted(self.vertex_ids, self.spo[:, 0])]
+        retained[~self._is_type] &= inside[self.local_edges[1]]
+        return Subgraph(self.kg, self.spo[retained], dict(self.provenance))
 
     def write_ntriples(self, fh) -> None:
         kg = self.kg

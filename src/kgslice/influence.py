@@ -185,7 +185,9 @@ def extract_influence(
     Vertices of the induced subgraph with no in-subgraph path to a target
     are dropped; a top-k selection can occasionally skip the connecting
     vertex of a distant neighbor, and such strays never influence the
-    targets' embeddings.
+    targets' embeddings. They are cut from the slice itself
+    (:meth:`Subgraph.restricted`), with no second scan of the parent:
+    every parent triple among the reached vertices is already in it.
     """
     check_at_least_one(bs, "batch size")
     targets = resolve_targets(kg, task)
@@ -201,7 +203,7 @@ def extract_influence(
 
     reached = sg.undirected_distances(targets) >= 0
     if not reached.all():
-        sg = kg.induced_subgraph(sg.vertex_ids[reached])
+        sg = sg.restricted(sg.vertex_ids[reached])
     sg.provenance = {
         "engine": "ibs",
         "batch_size": bs,

@@ -70,11 +70,6 @@ def _target_mask(sg: Subgraph, targets) -> np.ndarray:
     return mask
 
 
-def _entity_mask(sg: Subgraph) -> np.ndarray:
-    """Which slice vertices, by slice-local id, are not literals."""
-    return ~sg.kg.literal_mask()[sg.vertex_ids]
-
-
 def _neighbor_type_counts(sg: Subgraph) -> np.ndarray:
     """Distinct node types among each slice vertex's neighbors, by slice-local id.
 
@@ -109,7 +104,7 @@ def neighbor_type_counts(sg: Subgraph) -> dict[int, int]:
     neighbors carry no types and literal vertices are not counted
     themselves.
     """
-    entity = _entity_mask(sg)
+    entity = sg.entity
     counts = _neighbor_type_counts(sg)
     return dict(zip(sg.vertex_ids[entity].tolist(), counts[entity].tolist()))
 
@@ -120,7 +115,7 @@ def neighbor_type_entropy(sg: Subgraph) -> float:
     The terms are summed in ascending order of the count value, the order
     of the count histogram.
     """
-    counts = _neighbor_type_counts(sg)[_entity_mask(sg)]
+    counts = _neighbor_type_counts(sg)[sg.entity]
     if not len(counts):
         raise EmptySubgraph("no entity vertices to measure")
     hist = np.bincount(counts)
@@ -136,7 +131,7 @@ def target_stats(sg: Subgraph, targets) -> tuple[float, int, int]:
 
     ``targets`` are parent ids; those outside the slice are not counted.
     """
-    n_entity = int(np.count_nonzero(_entity_mask(sg)))
+    n_entity = int(np.count_nonzero(sg.entity))
     n_targets = len(sg.local_ids(targets))
     ratio = 100.0 * n_targets / n_entity if n_entity else 0.0
     return ratio, len(sg.node_type_ids), len(sg.predicate_ids)
@@ -195,7 +190,7 @@ def quality_report(sg: Subgraph, task: TaskSpec, kg: KnowledgeGraph) -> QualityR
         entropy = 0.0
     return QualityReport(
         vertex_count=len(sg.vertex_ids),
-        vertex_count_no_literals=int(np.count_nonzero(_entity_mask(sg))),
+        vertex_count_no_literals=int(np.count_nonzero(sg.entity)),
         triple_count=len(sg.spo),
         target_count=len(targets),
         target_ratio=ratio,

@@ -229,13 +229,9 @@ class LocalBackend:
         except UnknownPredicate:
             pt = None
         subjects, objects = kg.predicate_columns(pt)
-        ok = np.zeros(kg.vertex_count(), dtype=bool)
-        ok[self._type_instances(task.target_type_iri)] = True
-        keep = ok[subjects]
+        keep = np.isin(subjects, self._type_instances(task.target_type_iri))
         if task.object_type_iri:
-            ok[:] = False
-            ok[self._type_instances(task.object_type_iri)] = True
-            keep &= ok[objects]
+            keep &= np.isin(objects, self._type_instances(task.object_type_iri))
         subjects, objects = subjects[keep], objects[keep]
         # the predicate's slice is in (s, o) order and unique: so are the
         # bridges (none when the predicate is unknown)

@@ -82,8 +82,7 @@ def random_features(vertices, dim: int, seed: int = 0) -> dict[int, np.ndarray]:
 def _entity_mask(sg: Subgraph) -> np.ndarray:
     """Which non-type triples join two non-literal vertices."""
     s, o = sg.local_edges
-    literal = sg.kg.literal_mask()[sg.vertex_ids]
-    return ~(literal[s] | literal[o])
+    return sg.entity[s] & sg.entity[o]
 
 
 def _message_plan(sg: Subgraph):
@@ -105,7 +104,7 @@ def _message_plan(sg: Subgraph):
     keep = _entity_mask(sg)
     # the row of each entity vertex, by slice-local id: its rank among the
     # entity vertices, the row order of sg.entity_vertices()
-    row = np.cumsum(~sg.kg.literal_mask()[sg.vertex_ids]) - 1
+    row = np.cumsum(sg.entity) - 1
     pred = sg.non_type_spo[:, 1].astype(np.int64)
     pred, s, o = pred[keep], row[s[keep]], row[o[keep]]
     key = np.concatenate([2 * pred, 2 * pred + 1])

@@ -102,7 +102,7 @@ def resolve_targets(kg: KnowledgeGraph, task: TaskSpec) -> list[int]:
         targets = of_type.tolist()
     else:
         subjects, _ = kg.predicate_columns(task.target_predicate)
-        targets = np.intersect1d(of_type, subjects).tolist()
+        targets = of_type[np.isin(of_type, subjects)].tolist()
     if not targets:
         warnings.warn("task resolves to an empty target set", EmptyTargetSetWarning)
     return targets
@@ -118,11 +118,9 @@ def build_labels(kg: KnowledgeGraph, task: TaskSpec) -> LabelMap:
     """
     if task.kind != NODE_CLASSIFICATION:
         raise NotNodeClassification(task.kind)
-    is_target = np.zeros(kg.vertex_count(), dtype=bool)
-    is_target[resolve_targets(kg, task)] = True
     # the label predicate's slice, in (s, o) order, cut to the targets
     subjects, objects = kg.predicate_columns(task.target_predicate)
-    keep = is_target[subjects]
+    keep = np.isin(subjects, resolve_targets(kg, task))
     subjects, objects = subjects[keep].tolist(), objects[keep].tolist()
     pairs: dict[int, list[int]] = {}
     for v, o in zip(subjects, objects):

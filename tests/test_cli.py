@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -50,6 +51,41 @@ def task_cfg(tmp_path):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "usage" in capsys.readouterr().out.lower()
+
+
+# each subcommand's options as its usage line lists them, bracketed when optional
+_USAGE_OPTIONS = {
+    "ingest": ["[--dict-out TSV]", "[--nt-out FILE]", "[--strict]", "[--type-predicate IRI]", "[-h]"],
+    "extract": [
+        "--config CONFIG", "--engine {brw,ibs,sparql}", "--out OUT", "[--alpha ALPHA]", "[--bs BS]",
+        "[--d {1,2}]", "[--direction {outgoing,both}]", "[--endpoint ENDPOINT]",
+        "[--epsilon EPSILON]", "[--graph GRAPH]", "[--h H]", "[--k K]", "[--keep-label-edges]",
+        "[--kg KG]", "[--retries RETRIES]", "[--seed SEED]", "[--timeout TIMEOUT]",
+        "[--type-predicate IRI]", "[--walks-per-seed WALKS_PER_SEED]", "[--workers WORKERS]", "[-h]",
+    ],
+    "metrics": [
+        "--config CONFIG", "--subgraph SUBGRAPH", "[--kg KG]", "[--tsv TSV]",
+        "[--type-predicate IRI]", "[-h]",
+    ],
+    "compare": ["--config CONFIG", "[--kg KG]", "[--tsv TSV]", "[--type-predicate IRI]", "[-h]"],
+    "validate": [
+        "--config CONFIG", "--subgraph SUBGRAPH", "[--dim DIM]", "[--kg KG]", "[--layers LAYERS]",
+        "[--seed SEED]", "[--type-predicate IRI]", "[-h]",
+    ],
+    "export": [
+        "--config CONFIG", "--out OUT", "--subgraph SUBGRAPH", "[--keep-label-edges]", "[--kg KG]",
+        "[--type-predicate IRI]", "[-h]",
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_USAGE_OPTIONS))
+def test_help_lists_each_subcommands_options(command, capsys):
+    assert main([command, "--help"]) == 0
+    usage = " ".join(capsys.readouterr().out.split("\n\n")[0].split())
+    assert usage.startswith(f"usage: kgslice {command} ")
+    options = re.findall(r"\[-[^\[\]]*\]|-[\w-]+(?: [A-Z{]\S*)?", usage.split(" ", 3)[3])
+    assert sorted(options) == _USAGE_OPTIONS[command]
 
 
 def test_unknown_flag_exits_one(capsys):

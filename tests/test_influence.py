@@ -9,7 +9,7 @@ import pytest
 
 from kgslice import influence
 from kgslice.errors import DuplicateTarget, EmptyTargetSet, KgsliceError
-from kgslice.graph import BOTH
+from kgslice.graph import BOTH, Subgraph
 from kgslice.influence import (
     InfluenceScores,
     PprParams,
@@ -357,6 +357,32 @@ def test_extract_star_top2():
     # symmetric leaves tie; the two smallest ids win
     assert sg.vertices == {hub, leaves[0], leaves[1]}
     assert len(sg.non_type_triples) == 2
+
+
+def test_extract_prunes_a_stray_from_its_own_slice(monkeypatch):
+    # u outscores each w for t (three paths lead there), so the top-1
+    # partition is {t, u}: u is in the induced slice, by its type triple,
+    # with no edge to t
+    lines = [nt("t", "a", "T"), nt("u", "a", "U"), nt("u", "p1", "x")]
+    for i in range(3):
+        lines += [nt("t", "p0", f"w{i}"), nt(f"w{i}", "p0", "u")]
+    kg = make_kg(lines)
+    cuts = []
+    restricted = Subgraph.restricted
+
+    def spy(sg, keep):
+        cuts.append(sg.spo.tolist())
+        return restricted(sg, keep)
+
+    monkeypatch.setattr(Subgraph, "restricted", spy)
+    sg = extract_influence(kg, nc_task(kg), bs=1, k=1, params=PprParams())
+    t, u = kg.vertex_id(f"{EX}t"), kg.vertex_id(f"{EX}u")
+    a = kg.type_predicate
+    ct, cu = kg.type_id(f"{EX}T"), kg.type_id(f"{EX}U")
+    assert cuts == [[[t, a, ct], [u, a, cu]]]
+    # the rows that inducing the reached vertices on the parent gives
+    assert sg.spo.tolist() == kg.induced_subgraph([t]).spo.tolist() == [[t, a, ct]]
+    assert sg.provenance["engine"] == "ibs"
 
 
 def test_extract_cannot_cross_components(rng):

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kgslice.cli import _strip_label_edges
 from kgslice.errors import EmptySubgraph
 from kgslice.graph import KnowledgeGraph, ingest_ntriples, subgraph_from_triples
 from kgslice.influence import PprParams, extract_influence
@@ -23,6 +24,7 @@ from kgslice.metrics import (
 )
 from kgslice.endpoint import local_sparql_extract
 from kgslice.patterns import PatternTask
+from kgslice.rgcn import prune_outside_reach
 from kgslice.tasks import TaskSpec
 from kgslice.walks import WalkParams, extract_random_walk
 
@@ -285,9 +287,11 @@ def test_quality_report_on_200k_vertex_path():
     assert report.neighbor_type_entropy == entropy_of_counts([1] + [0] * (n - 1))
 
 
-def test_quality_report_memory_follows_the_slice():
-    # a 10-triple slice at the top of a 1M-vertex id space: one int64 array
-    # the size of the parent would take 8 MB
+def _far_slice():
+    """A 10-triple slice at the top of a 1M-vertex id space, and its NC task.
+
+    One bool array the size of the parent takes 1 MB, one int64 array 8 MB.
+    """
     n = 1_000_000
     terms = dict(zip((f"_:b{i}" for i in range(n)), range(n)))
     preds = {f"<{TYPE_IRI}>": 0, f"<{EX}p0>": 1}
@@ -295,20 +299,45 @@ def test_quality_report_memory_follows_the_slice():
     rows = [(base + i, 1, base + i + 1) for i in range(6)] + [(base + i, 0, cls) for i in range(4)]
     kg = KnowledgeGraph(terms, preds, np.array(rows, dtype=np.int32), TYPE_IRI)
     del terms
-    sg = subgraph_from_triples(kg, kg.spo)
-    task = TaskSpec(kind="nc", target_type=cls, target_predicate=1)
     kg.literal_mask()  # the graph's own cached index, shared by all its slices
+    return kg, subgraph_from_triples(kg, kg.spo), TaskSpec(kind="nc", target_type=cls, target_predicate=1)
+
+
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory it traced while it ran."""
     tracemalloc.start()
     try:
-        report = quality_report(sg, task, kg)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_quality_report_memory_follows_the_slice():
+    kg, sg, task = _far_slice()
+    report, peak = _traced_peak(quality_report, sg, task, kg)
     assert peak < 2_000_000
     # the report reads the slice's id arrays, not its vertex set
     assert "vertices" not in sg.__dict__
     assert report == reference_quality_report(sg, task, kg)
     assert (report.vertex_count, report.target_count, report.triple_count) == (7, 4, 10)
+
+
+def test_reach_pruning_memory_follows_the_slice():
+    kg, sg, task = _far_slice()
+    targets = kg.vertices_of_type(task.target_type)
+    pruned, peak = _traced_peak(prune_outside_reach, sg, targets, 1)
+    assert peak < 100_000
+    # the path's last two vertices are more than one hop from every target
+    assert pruned.spo.tolist() == sg.spo[:8].tolist()
+
+
+def test_label_edge_stripping_memory_follows_the_slice():
+    kg, sg, task = _far_slice()
+    stripped, peak = _traced_peak(_strip_label_edges, sg, kg.term(task.target_type), f"{EX}p0")
+    assert peak < 100_000
+    assert stripped.provenance["label_edges_excluded"] == 4
+    assert stripped.spo.tolist() == sg.spo[[0, 2, 4, 6, 8, 9]].tolist()
 
 
 def test_extractors_report_zero_disconnection(rng):

@@ -336,22 +336,55 @@ def _slices(kg, keep, seed):
             yield prune_outside_reach(sg, targets, hops=2)
 
 
+# v0 has type T0 and a p1 edge, so both tasks of _slices have a target
+_TASK_HEAD = [
+    f"<http://ex/v0> <{RDF_TYPE}> <http://ex/T0> .",
+    "<http://ex/v0> <http://ex/p1> <http://ex/v1> .",
+]
+
+
 @given(st.lists(_edge, max_size=40), st.booleans(), st.sets(_small), st.integers(0, 3))
 @settings(max_examples=40, deadline=None)
 def test_slice_vertices_are_the_ends_of_its_triples(edges, typed, keep, seed):
     """Every builder's vertex set is the non-type ends plus the type-triple subjects."""
-    # v0 has type T0 and a p1 edge, so both tasks have a target
-    head = [
-        f"<http://ex/v0> <{RDF_TYPE}> <http://ex/T0> .",
-        "<http://ex/v0> <http://ex/p1> <http://ex/v1> .",
-    ]
-    kg = _edge_kg(edges, typed, head)
+    kg = _edge_kg(edges, typed, _TASK_HEAD)
     keep = {v for v in keep if v < kg.vertex_count()}
     tp = kg.type_predicate
     for sg in _slices(kg, keep, seed):
         ends = {s for s, _, _ in sg.triples} | {o for _, p, o in sg.triples if p != tp}
         assert sg.vertices == ends
         assert sg.vertices == subgraph_from_triples(kg, sg.triples).vertices
+
+
+@given(st.lists(_edge, max_size=40), st.booleans(), st.sets(_small), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_local_edges_equal_a_plain_search_of_each_column(edges, typed, keep, seed):
+    """The sorted search of the object column gives each row's plain ``searchsorted``."""
+    kg = _edge_kg(edges, typed, _TASK_HEAD)
+    keep = {v for v in keep if v < kg.vertex_count()}
+    for sg in _slices(kg, keep, seed):
+        rows = sg.non_type_spo
+        for got, column in zip(sg.local_edges, (rows[:, 0], rows[:, 2])):
+            assert got.dtype == np.int32 and not got.flags.writeable
+            assert got.tolist() == np.searchsorted(sg.vertex_ids, column).tolist()
+
+
+@given(
+    st.lists(_edge, max_size=60),
+    st.booleans(),
+    st.sets(_small),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=60, deadline=None)
+def test_restricting_an_induced_slice_equals_inducing_the_subset(edges, typed, part, rnd):
+    """Cut to any subset R of its vertices, a slice induced on P is the parent's slice induced on R."""
+    kg = _edge_kg(edges, typed)
+    sg = kg.induced_subgraph([v for v in part if v < kg.vertex_count()])
+    vs = sg.vertex_ids.tolist()
+    reached = rnd.sample(vs, rnd.randint(0, len(vs)))
+    expected = kg.induced_subgraph(reached).spo.tolist()
+    for keep in (set(reached), reached, np.array(reached, dtype=np.int64)):
+        assert sg.restricted(keep).spo.tolist() == expected
 
 
 @given(
