@@ -18,9 +18,13 @@ inputs produce byte-identical bundles.
 
 The edge files are built as array work: each non-type triple gets one
 integer key from the ranks, in string order, of its source type, its
-predicate IRI and its target type, and one ``lexsort`` by key, source and
-target dense id orders every row. Each run of equal keys is one edge file,
-written from its own slice of the sorted arrays. Ascending keys are the
+predicate IRI and its target type, and one sort of (key, source dense
+id, target dense id) packed into one int64 per row
+(:func:`kgslice.graph.lex_order`) orders every row; the rows are distinct
+triples, so no two tie. Each run of equal keys is one edge file,
+written from its own slice of the sorted arrays through
+:func:`kgslice.graph.write_over`, a chunk of lines at a time, with no
+file object per file. Ascending keys are the
 groups' string order, so the files, their numbering and the manifest are
 the ones a per-triple grouping and sort gives.
 
@@ -49,7 +53,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IoFailure, MalformedTerm
-from .graph import KIND_LITERAL, KnowledgeGraph, Subgraph, ingest_ntriples, open_for_rewrite
+from .graph import (
+    KnowledgeGraph, Subgraph, ingest_ntriples, lex_order, open_for_rewrite, write_over,
+)
 from .tasks import LabelMap
 
 UNTYPED = "__untyped__"
@@ -76,13 +82,17 @@ def _write(path: Path, lines) -> str:
     Returns the sha256 of the bytes written.
     """
     digest = hashlib.sha256()
-    lines = iter(lines)
-    with open_for_rewrite(path, "wb") as fh:
-        while chunk := "".join(islice(lines, _CHUNK_LINES)):
-            data = chunk.encode("utf-8")
-            fh.write(data)
-            digest.update(data)
+    write_over(path, _encoded_chunks(lines, digest))
     return digest.hexdigest()
+
+
+def _encoded_chunks(lines, digest):
+    """``lines`` as UTF-8, ``_CHUNK_LINES`` at a time, each chunk added to ``digest``."""
+    lines = iter(lines)
+    while chunk := "".join(islice(lines, _CHUNK_LINES)):
+        data = chunk.encode("utf-8")
+        digest.update(data)
+        yield data
 
 
 def _in_slice(sg: Subgraph, ids) -> list[bool]:
@@ -118,10 +128,12 @@ def export_bundle(
         lexical = kg.lexical(o)
         if s not in smallest or lexical < smallest[s]:
             smallest[s] = lexical
-    verts = sorted(sg.vertex_ids.tolist(), key=kg.term)
+    term_of = kg.terms.__getitem__
+    verts = sorted(sg.vertex_ids.tolist(), key=term_of)
+    ids = np.fromiter(verts, dtype=np.int64, count=len(verts))
     names = [
-        smallest[v] if v in smallest else LITERAL_TYPE if kg.kind(v) == KIND_LITERAL else UNTYPED
-        for v in verts
+        smallest[v] if v in smallest else LITERAL_TYPE if literal else UNTYPED
+        for v, literal in zip(verts, kg.literal_mask()[ids].tolist())
     ]
     type_names = sorted(set(names))
     type_rank = {t: i for i, t in enumerate(type_names)}
@@ -129,7 +141,7 @@ def export_bundle(
     # a stable sort by type keeps each type's members in term order
     by_type = np.argsort(rank, kind="stable")
     rank = rank[by_type]
-    ids = np.fromiter(verts, dtype=np.int64, count=len(verts))[by_type]
+    ids = ids[by_type]
     counts = np.bincount(rank, minlength=len(type_names))
     dense = np.arange(len(ids)) - (np.cumsum(counts) - counts)[rank]
     del smallest, verts, names, type_rank, by_type
@@ -138,7 +150,7 @@ def export_bundle(
         outdir / "nodes.tsv",
         (
             f"{type_names[r]}\t{i}\t{term}\n"
-            for r, i, term in zip(rank.tolist(), dense.tolist(), map(kg.term, ids.tolist()))
+            for r, i, term in zip(rank.tolist(), dense.tolist(), map(term_of, ids.tolist()))
         ),
     )
     # type rank and dense id by slice-local id, so both follow the slice
@@ -149,7 +161,7 @@ def export_bundle(
     dense_of[local] = dense
     del rank, ids, dense, local
 
-    type_rows = sorted((kg.term(s), kg.lexical(o)) for s, o in type_pairs)
+    type_rows = sorted((term_of(s), kg.lexical(o)) for s, o in type_pairs)
     del type_pairs
     checksums["types.tsv"] = _write(
         outdir / "types.tsv", (f"{term}\t{type_iri}\n" for term, type_iri in type_rows)
@@ -178,7 +190,7 @@ def export_bundle(
     key += type_of[o]
     src, dst = dense_of[s], dense_of[o]
     del s, p, o, type_of, dense_of, pred_rank
-    order = np.lexsort((dst, src, key))
+    order = lex_order((key, src, dst))
     key = key[order]
     starts = np.flatnonzero(np.diff(key, prepend=-1))
     group_keys = key[starts].tolist()
@@ -211,7 +223,7 @@ def export_bundle(
                 DanglingLabelWarning,
             )
             continue
-        label_rows.append((kg.term(v), label_id))
+        label_rows.append((term_of(v), label_id))
     label_rows.sort()
     checksums["labels.tsv"] = _write(
         outdir / "labels.tsv", (f"{term}\t{label_id}\n" for term, label_id in label_rows)
@@ -221,7 +233,7 @@ def export_bundle(
     split_rows = []
     for (v, part), inside in zip(splits.items(), _in_slice(sg, splits)):
         if inside:
-            split_rows.append((kg.term(v), part))
+            split_rows.append((term_of(v), part))
     split_rows.sort()
     checksums["splits.tsv"] = _write(
         outdir / "splits.tsv", (f"{term}\t{part}\n" for term, part in split_rows)

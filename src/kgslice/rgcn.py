@@ -34,7 +34,7 @@ from hashlib import shake_128
 import numpy as np
 
 from .errors import MissingFeature, UnsupportedParams
-from .graph import Subgraph, hop_distances
+from .graph import Subgraph, hop_distances, lex_order
 
 
 def _uniform_rows(seed: int, tag: str, keys, width: int) -> np.ndarray:
@@ -89,9 +89,10 @@ def _message_plan(sg: Subgraph):
     """The entity edges of ``sg``, grouped once for every layer of a forward pass.
 
     Each triple (s, p, o) gives two message edges: o receives s under key
-    (p, 0) and s receives o under key (p, 1). One lexsort orders them by
-    key, then receiver, then sender. A message is one (key, receiver) run
-    of senders. Returns:
+    (p, 0) and s receives o under key (p, 1). One sort of packed keys
+    (:func:`~kgslice.graph.lex_order`; the edges are distinct) orders them
+    by key, then receiver, then sender. A message is one (key, receiver)
+    run of senders. Returns:
 
     - ``keys``: (p, inverse, lo, hi) per key in ascending order, whose
       messages are ``lo:hi``;
@@ -110,7 +111,7 @@ def _message_plan(sg: Subgraph):
     key = np.concatenate([2 * pred, 2 * pred + 1])
     recv = np.concatenate([o, s])
     send = np.concatenate([s, o])
-    order = np.lexsort((send, recv, key))
+    order = lex_order((key, recv, send))
     key, recv, send = key[order], recv[order], send[order]
     # slice assignment keeps an empty slice empty; np.r_[True, ...] would not
     first = np.ones(len(key), dtype=bool)

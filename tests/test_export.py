@@ -6,8 +6,10 @@ import os
 import random
 import warnings
 
+import numpy as np
 import pytest
 
+from kgslice import export
 from kgslice.errors import IoFailure
 from kgslice.export import DanglingLabelWarning, export_bundle, rebuild_bundle
 from kgslice.graph import subgraph_from_triples
@@ -245,6 +247,33 @@ def test_reexport_opens_no_file_with_truncation(rng, tmp_path, os_open_flags):
         flags = os_open_flags[tmp_path / name]
         assert len(flags) == 2
         assert not any(f & os.O_TRUNC for f in flags)
+
+
+def test_a_file_write_that_raises_keeps_the_bytes_written(tmp_path):
+    path = tmp_path / "edges_000.tsv"
+    path.write_bytes(b"x" * 200_000)
+
+    def rows():
+        for i in range(export._CHUNK_LINES + 5):
+            yield f"{i}\t{i}\n"
+        raise RuntimeError("row formatting failed")
+
+    with pytest.raises(RuntimeError):
+        export._write(path, rows())
+    # the first chunk went out whole; the rows after it were never written
+    assert path.read_bytes() == "".join(f"{i}\t{i}\n" for i in range(export._CHUNK_LINES)).encode()
+    digest = export._write(path, ["a\n", "b\n"])
+    assert path.read_bytes() == b"a\nb\n"
+    assert digest == hashlib.sha256(b"a\nb\n").hexdigest()
+
+
+def test_bundle_rows_are_in_the_lexsort_order(rng, tmp_path, monkeypatch):
+    kg, _ = oracle_kg(rng, n_vertices=120, n_triples=1500)
+    sg = kg.induced_subgraph(rng.sample(range(kg.vertex_count()), 90))
+    export_bundle(sg, None, None, tmp_path / "packed")
+    monkeypatch.setattr(export, "lex_order", lambda columns: np.lexsort(columns[::-1]))
+    export_bundle(sg, None, None, tmp_path / "lexsort")
+    assert _files(tmp_path / "packed") == _files(tmp_path / "lexsort")
 
 
 # type names on both sides of the __literal__ and __untyped__ buckets

@@ -37,6 +37,7 @@ from kgslice.graph import (
     load_ntriples,
     open_for_rewrite,
     open_maybe_gzip,
+    write_over,
 )
 
 from conftest import EX, iri, make_kg, nt, random_kg, random_kg_lines
@@ -443,6 +444,48 @@ def test_open_for_rewrite_writes_to_a_device():
         fh.write("discarded\n")
 
 
+def test_write_over_keeps_only_the_bytes_written(tmp_path, monkeypatch):
+    path = tmp_path / "out.tsv"
+    path.write_bytes(b"x" * 10000)
+    write_over(path, [b"ab", b"", b"cd\n"])
+    assert path.read_bytes() == b"abcd\n"
+
+    def failing():
+        yield b"first\n"
+        raise RuntimeError("formatting failed")
+
+    path.write_bytes(b"x" * 10000)
+    with pytest.raises(RuntimeError):
+        write_over(path, failing())
+    assert path.read_bytes() == b"first\n"
+    # a write cut short is resumed; a failed write leaves what went before it
+    real_write = os.write
+    written = []
+
+    def short_then_full(fd, data):
+        if len(written) > 4:
+            raise OSError(28, "No space left on device")
+        written.append(real_write(fd, bytes(data[:3])))
+        return written[-1]
+
+    monkeypatch.setattr(os, "write", short_then_full)
+    path.write_bytes(b"x" * 10000)
+    with pytest.raises(OSError):
+        write_over(path, [b"abcdefgh", b"ijklmnop"])
+    assert path.read_bytes() == b"abcdefghijklmn"
+
+
+def test_write_over_opens_as_open_for_rewrite_does(tmp_path, os_open_flags):
+    with open_for_rewrite(tmp_path / "plain", "wb"):
+        pass
+    write_over(tmp_path / "new", [b"row\n"])
+    write_over(tmp_path / "new", [b"row\n"])
+    assert (tmp_path / "new").stat().st_mode == (tmp_path / "plain").stat().st_mode
+    assert len(os_open_flags[tmp_path / "new"]) == 2
+    assert not any(f & os.O_TRUNC for f in os_open_flags[tmp_path / "new"])
+    write_over(os.devnull, [b"discarded\n"])
+
+
 def test_dictionary_dump(rng):
     kg = random_kg(rng, n_vertices=20, n_triples=40, literal_fraction=0.2)
     out = io.StringIO()
@@ -558,6 +601,119 @@ def test_hop_distances_reject_negative_max_hops():
     with pytest.raises(ValueError, match="max_hops"):
         hop_distances([0, 1], [1, 2], [0], max_hops=-1)
     assert levels_as_dict(hop_distances([0, 1], [1, 2], [0], max_hops=None)) == {0: 0, 1: 1, 2: 2}
+
+
+def _undirected(edges):
+    """Both orientations of each (u, w) edge as tails, heads and the oracle's adjacency."""
+    tails = [u for u, _ in edges] + [w for _, w in edges]
+    heads = [w for _, w in edges] + [u for u, _ in edges]
+    adj: dict[int, list[int]] = {}
+    for u, w in zip(tails, heads):
+        adj.setdefault(u, []).append(w)
+    return tails, heads, adj
+
+
+def _check_levels_against_bfs(tails, heads, adj, sources):
+    dist = bfs_distances(adj, sources)
+    for dtype in (np.int32, np.int64):
+        arrays = np.array(tails, dtype=dtype), np.array(heads, dtype=dtype)
+        assert levels_as_dict(hop_distances(*arrays, sources)) == dist
+        for max_hops in range(5):
+            near = {v: d for v, d in dist.items() if d <= max_hops}
+            assert levels_as_dict(hop_distances(*arrays, sources, max_hops)) == near
+
+
+def test_hop_distances_across_wide_and_narrow_frontiers(rng):
+    # a hub with 200 leaves, then a 500-vertex tail hanging off the last leaf
+    hub, leaves, tail = 0, range(1, 201), range(201, 701)
+    edges = [(hub, v) for v in leaves] + [(200, 201)] + [(v, v + 1) for v in tail[:-1]]
+    tails, heads, adj = _undirected(edges)
+    # from the hub: 1, 200, then 1 at a time; from the tail's end: 1 at a time, then 200
+    for sources in ([hub], [700], [hub, 700], list(leaves)[:70], [450]):
+        _check_levels_against_bfs(tails, heads, adj, sources)
+    assert hop_distances(tails, heads, [700])[hub] == 501
+
+
+def test_hop_distances_on_random_graphs_with_wide_levels(rng):
+    for _ in range(12):
+        n = rng.randrange(100, 2001)
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(int(n * rng.uniform(0.6, 3)))]
+        tails, heads, adj = _undirected(edges)
+        sources = rng.sample(range(n), rng.choice((1, 2, 5, 80)))
+        _check_levels_against_bfs(tails, heads, adj, sources)
+
+
+def _counting_gather(monkeypatch):
+    calls = []
+    real = graph._gather
+
+    def spy(offsets, vs):
+        calls.append(len(vs))
+        return real(offsets, vs)
+
+    monkeypatch.setattr(graph, "_gather", spy)
+    return calls
+
+
+def test_hop_distances_take_arrays_for_wide_frontiers_only(monkeypatch):
+    calls = _counting_gather(monkeypatch)
+    n = 10_000
+    path = np.arange(n - 1)
+    levels = hop_distances(np.concatenate([path, path + 1]), np.concatenate([path + 1, path]), [0])
+    assert levels.tolist() == list(range(n))
+    assert calls == []
+    # a star's hub reaches its leaves vertex by vertex; they take one array round
+    tails, heads, _ = _undirected([(0, v) for v in range(1, 101)])
+    assert hop_distances(tails, heads, [0]).tolist() == [0] + [1] * 100
+    assert calls == [100]
+    for leaves, expected in ((graph._WIDE_FRONTIER - 1, []), (graph._WIDE_FRONTIER, [64])):
+        calls.clear()
+        tails, heads, _ = _undirected([(0, v) for v in range(1, leaves + 1)])
+        hop_distances(tails, heads, [0])
+        assert calls == expected
+
+
+def test_lex_order_equals_lexsort_on_distinct_rows(rng):
+    np_rng = np.random.default_rng(7)
+    for _ in range(40):
+        width = rng.randrange(1, 5)
+        highs = [rng.choice((1, 2, 10, 1000, 2**31 - 1)) for _ in range(width)]
+        m = rng.randrange(0, 300)
+        rows = np.unique(np.stack([np_rng.integers(0, h, m) for h in highs], axis=1), axis=0)
+        rows = rows[np_rng.permutation(len(rows))]
+        for dtype in (np.int32, np.int64):
+            columns = tuple(rows.T.astype(dtype))
+            assert graph.lex_order(columns).tolist() == np.lexsort(columns[::-1]).tolist()
+
+
+def test_lex_order_of_tied_rows_sorts_them():
+    np_rng = np.random.default_rng(3)
+    columns = tuple(np_rng.integers(0, 3, (3, 200)))
+    order = graph.lex_order(columns)
+    expected = np.lexsort(columns[::-1])
+    assert sorted(order.tolist()) == list(range(200))
+    for c in columns:
+        assert c[order].tolist() == c[expected].tolist()
+
+
+def test_lex_order_on_empty_columns():
+    empty = np.zeros(0, dtype=np.int32)
+    assert graph.lex_order((empty, empty, empty)).tolist() == []
+
+
+def test_lex_order_falls_back_to_lexsort_past_two_to_the_63():
+    big = 2**31 - 1
+    # ranges 2**32 and 2**31, product 2**63: the largest key is 2**63 - 1, still packed
+    packed = (np.array([2**32 - 1, 0, 2**32 - 1, 7]), np.array([big, 5, 0, big - 1]))
+    assert graph._packed_keys(packed).max() == 2**63 - 1
+    assert graph.lex_order(packed).tolist() == np.lexsort(packed[::-1]).tolist() == [1, 3, 2, 0]
+    # ranges 2**32 and 2**31 + 1 pass it
+    wide = (packed[0], np.array([2**31, 5, 0, big - 1]))
+    assert graph._packed_keys(wide) is None
+    assert graph.lex_order(wide).tolist() == np.lexsort(wide[::-1]).tolist() == [1, 3, 2, 0]
+    columns = tuple(np.array([[big, 0, big], [big, big, 0], [0, big, big]], dtype=np.int32))
+    assert graph._packed_keys(columns) is None
+    assert graph.lex_order(columns).tolist() == np.lexsort(columns[::-1]).tolist()
 
 
 def walk_case_kg(seed: int):
