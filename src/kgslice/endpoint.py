@@ -3,11 +3,14 @@
 The planner turns per-branch row counts into LIMIT/OFFSET jobs; a pool of
 workers drains a shared job index and accumulates raw rows; duplicates
 are dropped at the end. Jobs run against either the in-process
-LocalBackend or a SPARQL HTTP endpoint. An endpoint's rows are parsed
-from TSV once, term by term, and the result graph is built from the
-unique rows directly, each distinct term checked once against the
-N-Triples term grammar. The deduplicated result is independent of both
-the page size and the worker count.
+LocalBackend or a SPARQL HTTP endpoint, and either way a page is a (k, 3)
+int32 id array. A LocalBackend's ids are its graph's. An endpoint's TSV
+page is split a column at a time and its columns interned whole into the
+extraction's :class:`WireDictionary`, so no row becomes a tuple of
+strings; the result graph is built from the id rows in numpy, with ids
+from the sorted unique surface rows, and each distinct term is checked
+once against the N-Triples term grammar. The deduplicated result is
+independent of both the page size and the worker count.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 import re
 import threading
 from dataclasses import dataclass
-from sys import intern
+from itertools import repeat
 from time import sleep
 
 import numpy as np
@@ -30,7 +33,16 @@ from .errors import (
     QueryRejected,
     check_at_least_one,
 )
-from .graph import RDF_TYPE, KnowledgeGraph, Subgraph, ingest_ntriples, subgraph_from_triples
+from .graph import (
+    RDF_TYPE,
+    EncodedStatements,
+    KnowledgeGraph,
+    Subgraph,
+    check_id_space,
+    id_table,
+    ingest_ntriples,
+    subgraph_from_triples,
+)
 from .patterns import BgpQuery, LocalBackend, PatternTask, get_bgp
 
 log = logging.getLogger(__name__)
@@ -52,6 +64,9 @@ _ABBREVIATED = (
 )
 
 
+# the first characters of a term in full N-Triples form: IRI, literal, blank node
+_FULL_FORM = ("<", '"', "_")
+
 # the lexical form of a non-negative xsd:integer
 _COUNT_RE = re.compile(r"\+?[0-9]+")
 
@@ -66,6 +81,111 @@ def _expand_abbreviated(term: str) -> str:
         if pattern.fullmatch(term):
             return f'"{term}"^^<{_XSD}{datatype}>'
     return term
+
+
+class _ObjectIds(dict):
+    """Term ids by object field as the wire writes it; a field missing here is expanded once."""
+
+    def __init__(self, terms: dict[str, int]):
+        super().__init__()
+        self.terms = terms
+
+    def __missing__(self, field: str) -> int:
+        term = field if field.startswith(_FULL_FORM) else _expand_abbreviated(field)
+        self[field] = tid = self.terms[term]
+        return tid
+
+
+class WireDictionary:
+    """The ids of one extraction's endpoint pages: a terms table and a predicates table.
+
+    Each table is a :func:`kgslice.graph.id_table`, in which a missing
+    key takes the dict's length as its id, so a surface has one id, and
+    one string, whichever page it came on; subjects and objects share the
+    terms table. :meth:`encode` interns a page's columns whole, in C,
+    under a lock held only for that step, so worker threads encode their
+    pages as they arrive. Ids then follow the order in which pages were
+    encoded, which the schedule decides; the graph built from
+    :meth:`statements` numbers its terms afresh.
+    """
+
+    def __init__(self):
+        self._terms = id_table()
+        self._predicates = id_table()
+        self._objects = _ObjectIds(self._terms)
+        self._lock = threading.Lock()
+
+    def encode(self, subjects: list[str], predicates: list[str], objects: list[str]) -> np.ndarray:
+        """A page's fields, one list per column, as its (k, 3) int32 id rows.
+
+        An object in the abbreviated SPARQL form (``42``, ``true``) stands
+        for its N-Triples literal. A page that holds one has its objects
+        looked up by field, each distinct field expanded once per
+        dictionary; subjects and predicates are taken as they are.
+        """
+        k = len(predicates)
+        full_form = all(map(str.startswith, objects, repeat(_FULL_FORM)))
+        ids = np.empty((k, 3), dtype=np.int32)
+        with self._lock:
+            terms, preds = self._terms, self._predicates
+            ids[:, 0] = np.fromiter(map(terms.__getitem__, subjects), np.int32, k)
+            ids[:, 1] = np.fromiter(map(preds.__getitem__, predicates), np.int32, k)
+            object_ids = terms if full_form else self._objects
+            ids[:, 2] = np.fromiter(map(object_ids.__getitem__, objects), np.int32, k)
+            check_id_space(len(terms), len(preds))
+        return ids
+
+    def statements(self, rows: np.ndarray) -> EncodedStatements:
+        """``rows`` of this dictionary's ids as statements to build a graph from."""
+        return EncodedStatements(list(self._terms), list(self._predicates), rows)
+
+
+def _page_columns(text: str) -> tuple[list[str], list[str], list[str]]:
+    """The subject, predicate and object fields of a TSV page's rows, a list each.
+
+    A clean page, with no CR and exactly two tabs in every row (so no
+    blank row before the last newline), is split as a whole, with no
+    Python step per row; the tabs are counted row by row, as a count over
+    the page would let a two-field row and a four-field one cancel out.
+    Any other page goes through :func:`_checked_columns`.
+    """
+    # only LF ends a row: str.splitlines would also split at characters
+    # an N-Triples literal may hold raw (\x85, \u2028, ...)
+    lines = text.split("\n")
+    del lines[0]  # the header
+    if lines and not lines[-1]:
+        del lines[-1]  # the newline after the last row
+    if not lines:
+        return [], [], []
+    if "\r" in text or set(map(str.count, lines, repeat("\t"))) != {2}:
+        return _checked_columns(lines)
+    fields = "\t".join(lines).split("\t")
+    return fields[::3], fields[1::3], fields[2::3]
+
+
+def _checked_columns(lines: list[str]) -> tuple[list[str], list[str], list[str]]:
+    """:func:`_page_columns` of a page's rows, one at a time, rejecting what N-Triples cannot hold.
+
+    A row's final CR ends it, as in a CRLF page, and a blank row is
+    skipped. A raw CR inside a row raises QueryRejected naming the row:
+    N-Triples forbids a raw CR in any term (the term check lets one
+    through inside a literal), and the written ``subgraph.nt`` would break
+    the statement there. So does a row of other than three fields.
+    """
+    columns: tuple[list[str], list[str], list[str]] = ([], [], [])
+    for line in lines:
+        if line.endswith("\r"):
+            line = line[:-1]
+        if not line:
+            continue
+        if "\r" in line:
+            raise QueryRejected(200, f"raw CR in TSV row: {line!r}")
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise QueryRejected(200, f"malformed TSV row: {line!r}")
+        for column, part in zip(columns, parts):
+            column.append(part)
+    return columns
 
 
 @dataclass
@@ -98,7 +218,13 @@ class QueryBatchPlan:
 
 
 class HttpBackend:
-    """SPARQL-protocol client returning tab-separated (s, p, o) rows."""
+    """SPARQL-protocol client returning each TSV page as (k, 3) int32 id rows.
+
+    The ids index ``wire``, the backend's :class:`WireDictionary`, into
+    which :meth:`fetch` interns every page as it arrives: one dictionary
+    per backend, so per extraction for a backend made for one, as the
+    CLI makes it.
+    """
 
     def __init__(self, config: EndpointConfig, session=None):
         # imported here, not with the module: it is most of the package's
@@ -108,6 +234,7 @@ class HttpBackend:
         self.config = config
         self.session = session or requests.Session()
         self._transport_error = requests.RequestException
+        self.wire = WireDictionary()
 
     def describe(self) -> str:
         return self.config.url
@@ -154,39 +281,6 @@ class HttpBackend:
             raise last_exc
         raise EndpointUnreachable(str(last_exc))
 
-    @staticmethod
-    def _parse_rows(text: str) -> list[tuple[str, str, str]]:
-        """The (s, p, o) surface rows of a TSV page, abbreviated literals expanded.
-
-        Every term is interned, so all rows of all pages share one string
-        object per distinct term: an extraction returns several rows per
-        distinct term (186,292 rows for 35,937 terms on the benchmark's
-        sparql-http task), and ``drop_duplicates`` then compares shared
-        strings by identity and builds the graph from the rows as they are,
-        never splitting one again. A raw CR inside a row is rejected here:
-        nothing reads the rows back as text, but N-Triples forbids a raw CR
-        in any term (the term check lets one through inside a literal), and
-        the written ``subgraph.nt`` would break the statement there.
-        """
-        rows = []
-        # only LF ends a row: str.splitlines would also split at characters
-        # an N-Triples literal may hold raw (\x85, \u2028, ...)
-        for line in text.split("\n")[1:]:  # first line is the header
-            if line.endswith("\r"):
-                line = line[:-1]
-            if not line:
-                continue
-            if "\r" in line:
-                raise QueryRejected(200, f"raw CR in TSV row: {line!r}")
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise QueryRejected(200, f"malformed TSV row: {line!r}")
-            s, p, o = parts
-            if o[:1] not in ("<", '"', "_"):
-                o = _expand_abbreviated(o)
-            rows.append((intern(s), intern(p), intern(o)))
-        return rows
-
     def branch_count(self, bgp: BgpQuery, index: int) -> int:
         query = bgp.branches[index].count_query(self.config.graph_iri)
         body = self._request(query)
@@ -202,9 +296,9 @@ class HttpBackend:
             raise QueryRejected(200, f"count query returned {value!r}, not a non-negative integer")
         return int(value)
 
-    def fetch(self, bgp: BgpQuery, index: int, limit: int, offset: int):
+    def fetch(self, bgp: BgpQuery, index: int, limit: int, offset: int) -> np.ndarray:
         query = bgp.branches[index].page_query(limit, offset, self.config.graph_iri)
-        return self._parse_rows(self._request(query))
+        return self.wire.encode(*_page_columns(self._request(query)))
 
 
 def get_graph_size(backend, bgp: BgpQuery) -> list[int]:
@@ -222,20 +316,21 @@ def execution_planner(bgp: BgpQuery, counts, bs: int) -> QueryBatchPlan:
     return QueryBatchPlan(jobs=jobs, counts=list(counts))
 
 
-def execute_plan(backend, bgp: BgpQuery, plan: QueryBatchPlan, workers: int = 1):
-    """Run every job once; returns the row multiset.
+def execute_plan(backend, bgp: BgpQuery, plan: QueryBatchPlan, workers: int = 1) -> np.ndarray:
+    """Run every job once; returns the row multiset as one (n, 3) int32 id array.
 
-    Rows are an (n, 3) id array from a LocalBackend, whose pages are
-    array slices joined with one concatenate, and a list of surface-string
-    triples from an HttpBackend (whose requests do their own retrying).
-    Workers pull from a shared index; rows are concatenated in job order
-    so even the multiset is schedule-independent. A job that fails, or
+    Every page is an id array from either backend: ids into a
+    LocalBackend's graph, or into an HttpBackend's wire dictionary, which
+    each page enters as it arrives. Workers pull from a shared index
+    (an HttpBackend's requests do their own retrying); the pages are
+    concatenated in job order, so even the multiset is
+    schedule-independent, though wire ids are not. A job that fails, or
     whose page holds other than ``min(limit, count - offset)`` rows,
     aborts the extraction with the completed jobs attached.
     """
     check_at_least_one(workers, "workers")
     n_jobs = len(plan.jobs)
-    results: list[list | None] = [None] * n_jobs
+    results: list[np.ndarray | None] = [None] * n_jobs
     next_job = [0]
     lock = threading.Lock()
     failure: list[JobFailed] = []
@@ -280,43 +375,38 @@ def execute_plan(backend, bgp: BgpQuery, plan: QueryBatchPlan, workers: int = 1)
         exc.completed_jobs = [i for i, r in enumerate(results) if r is not None]
         raise exc
 
-    if results and isinstance(results[0], np.ndarray):
-        return np.concatenate(results)
-    rows: list = []
-    for page in results:
-        rows.extend(page)
-    return rows
+    return np.concatenate(results) if results else np.empty((0, 3), dtype=np.int32)
 
 
 def drop_duplicates(
-    rows, kg: KnowledgeGraph | None = None, type_predicate_iri: str = RDF_TYPE
+    rows,
+    kg: KnowledgeGraph | None = None,
+    type_predicate_iri: str = RDF_TYPE,
+    wire: WireDictionary | None = None,
 ) -> Subgraph:
-    """Deduplicate raw (s, p, o) rows into a Subgraph.
+    """Deduplicate raw (s, p, o) id rows into a Subgraph.
 
     With a local graph the rows are id triples in its id space, an (n, 3)
     array from ``execute_plan``, and go straight to
     ``subgraph_from_triples``, which sorts and dedups them as an array.
-    Without one they are surface-string rows from an endpoint,
-    with interned terms (see ``HttpBackend._parse_rows``), so the dedup and
-    the sort find equal terms by identity. The dedup is ``dict.fromkeys``,
-    which keeps first-seen order, so the sort merges the ordered runs of
-    each page instead of sorting hash order. A fresh KnowledgeGraph, typed
-    by ``type_predicate_iri``, is built from the sorted unique rows as
-    statements, with ids in first-encounter order, and the Subgraph spans
-    it. No row is rendered as text or split again: each distinct term is
-    checked once, where it occurs, and a term N-Triples forbids raises
-    KgsliceError naming it.
+    Without one they are an endpoint's rows, an (n, 3) array of ids into
+    ``wire``, handed to ``ingest_ntriples`` as dictionary-encoded
+    statements. There every distinct term and predicate is ranked in
+    string order, so the dedup and sort of the ranked rows give the
+    sorted unique surface rows, and a fresh KnowledgeGraph, typed by
+    ``type_predicate_iri``, numbers its terms in first-encounter order
+    over those rows; the Subgraph spans it. No row becomes a tuple or
+    text: each distinct term is checked once, where it occurs, and a term
+    N-Triples forbids raises KgsliceError naming it. The wire rows are
+    freed before the graph allocates its orders, when the caller passed
+    its only reference to them.
     """
     if kg is not None:
         return subgraph_from_triples(kg, rows)
-    # each stage frees the one before: the wire rows once deduplicated
-    # (when the caller passed its only reference), the dict once sorted, and
-    # the sorted rows once the build has read them, since an exhausted list
-    # iterator lets go of its list
-    unique = dict.fromkeys(rows)
+    if wire is None:
+        raise TypeError("drop_duplicates needs the rows' id space: a kg or a wire dictionary")
+    statements = wire.statements(rows)
     del rows
-    statements = iter(sorted(unique))
-    del unique
     try:
         fresh, _ = ingest_ntriples(statements, type_predicate_iri=type_predicate_iri)
     except MalformedTerm as exc:
@@ -336,12 +426,13 @@ def sparql_extract(
     bgp = get_bgp(task, d, h)
     counts = get_graph_size(backend, bgp)
     plan = execution_planner(bgp, counts, bs)
-    local_kg = backend.kg if isinstance(backend, LocalBackend) else None
+    local = isinstance(backend, LocalBackend)
     # no name here holds the rows, so drop_duplicates can free them as it goes
     sg = drop_duplicates(
         execute_plan(backend, bgp, plan, workers=workers),
-        kg=local_kg,
+        kg=backend.kg if local else None,
         type_predicate_iri=task.type_predicate_iri,
+        wire=None if local else backend.wire,
     )
     sg.provenance = {
         "engine": "sparql",

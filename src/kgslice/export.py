@@ -47,15 +47,13 @@ import os
 import re
 import warnings
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
 
 from .errors import IoFailure, MalformedTerm
-from .graph import (
-    KnowledgeGraph, Subgraph, ingest_ntriples, lex_order, open_for_rewrite, write_over,
-)
+from .graph import KnowledgeGraph, Subgraph, distinct, ingest_ntriples, lex_order, write_over
 from .tasks import LabelMap
 
 UNTYPED = "__untyped__"
@@ -73,11 +71,11 @@ class ExportBundle:
     manifest: dict
 
 
-_CHUNK_LINES = 8192  # lines encoded per write: one file is never held whole
+_CHUNK_LINES = 8192  # lines (or JSON pieces) encoded per write: a file is never held whole
 
 
 def _write(path: Path, lines) -> str:
-    """Write ``lines``, each ending in a newline, as UTF-8.
+    """Write the strings ``lines`` one after the other, as UTF-8.
 
     Returns the sha256 of the bytes written.
     """
@@ -121,13 +119,15 @@ def export_bundle(
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
 
-    # every vertex's smallest asserted type, else the literal or untyped bucket
+    # each class's name once, then every vertex's smallest asserted type,
+    # else the literal or untyped bucket
+    typed, classes = sg.type_spo[:, 0].tolist(), sg.type_spo[:, 2].tolist()
+    class_ids = distinct(sg.type_spo[:, 2]).tolist()
+    class_name = dict(zip(class_ids, map(kg.lexical, class_ids))).__getitem__
     smallest: dict[int, str] = {}
-    type_pairs = sg.type_spo[:, ::2].tolist()
-    for s, o in type_pairs:
-        lexical = kg.lexical(o)
-        if s not in smallest or lexical < smallest[s]:
-            smallest[s] = lexical
+    for s, name in zip(typed, map(class_name, classes)):
+        if s not in smallest or name < smallest[s]:
+            smallest[s] = name
     term_of = kg.terms.__getitem__
     verts = sorted(sg.vertex_ids.tolist(), key=term_of)
     ids = np.fromiter(verts, dtype=np.int64, count=len(verts))
@@ -161,8 +161,8 @@ def export_bundle(
     dense_of[local] = dense
     del rank, ids, dense, local
 
-    type_rows = sorted((term_of(s), kg.lexical(o)) for s, o in type_pairs)
-    del type_pairs
+    type_rows = sorted(zip(map(term_of, typed), map(class_name, classes)))
+    del typed, classes
     checksums["types.tsv"] = _write(
         outdir / "types.tsv", (f"{term}\t{type_iri}\n" for term, type_iri in type_rows)
     )
@@ -251,9 +251,9 @@ def export_bundle(
         "label_dictionary": list(labels.label_terms) if labels is not None else [],
     }
     manifest["checksums"] = dict(sorted(checksums.items()))
-    with open_for_rewrite(outdir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # json.dump's text, written a chunk of pieces at a time rather than a piece per write
+    pieces = json.JSONEncoder(indent=2, sort_keys=True).iterencode(manifest)
+    _write(outdir / "manifest.json", chain(pieces, "\n"))
     # edge files of an earlier, bigger bundle in this directory
     with os.scandir(outdir) as entries:
         for entry in entries:

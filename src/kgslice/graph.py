@@ -876,6 +876,13 @@ def _statement_columns(statements):
         yield _columns(batch)
 
 
+def id_table() -> defaultdict[str, int]:
+    """A dict in which a missing key is added with the dict's length as its id."""
+    table: defaultdict[str, int] = defaultdict()
+    table.default_factory = table.__len__
+    return table
+
+
 def _intern(batches, type_predicate_iri: str) -> KnowledgeGraph:
     """A KnowledgeGraph from ``(ends, predicates)`` batches of surface forms.
 
@@ -885,10 +892,7 @@ def _intern(batches, type_predicate_iri: str) -> KnowledgeGraph:
     follow first encounter. More than ``MAX_IDS`` distinct terms, or
     predicates, raise IdSpaceExhausted.
     """
-    terms: defaultdict[str, int] = defaultdict()
-    terms.default_factory = terms.__len__
-    preds: defaultdict[str, int] = defaultdict()
-    preds.default_factory = preds.__len__
+    terms, preds = id_table(), id_table()
     end_ids, pred_ids = array("i"), array("i")
     try:
         for ends, predicates in batches:
@@ -920,6 +924,76 @@ def build_graph(statements, type_predicate_iri: str = RDF_TYPE) -> KnowledgeGrap
     return _intern(_statement_columns(statements), type_predicate_iri)
 
 
+@dataclass(eq=False)
+class EncodedStatements:
+    """Statements as id rows over two tables of surface forms, a source for :func:`ingest_ntriples`.
+
+    Row ``(s, p, o)`` of ``rows``, an (m, 3) integer array in any order
+    and with repeats, is the statement ``(terms[s], predicates[p],
+    terms[o])``; each table holds distinct surfaces and may hold some no
+    row uses. Building the graph takes ``rows`` and leaves None there, so
+    a caller that hands over its only reference to the rows has them
+    freed before the graph allocates its orders.
+    """
+
+    terms: list[str]
+    predicates: list[str]
+    rows: np.ndarray | None
+
+
+def _string_ranks(surfaces: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Each surface's rank in string order, by id, and the ids in that order."""
+    order = np.array(sorted(range(len(surfaces)), key=surfaces.__getitem__), dtype=np.intp)
+    rank = np.empty(len(surfaces), dtype=np.int32)
+    rank[order] = np.arange(len(surfaces), dtype=np.int32)
+    return rank, order
+
+
+def _first_encounter(ranks: np.ndarray, order: np.ndarray, surfaces: list[str]):
+    """Ids for the ranks in ``ranks`` in first-encounter order, as an array by rank, and their surfaces.
+
+    Each rank's first position is one ``np.minimum.at`` scatter: 1.5 ms
+    for 312k ranks of 36k terms, against 20 ms for the stable sort of
+    ``np.unique(..., return_index=True)`` (one 2-vCPU Xeon, numpy 2.4).
+    """
+    first = np.full(len(order), len(ranks), dtype=np.int64)
+    np.minimum.at(first, ranks, np.arange(len(ranks)))
+    met = np.flatnonzero(first < len(ranks))
+    met = met[np.argsort(first[met])]
+    ids = np.empty(len(order), dtype=np.int32)
+    ids[met] = np.arange(len(met), dtype=np.int32)
+    return ids, list(map(surfaces.__getitem__, order[met].tolist()))
+
+
+def _encoded_graph(source: EncodedStatements, type_predicate_iri: str) -> KnowledgeGraph:
+    """The graph :func:`build_graph` makes of ``source``'s statements, sorted and unique.
+
+    Each term and predicate is ranked in string order, so the ranked rows'
+    :func:`sorted_unique_rows` are the sorted unique surface rows. Ids
+    then follow first encounter over those rows, read subject, predicate,
+    object, as :func:`build_graph` hands them out, and no statement
+    becomes a tuple of strings.
+    """
+    rows, source.rows = source.rows, None
+    term_rank, term_order = _string_ranks(source.terms)
+    pred_rank, pred_order = _string_ranks(source.predicates)
+    ranked = np.empty((len(rows), 3), dtype=np.int32)
+    ranked[:, ::2] = term_rank[rows[:, ::2]]
+    ranked[:, 1] = pred_rank[rows[:, 1]]
+    del rows, term_rank, pred_rank
+    ranked = sorted_unique_rows(ranked)
+    # each row's subject, then its object: the order build_graph interns ends in
+    term_ids, terms = _first_encounter(ranked[:, ::2].ravel(), term_order, source.terms)
+    pred_ids, preds = _first_encounter(ranked[:, 1], pred_order, source.predicates)
+    ranked[:, ::2] = term_ids[ranked[:, ::2]]
+    ranked[:, 1] = pred_ids[ranked[:, 1]]
+    del term_ids, pred_ids, term_order, pred_order
+    return KnowledgeGraph(
+        dict(zip(terms, range(len(terms)))), dict(zip(preds, range(len(preds)))), ranked,
+        type_predicate_iri,
+    )
+
+
 def ingest_ntriples(
     source,
     type_predicate_iri: str = RDF_TYPE,
@@ -933,8 +1007,12 @@ def ingest_ntriples(
     :class:`ParseError` records and skipped unless ``strict`` is set, in
     which case the first one is raised; invalid UTF-8 raises
     :class:`IoFailure` in either mode, unless strict mode met a malformed
-    line before it. Any other ``source`` is an iterable
-    of (subject, predicate, object) surface forms, taken as they are and
+    line before it. Any other ``source`` is an iterable of (subject,
+    predicate, object) surface forms, numbered in first-encounter order as
+    they come, or dictionary-encoded :class:`EncodedStatements`, ranked,
+    deduplicated and sorted as id arrays and numbered in first-encounter
+    order over the sorted unique statements, as those statements given
+    sorted would be. Either way the surfaces are taken as they are and
     then checked once per distinct term with
     :meth:`KnowledgeGraph.malformed_term`; a term N-Triples forbids where it
     occurs raises :class:`MalformedTerm` whatever ``strict`` says, so the
@@ -944,7 +1022,10 @@ def ingest_ntriples(
     if isinstance(source, bytes) or hasattr(source, "read"):
         kg = _intern(_ntriples_columns(source, None if strict else errors), type_predicate_iri)
         return kg, errors
-    kg = build_graph(source, type_predicate_iri)
+    if isinstance(source, EncodedStatements):
+        kg = _encoded_graph(source, type_predicate_iri)
+    else:
+        kg = build_graph(source, type_predicate_iri)
     bad = kg.malformed_term()
     if bad is not None:
         raise MalformedTerm(bad)

@@ -15,10 +15,12 @@ import warnings
 from collections import Counter, deque
 from dataclasses import dataclass
 from pathlib import Path
+from sys import intern
 
 import numpy as np
 
-from kgslice.errors import IoFailure, ParseError
+from kgslice.endpoint import _expand_abbreviated
+from kgslice.errors import IoFailure, ParseError, QueryRejected
 from kgslice.export import (
     _EDGE_FILE,
     LITERAL_TYPE,
@@ -70,6 +72,47 @@ def reference_read_ntriples(source, errors: list[ParseError] | None = None):
     finally:
         if not source.closed:
             text.detach()
+
+
+def reference_parse_rows(text: str) -> list[tuple[str, str, str]]:
+    """The (s, p, o) surface rows of a TSV page, one row at a time.
+
+    The page parser as it was before pages became id columns: the page is
+    cut at LF only, past its header; a row's final CR is dropped, a blank
+    row skipped, and a raw CR, or a row of other than three tab-separated
+    fields, raises QueryRejected naming the row. Objects not in full
+    N-Triples form are expanded from their abbreviated form, and every
+    term is interned.
+    """
+    rows = []
+    for line in text.split("\n")[1:]:
+        if line.endswith("\r"):
+            line = line[:-1]
+        if not line:
+            continue
+        if "\r" in line:
+            raise QueryRejected(200, f"raw CR in TSV row: {line!r}")
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise QueryRejected(200, f"malformed TSV row: {line!r}")
+        s, p, o = parts
+        if o[:1] not in ("<", '"', "_"):
+            o = _expand_abbreviated(o)
+        rows.append((intern(s), intern(p), intern(o)))
+    return rows
+
+
+def wire_ids(wire, rows):
+    """Surface (s, p, o) rows entered into the wire dictionary ``wire``, as a page's fields are."""
+    columns = [list(column) for column in zip(*rows)] or [[], [], []]
+    return wire.encode(*columns)
+
+
+def wire_rows(wire, ids) -> list[tuple[str, str, str]]:
+    """The surface rows of the wire ids ``ids``, in order, read through ``wire``."""
+    statements = wire.statements(ids)
+    terms, preds = statements.terms, statements.predicates
+    return [(terms[s], preds[p], terms[o]) for s, p, o in ids.tolist()]
 
 
 def scan_vertices_of_type(kg, type_iri: str) -> list[int]:

@@ -428,21 +428,20 @@ def test_extract_via_http_endpoint(mini_kg, task_cfg, tmp_path, rng):
 def test_endpoint_term_not_valid_ntriples_exits_two(
     mini_kg, task_cfg, tmp_path, capsys, monkeypatch
 ):
-    from kgslice.endpoint import HttpBackend
+    from kgslice import endpoint
     from kgslice.graph import load_ntriples
     from kgslice.patterns import PatternTask, get_bgp
     from sparql_double import SparqlDouble
 
-    parse_rows = HttpBackend._parse_rows
+    page_columns = endpoint._page_columns
 
     def leading_space(text):
-        rows = parse_rows(text)
-        if rows:
-            s, p, o = rows[0]
-            rows[0] = (f" {s}", p, o)
-        return rows
+        subjects, predicates, objects = page_columns(text)
+        if subjects:
+            subjects[0] = f" {subjects[0]}"
+        return subjects, predicates, objects
 
-    monkeypatch.setattr(HttpBackend, "_parse_rows", staticmethod(leading_space))
+    monkeypatch.setattr(endpoint, "_page_columns", leading_space)
     server = SparqlDouble(load_ntriples(mini_kg)[0])
     try:
         server.register(get_bgp(PatternTask(kind="nc", target_type_iri=f"{EX}T"), 1, 1))

@@ -2,15 +2,21 @@ from __future__ import annotations
 
 import io
 import sys
+import threading
+import tracemalloc
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kgslice import endpoint
+from kgslice import endpoint, graph
 from kgslice.endpoint import (
     EndpointConfig,
     HttpBackend,
     QueryBatchPlan,
+    WireDictionary,
+    _page_columns,
     drop_duplicates,
     execution_planner,
     execute_plan,
@@ -23,7 +29,7 @@ from kgslice.graph import ingest_ntriples
 from kgslice.patterns import LocalBackend, PatternTask, get_bgp
 
 from conftest import EX, make_kg, random_kg_lines
-from oracles import surface_triples
+from oracles import reference_parse_rows, surface_triples, wire_ids, wire_rows
 from sparql_double import SparqlDouble, StubSession, abbreviate
 
 
@@ -51,6 +57,12 @@ def nc_pattern(type_name="T0"):
     return PatternTask(kind="nc", target_type_iri=f"{EX}{type_name}")
 
 
+def parse_page(body):
+    """A TSV page's surface rows, through a wire dictionary of its own."""
+    wire = WireDictionary()
+    return wire_rows(wire, wire.encode(*_page_columns(body)))
+
+
 def test_http_extraction_matches_local(kg, double):
     task = nc_pattern()
     bgp = get_bgp(task, 2, 1)
@@ -61,7 +73,7 @@ def test_http_extraction_matches_local(kg, double):
     plan = execution_planner(bgp, counts, bs=7)
     rows = execute_plan(backend, bgp, plan, workers=3)
     local = local_sparql_extract(kg, task, 2, 1, bs=7)
-    assert set(rows) == surface_triples(kg, local.triples)
+    assert set(wire_rows(backend.wire, rows)) == surface_triples(kg, local.triples)
 
 
 def test_http_sparql_extract_builds_subgraph(kg, double):
@@ -301,7 +313,7 @@ def test_abbreviated_tsv_literals_expand():
         "42", "-7", "+3", "1.5", ".5", "1e3", "-2.5E-3", "true", "false"
     ]
     assert [abbreviate(t) for t in NOT_ABBREVIABLE] == NOT_ABBREVIABLE
-    rows = HttpBackend._parse_rows(body)
+    rows = parse_page(body)
     assert [o for _, _, o in rows] == ABBREVIABLE + NOT_ABBREVIABLE
 
 
@@ -342,7 +354,7 @@ def test_raw_line_separators_in_literals_over_http(rng):
     finally:
         server.close()
     body = f'?s\t?p\t?o\r\n<{EX}a>\t<{EX}p>\t"x\x85y"\r\n'
-    assert HttpBackend._parse_rows(body) == [(f"<{EX}a>", f"<{EX}p>", '"x\x85y"')]
+    assert parse_page(body) == [(f"<{EX}a>", f"<{EX}p>", '"x\x85y"')]
 
 
 def test_parse_rows_share_one_string_per_term():
@@ -350,14 +362,19 @@ def test_parse_rows_share_one_string_per_term():
     def body(objects):
         return "?s\t?p\t?o\n" + "".join(f"<{EX}a>\t<{EX}p>\t{o}\n" for o in objects)
 
-    rows_a = HttpBackend._parse_rows(body(["42", f"<{EX}b>"]))
-    rows_b = HttpBackend._parse_rows(body([f"<{EX}b>", "42"]))
-    assert rows_a[0][1] is rows_b[0][1]
-    assert rows_a[0][0] is rows_a[1][0] is rows_b[1][0]
+    wire = WireDictionary()
+    ids_a = wire.encode(*_page_columns(body(["42", f"<{EX}b>"])))
+    ids_b = wire.encode(*_page_columns(body([f"<{EX}b>", "42"])))
+    rows_a, rows_b = ids_a.tolist(), ids_b.tolist()
+    assert rows_a[0][1] == rows_b[0][1]
+    assert rows_a[0][0] == rows_a[1][0] == rows_b[1][0]
     # an abbreviated literal is interned in its expanded form
-    assert rows_a[0][2] == f'"42"^^<{XSD}integer>'
-    assert rows_a[0][2] is rows_b[1][2]
-    assert rows_a[1][2] is rows_b[0][2]
+    terms = wire.statements(ids_a).terms
+    assert terms[rows_a[0][2]] == f'"42"^^<{XSD}integer>'
+    assert rows_a[0][2] == rows_b[1][2]
+    assert rows_a[1][2] == rows_b[0][2]
+    # one id, so one string, per distinct term of all pages
+    assert sorted(terms) == sorted({f"<{EX}a>", f"<{EX}b>", f'"42"^^<{XSD}integer>'})
 
 
 def test_http_extract_bytes_independent_of_workers_and_page_size(kg, double):
@@ -387,6 +404,23 @@ def test_http_extract_bytes_independent_of_workers_and_page_size(kg, double):
         ), f"{task.kind} d2h{h}"
 
 
+def test_reused_backend_gives_a_fresh_backend_bytes(kg, double):
+    """Terms an earlier extraction left in the wire dictionary take no id in the next result."""
+    lp = PatternTask(kind="lp", target_type_iri=f"{EX}T0", target_predicate_iri=f"{EX}p0",
+                     object_type_iri=f"{EX}T1")
+    runs = ((nc_pattern(), 2, 2), (lp, 2, 2), (nc_pattern(), 1, 1))
+    for task, d, h in runs:
+        double.register(get_bgp(task, d, h))
+    reused = HttpBackend(EndpointConfig(url=double.url))
+    for task, d, h in runs:
+        outputs = []
+        for backend in (reused, HttpBackend(EndpointConfig(url=double.url))):
+            buf = io.StringIO()
+            sparql_extract(backend, task, d=d, h=h, bs=7, workers=2).write_ntriples(buf)
+            outputs.append(buf.getvalue())
+        assert outputs[0] == outputs[1], f"{task.kind} d{d}h{h}"
+
+
 @pytest.mark.parametrize(
     "row",
     [
@@ -399,9 +433,10 @@ def test_http_extract_bytes_independent_of_workers_and_page_size(kg, double):
 )
 def test_drop_duplicates_without_kg_rejects_bad_terms(row):
     good = (f"<{EX}s>", f"<{EX}p>", f"<{EX}o>")
-    assert len(drop_duplicates([good, good]).triples) == 1
+    wire = WireDictionary()
+    assert len(drop_duplicates(wire_ids(wire, [good, good]), wire=wire).triples) == 1
     with pytest.raises(KgsliceError, match="endpoint returned unparsable terms") as exc:
-        drop_duplicates([good, row])
+        drop_duplicates(wire_ids(wire, [good, row]), wire=wire)
     assert any(repr(term) in str(exc.value) for term in row)
     assert "line" not in str(exc.value)
 
@@ -415,7 +450,8 @@ def test_drop_duplicates_ids_match_reading_the_sorted_rows_as_text(kg, rng):
     text = "".join(f"{s} {p} {o} .\n" for s, p, o in sorted(set(rows)))
     reread, errors = ingest_ntriples(text.encode("utf-8"))
     assert not errors
-    sg = drop_duplicates(rows)
+    wire = WireDictionary()
+    sg = drop_duplicates(wire_ids(wire, rows), wire=wire)
     fresh = sg.kg
     assert [fresh.term(v) for v in range(fresh.vertex_count())] == [
         reread.term(v) for v in range(reread.vertex_count())
@@ -430,24 +466,23 @@ def test_drop_duplicates_ids_match_reading_the_sorted_rows_as_text(kg, rng):
     sys.version_info < (3, 11), reason="before 3.11 the caller's stack holds call arguments"
 )
 def test_drop_duplicates_frees_the_wire_rows_before_the_build(monkeypatch):
-    class Rows(list):
-        pass
-
     good = (f"<{EX}s>", f"<{EX}p>", f"<{EX}o>")
+    wire = WireDictionary()
     refs, freed = [], []
 
     def wire_rows():
-        rows = Rows([good, good])
+        rows = wire_ids(wire, [good, good])
         refs.append(weakref.ref(rows))
         return rows
 
-    def spy(statements, **kwargs):
-        freed.append(refs[0]() is None)
-        return ingest_ntriples(statements, **kwargs)
+    class Spy(graph.KnowledgeGraph):
+        def __init__(self, *args, **kwargs):
+            freed.append(refs[0]() is None)
+            super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(endpoint, "ingest_ntriples", spy)
+    monkeypatch.setattr(graph, "KnowledgeGraph", Spy)
     # not inside an assert: the rewritten assert would keep the rows for its message
-    sg = drop_duplicates(wire_rows())
+    sg = drop_duplicates(wire_rows(), wire=wire)
     assert len(sg.triples) == 1
     assert freed == [True]
 
@@ -458,11 +493,11 @@ CR_BODY = f"?s\t?p\t?o\n<{EX}a>\t<{EX}p>\t<{EX}o> .\r<{EX}evil> <{EX}q> <{EX}z>\
 
 def test_raw_cr_in_a_wire_term_rejected():
     with pytest.raises(QueryRejected) as exc:
-        HttpBackend._parse_rows(CR_BODY)
+        _page_columns(CR_BODY)
     assert exc.value.status == 200
     assert exc.value.body.startswith("raw CR in TSV row")
     # the one CR of a CRLF row end is not part of the row
-    assert HttpBackend._parse_rows(f"?s\t?p\t?o\r\n<{EX}a>\t<{EX}p>\t<{EX}o>\r\n") == [
+    assert parse_page(f"?s\t?p\t?o\r\n<{EX}a>\t<{EX}p>\t<{EX}o>\r\n") == [
         (f"<{EX}a>", f"<{EX}p>", f"<{EX}o>")
     ]
 
@@ -476,3 +511,113 @@ def test_raw_cr_in_a_wire_term_fails_the_job(monkeypatch):
         execute_plan(backend, bgp, plan)
     assert isinstance(exc.value.cause, QueryRejected)
     assert exc.value.completed_jobs == []
+
+
+# fields of TSV rows: full-form terms, abbreviated literals, literals holding raw
+# line separators (only LF ends a row), an empty field and fields with a raw CR
+_CLEAN_FIELD = st.sampled_from([
+    f"<{EX}a>", f"<{EX}b>", f"<{EX}p>", "_:b1", '"x"', '"x\x85y"', '"a b"', '"1"@en',
+    f'"42"^^<{XSD}integer>', "42", "-7", "true", "1.5", "-2.5E-3", "",
+])
+_FIELD = _CLEAN_FIELD | st.sampled_from(["a\rb", f"<{EX}a>\r"])
+_CLEAN_ROW = st.lists(_CLEAN_FIELD, min_size=3, max_size=3).map("\t".join)
+_ROW = _CLEAN_ROW | st.lists(_FIELD, min_size=2, max_size=4).map("\t".join) | st.just("")
+
+
+@st.composite
+def _pages(draw):
+    """A TSV page: a header, rows with LF or CRLF ends, and maybe no final newline."""
+    rows = draw(st.lists(_CLEAN_ROW, max_size=6) | st.lists(_ROW, max_size=6))
+    ends = st.sampled_from(["\n", "\n", "\r\n"]) if draw(st.booleans()) else st.just("\n")
+    text = "?s\t?p\t?o" + draw(ends) + "".join(row + draw(ends) for row in rows)
+    return text[:-1] if rows and draw(st.booleans()) and text.endswith("\n") else text
+
+
+@given(st.lists(_pages(), min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_page_columns_match_the_row_by_row_parser(pages):
+    """Pages through one wire dictionary give the reference parser's rows, or its rejection."""
+    wire = WireDictionary()
+    for page in pages:
+        try:
+            expected = reference_parse_rows(page)
+        except QueryRejected as exc:
+            with pytest.raises(QueryRejected) as got:
+                wire.encode(*_page_columns(page))
+            assert (got.value.status, got.value.body) == (exc.status, exc.body)
+            continue
+        assert wire_rows(wire, wire.encode(*_page_columns(page))) == expected
+
+
+def test_clean_page_is_split_whole(monkeypatch):
+    """A page with no CR, no blank row and three fields a row takes no row-by-row step."""
+    page = "?s\t?p\t?o\n" + "".join(
+        f"<{EX}a>\t<{EX}p>\t{abbreviate(t)}\n" for t in ABBREVIABLE + NOT_ABBREVIABLE
+    )
+
+    def row_by_row(lines):
+        raise AssertionError("a clean page went row by row")
+
+    monkeypatch.setattr(endpoint, "_checked_columns", row_by_row)
+    assert parse_page(page) == reference_parse_rows(page)
+    with pytest.raises(AssertionError):  # a two-field row and a four-field row do not cancel out
+        _page_columns(f"?s\t?p\t?o\n<{EX}a>\t<{EX}p>\n<{EX}a>\t<{EX}p>\t<{EX}o>\t<{EX}o>\n")
+
+
+def test_wire_dictionary_keeps_one_id_per_term_across_threads():
+    """Pages encoded by more threads than cores, switching often, map back to their own rows."""
+    pages = [
+        [(f"<{EX}v{(7 * i + k) % 50}>", f"<{EX}p{k % 3}>", str((i * k) % 60)) for i in range(300)]
+        for k in range(16)
+    ]
+    wire = WireDictionary()
+    encoded = [None] * len(pages)
+
+    def encode(k):
+        encoded[k] = wire_ids(wire, pages[k])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=encode, args=(k,)) for k in range(len(pages))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for page, ids in zip(pages, encoded):
+        expected = [(s, p, f'"{o}"^^<{XSD}integer>') for s, p, o in page]
+        assert wire_rows(wire, ids) == expected
+    terms = wire.statements(encoded[0]).terms
+    assert len(set(terms)) == len(terms) == 50 + 60
+
+
+def test_execute_plan_holds_a_few_bytes_per_wire_row(monkeypatch):
+    """Wire rows are int32 ids, 12 bytes a row, with each distinct term held once."""
+    n_terms, page_rows, pages = 40, 1000, 20
+
+    def page(query):
+        # built per request, as a page read off the wire is
+        return "?s\t?p\t?o\n" + "".join(
+            f"<{EX}v{i % n_terms}>\t<{EX}p{i % 3}>\t<{EX}v{(7 * i + 1) % n_terms}>\n"
+            for i in range(page_rows)
+        )
+
+    backend = HttpBackend(EndpointConfig(url="http://127.0.0.1:9/sparql"))
+    monkeypatch.setattr(backend, "_request", page)
+    plan = QueryBatchPlan(
+        jobs=[(0, page_rows, k * page_rows) for k in range(pages)], counts=[pages * page_rows]
+    )
+    bgp = get_bgp(nc_pattern(), 1, 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rows = execute_plan(backend, bgp, plan)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == pages * page_rows
+    # a tuple per row, as pages were once returned, holds more than 64 bytes a row
+    assert held <= 12 * len(rows) + 512 * (n_terms + 3) + 16384, held

@@ -18,6 +18,7 @@ from kgslice.graph import (
     BOTH,
     OUTGOING,
     RDF_TYPE,
+    EncodedStatements,
     build_graph,
     csr,
     ingest_ntriples,
@@ -64,6 +65,34 @@ def test_round_trip_preserves_triple_set(triples):
     assert not errors
     assert surface_triples(again) == surface_triples(kg)
     assert again.triple_count() == len(set(triples))
+
+
+@given(st.lists(_triple, max_size=120), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_encoded_statements_build_the_graph_of_the_sorted_unique_statements(triples, rnd):
+    """Ids come from the sorted unique surface statements, whatever the tables' order or extras."""
+    # v3 sorts after v20 and v100 as a string: ranks follow the surfaces, not the numbers
+    terms = [f"<http://ex/v{v}>" for v in range(31)] + ['"unused"']
+    preds = [f"<http://ex/p{p}>" for p in range(5)] + ["<http://ex/unused>"]
+    term_at, pred_at = list(range(len(terms))), list(range(len(preds)))
+    rnd.shuffle(term_at)
+    rnd.shuffle(pred_at)
+    rows = [(term_at[s], pred_at[p], term_at[o]) for s, p, o in triples] * 2
+    rnd.shuffle(rows)
+    rows = np.array(rows, dtype=np.int32).reshape(-1, 3)
+    tables = [None] * len(terms), [None] * len(preds)
+    for table, at, surfaces in zip(tables, (term_at, pred_at), (terms, preds)):
+        for i, surface in zip(at, surfaces):
+            table[i] = surface
+    kg, errors = ingest_ntriples(EncodedStatements(*tables, rows))
+    statements = sorted({(terms[s], preds[p], terms[o]) for s, p, o in triples})
+    reference = build_graph(statements)
+    assert not errors
+    assert kg.terms == reference.terms
+    assert [kg.predicate_term(p) for p in range(kg.predicate_count())] == [
+        reference.predicate_term(p) for p in range(reference.predicate_count())
+    ]
+    assert np.array_equal(kg.spo, reference.spo)
 
 
 @given(st.lists(_triple, min_size=1, max_size=120))
