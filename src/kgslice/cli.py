@@ -99,11 +99,12 @@ def _write_subgraph(sg: Subgraph, outdir: Path) -> None:
 def _load_slices(args, paths):
     """Read the slice files and the task config for metrics, compare, validate, export.
 
-    Slices are read strictly. With ``--kg`` each statement maps straight
-    into that graph's id space, and a term the graph lacks is an error;
-    without it each slice is a graph of its own, typed by
-    ``--type-predicate``. Returns one (subgraph, task) pair per path, and
-    the config.
+    Each slice is loaded strictly as a graph of its own, typed by
+    ``--type-predicate``. With ``--kg`` its term and predicate tables are
+    then mapped into that graph's id space, once per distinct term. A term
+    the graph lacks is an error naming the first such term in the slice's
+    own id order, vertices before predicates. Returns one (subgraph, task)
+    pair per path, and the config.
     """
     cfg = read_config(args.config)
     # a config that no graph could make a task of fails before --kg or a slice is read
@@ -111,16 +112,15 @@ def _load_slices(args, paths):
     kg = _load_kg(args.kg, type_predicate=args.type_predicate)[0] if args.kg else None
     slices = []
     for path in paths:
+        own, _ = load_ntriples(path, type_predicate_iri=args.type_predicate, strict=True)
         if kg is None:
-            own, _ = load_ntriples(path, type_predicate_iri=args.type_predicate, strict=True)
             sg = subgraph_from_triples(own, own.spo)
         else:
-            with open_maybe_gzip(path) as fh:
-                triples = [
-                    (kg.vertex_id(s), kg.predicate_id(p), kg.vertex_id(o))
-                    for s, p, o in read_ntriples(fh)
-                ]
-            sg = subgraph_from_triples(kg, triples)
+            vertex = np.array([kg.vertex_id(t) for t in own.terms], dtype=np.int32)
+            preds = map(own.predicate_term, range(own.predicate_count()))
+            predicate = np.array([kg.predicate_id(t) for t in preds], dtype=np.int32)
+            spo = np.column_stack([vertex[own.s], predicate[own.p], vertex[own.o]])
+            sg = subgraph_from_triples(kg, spo)
         slices.append((sg, task_from_config(sg.kg, cfg)))
     return slices, cfg
 

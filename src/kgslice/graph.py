@@ -18,7 +18,9 @@ per term for the vertex offsets and the term list. The index is built in
 numpy: one sort and an adjacent-row dedup (:func:`sorted_unique_rows`),
 one sort of packed row keys per other order (:func:`lex_order`) and three
 bincounts. A triple becomes a Python tuple only in the views built for
-callers that ask for one.
+callers that ask for one. The walk samplers read one more CSR per
+direction, of the walk edges, built on first use (:class:`WalkAdjacency`);
+no object is kept per vertex.
 
 Vertices cover IRIs, blank nodes, and literals (literals keep their full
 N-Triples surface form including datatype/language tags and never have
@@ -444,9 +446,8 @@ class KnowledgeGraph:
     Construction happens through :func:`build_graph` (which
     :func:`ingest_ntriples` calls); afterwards the instance is read-only
     and safe to share across threads. The literal mask, each direction's
-    walk CSR, each vertex's walk list and the walk index are built on
-    first use; threads racing to build one may both build it, with equal
-    results.
+    walk CSR and the walk index are built on first use; threads racing to
+    build one may both build it, with equal results.
     """
 
     def __init__(
@@ -659,23 +660,18 @@ class KnowledgeGraph:
         return adj
 
     def walk_index(self) -> WalkIndex:
-        """The ``both`` :meth:`walk_adjacency` indexed by vertex id, sharing its lists.
+        """The ``both`` :meth:`walk_adjacency` as lists indexed by vertex id.
 
-        Every list the adjacency has not cut yet is cut from its CSR, which
-        is turned into one Python list for that, and kept by the adjacency.
-        That graph is symmetric: every neighbor of a vertex has degree at
-        least 1. Built once and cached.
+        Every list is cut in one pass from the adjacency's CSR. That graph
+        is symmetric: every neighbor of a vertex has degree at least 1.
+        Built once and cached; the adjacency keeps no list.
         """
         if self._walk_index is None:
             adj = self.walk_adjacency(BOTH)
-            lists, heads = adj._lists, adj._neighbours.tolist()
-            start = 0
-            for v, end in enumerate(adj._offsets[1:].tolist()):
-                if lists[v] is None:
-                    lists[v] = heads[start:end] or ()
-                start = end
-            neighbors = list(lists)
-            self._walk_index = WalkIndex(neighbors, list(map(len, neighbors)))
+            heads, bounds = adj.neighbours.tolist(), adj.offsets.tolist()
+            # (): no list, shared instead of one empty list per vertex
+            neighbors = [heads[lo:hi] or () for lo, hi in zip(bounds, bounds[1:])]
+            self._walk_index = WalkIndex(neighbors, np.diff(adj.offsets).tolist())
         return self._walk_index
 
     def induced_subgraph(self, vs) -> Subgraph:
@@ -707,7 +703,7 @@ class KnowledgeGraph:
 
 
 class WalkAdjacency(Mapping):
-    """The walk lists of one direction, a mapping from vertex id to list.
+    """The walk lists of one direction, a read-only mapping from vertex id to list.
 
     ``adj[v]`` lists the objects of ``v``'s triples, and for ``both`` also
     the subjects of the triples into ``v``, in ascending order.
@@ -717,15 +713,12 @@ class WalkAdjacency(Mapping):
     such edge has no list: ``adj.get(v)`` returns None.
 
     The walk edges are selected once, when the adjacency is made, and
-    become one :func:`csr`. The first read of a vertex cuts its list from
-    the CSR, read through memoryviews, and keeps it, so a walk makes lists
-    only for the vertices it visits; iteration and ``len`` read every
-    vertex the same way, and :meth:`KnowledgeGraph.walk_index` cuts every
-    list not read yet from the same CSR, in bulk. A list is stored in one
-    assignment, so threads racing on a vertex may cut its list twice but
-    never see a partial one. The adjacency holds its CSR, not the graph
-    that caches it, so a graph is freed by reference count once its last
-    user lets go.
+    become one :func:`csr`, all the adjacency holds: ``offsets`` and
+    ``neighbours`` are read-only memoryviews of its arrays, the list of
+    ``v`` being ``neighbours[offsets[v]:offsets[v + 1]]``. ``adj[v]`` is a
+    fresh list cut from them, and iteration and ``len`` read the degrees.
+    It holds its CSR, not the graph that caches it, so a graph is freed
+    by reference count once its last user lets go.
     """
 
     def __init__(self, kg: KnowledgeGraph, direction: str):
@@ -734,31 +727,20 @@ class WalkAdjacency(Mapping):
         if direction == BOTH:
             tails, heads = np.concatenate([tails, heads]), np.concatenate([heads, tails])
         offsets, neighbours = csr(tails, heads, kg.vertex_count())
-        self._offsets, self._neighbours = memoryview(offsets), memoryview(neighbours)
-        # None: not cut yet; (): no list, shared instead of one empty list per vertex
-        self._lists: list[list[int] | tuple | None] = [None] * kg.vertex_count()
-
-    def get(self, v, default=None):
-        lists = self._lists
-        if not 0 <= v < len(lists):
-            return default
-        lst = lists[v]
-        if lst is None:
-            offsets = self._offsets
-            lists[v] = lst = self._neighbours[offsets[v]:offsets[v + 1]].tolist() or ()
-        return lst if lst else default
+        self.offsets, self.neighbours = memoryview(offsets), memoryview(neighbours)
 
     def __getitem__(self, v) -> list[int]:
-        lst = self.get(v)
-        if lst is None:
-            raise KeyError(v)
-        return lst
+        offsets = self.offsets
+        # a memoryview wraps a negative index: check the range first
+        if 0 <= v < len(offsets) - 1 and offsets[v] < offsets[v + 1]:
+            return self.neighbours[offsets[v]:offsets[v + 1]].tolist()
+        raise KeyError(v)
 
     def __iter__(self):
-        return (v for v in range(len(self._lists)) if self.get(v) is not None)
+        return iter(np.flatnonzero(np.diff(self.offsets)).tolist())
 
     def __len__(self) -> int:
-        return sum(1 for _ in self)
+        return int(np.count_nonzero(np.diff(self.offsets)))
 
 
 def _parse_lines(lines, lineno: int, errors: list[ParseError] | None):

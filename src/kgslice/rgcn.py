@@ -177,15 +177,20 @@ def rgcn_forward(
     return dict(zip(verts, h))
 
 
-def message_reach(sg: Subgraph, targets, hops: int) -> set[int]:
-    """Vertices with a message-passing path of <= hops into a target."""
+def message_reach(sg: Subgraph, targets, hops: int) -> np.ndarray:
+    """Vertices with a message-passing path of <= hops into a target.
+
+    Their parent ids, a sorted read-only part of ``sg.vertex_ids``.
+    """
     s, o = sg.local_edges
     keep = _entity_mask(sg)
     s, o = s[keep], o[keep]
     # messages run both ways along each entity edge
     tails, heads = np.concatenate([s, o]), np.concatenate([o, s])
     levels = hop_distances(tails, heads, sg.local_ids(targets), hops, n=len(sg.vertex_ids))
-    return set(sg.vertex_ids[levels >= 0].tolist())
+    reach = sg.vertex_ids[levels >= 0]
+    reach.flags.writeable = False
+    return reach
 
 
 def prune_outside_reach(sg: Subgraph, targets, hops: int) -> Subgraph:

@@ -54,21 +54,25 @@ def random_walk_sample(
 ) -> set[int]:
     """All vertices visited on one h-step walk from v (v included).
 
-    Each step picks uniformly among the current vertex's walk neighbors;
-    a dead end stops the walk early. An unknown ``v`` raises
-    :class:`UnknownVertex`, a negative ``h`` :class:`KgsliceError`.
+    Each step picks uniformly among the current vertex's walk neighbors,
+    one ``rng.randrange(degree)`` into its run of the
+    :meth:`KnowledgeGraph.walk_adjacency` CSR; a dead end stops the walk
+    early. An unknown ``v`` raises :class:`UnknownVertex`, a negative
+    ``h`` :class:`KgsliceError`.
     """
     kg._check_vertex(v)
     if h < 0:
         raise KgsliceError(f"walk length must be >= 0, got {h}")
     adj = kg.walk_adjacency(direction)
+    offsets, neighbours = adj.offsets, adj.neighbours
     visited = {v}
     current = v
     for _ in range(h):
-        nbrs = adj.get(current)
-        if not nbrs:
+        lo = offsets[current]
+        degree = offsets[current + 1] - lo
+        if not degree:
             break
-        current = nbrs[rng.randrange(len(nbrs))]
+        current = neighbours[lo + rng.randrange(degree)]
         visited.add(current)
     return visited
 

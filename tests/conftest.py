@@ -86,6 +86,23 @@ def random_kg(rng: random.Random, **kwargs) -> KnowledgeGraph:
     return make_kg(random_kg_lines(rng, **kwargs))
 
 
+def pattern_oracle_kgs():
+    """The 50 random graphs of acceptance test 02, in order, up to 10,000 triples each."""
+    rng = random.Random(42)
+    for i in range(50):
+        n_vertices = rng.randrange(50, 900)
+        yield make_kg(
+            random_kg_lines(
+                rng,
+                n_vertices=n_vertices,
+                n_types=rng.randrange(2, 15),
+                n_predicates=rng.randrange(2, 8),
+                n_triples=rng.randrange(100, 10000 - 2 * n_vertices),
+                literal_fraction=0.08 if i % 3 == 0 else 0.0,
+            )
+        )
+
+
 def types_in_order(kg: KnowledgeGraph) -> list[int]:
     """Class vertex ids in first-encounter order over the type triples."""
     return list(dict.fromkeys(o for _, _, o in kg.predicate_triples(kg.type_predicate)))

@@ -11,6 +11,7 @@ import io
 import json
 import math
 import os
+import random
 import warnings
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -30,7 +31,8 @@ from kgslice.export import (
     _write,
 )
 from kgslice.graph import _TRIPLE_RE, KIND_LITERAL, Subgraph, open_for_rewrite
-from kgslice.tasks import LabelMap
+from kgslice.tasks import LabelMap, resolve_targets
+from kgslice.walks import derived_seed, get_initial_vertices
 
 from conftest import TYPE_IRI
 
@@ -166,6 +168,31 @@ def walk_lists(kg, direction: str) -> dict[int, list[int]]:
         if direction == "both":
             lists.setdefault(o, []).append(s)
     return {v: sorted(lst) for v, lst in lists.items()}
+
+
+def reference_random_walk(kg, task, params) -> set[int]:
+    """Every vertex the walks of ``params`` visit, over the scanned lists of :func:`walk_lists`.
+
+    The walks start at the package's own sample of the task's targets
+    (:func:`kgslice.walks.get_initial_vertices`). Walk ``w`` from ``v``
+    draws from ``random.Random(derived_seed(seed, "walk", v, w))``, one
+    ``randrange(len(list))`` into the current vertex's list per step, and
+    stops early at a vertex with no list.
+    """
+    lists = walk_lists(kg, params.direction)
+    initial = get_initial_vertices(params.batch_size, resolve_targets(kg, task), params.seed)
+    visited = set(initial)
+    for v in initial:
+        for w in range(params.walks_per_seed):
+            rng = random.Random(derived_seed(params.seed, "walk", v, w))
+            current = v
+            for _ in range(params.walk_length):
+                nbrs = lists.get(current)
+                if not nbrs:
+                    break
+                current = nbrs[rng.randrange(len(nbrs))]
+                visited.add(current)
+    return visited
 
 
 @dataclass

@@ -41,6 +41,7 @@ from conftest import (
     iri,
     make_kg,
     nt,
+    pattern_oracle_kgs,
     random_kg_lines,
     tokenize_query,
     types_in_order,
@@ -80,19 +81,7 @@ def test_01_golden_query():
 
 def test_02_pattern_oracle_equivalence():
     with Budget("02-pattern-oracle", 30.0):
-        rng = random.Random(42)
-        for i in range(50):
-            n_vertices = rng.randrange(50, 900)
-            kg = make_kg(
-                random_kg_lines(
-                    rng,
-                    n_vertices=n_vertices,
-                    n_types=rng.randrange(2, 15),
-                    n_predicates=rng.randrange(2, 8),
-                    n_triples=rng.randrange(100, 10000 - 2 * n_vertices),
-                    literal_fraction=0.08 if i % 3 == 0 else 0.0,
-                )
-            )
+        for i, kg in enumerate(pattern_oracle_kgs()):
             assert kg.triple_count() <= 10_000
             task = PatternTask(kind="nc", target_type_iri=f"{EX}T0")
             targets = kg.vertices_of_type(kg.type_id(f"{EX}T0"))

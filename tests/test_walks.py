@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
 from kgslice.errors import EmptyTargetSet, KgsliceError, UnknownVertex
-from kgslice.graph import BOTH, OUTGOING, WalkAdjacency
+from kgslice.graph import BOTH, OUTGOING
 from kgslice.tasks import TaskSpec
 from kgslice.walks import (
     WalkParams,
@@ -14,8 +15,8 @@ from kgslice.walks import (
     random_walk_sample,
 )
 
-from conftest import EX, make_kg, nt, random_kg, random_kg_lines
-from oracles import bfs_distances, undirected_adjacency
+from conftest import EX, make_kg, nt, pattern_oracle_kgs, random_kg
+from oracles import bfs_distances, reference_random_walk, undirected_adjacency
 
 
 def brw_task(kg, type_name="T"):
@@ -187,19 +188,31 @@ def test_provenance_recorded(rng):
 
 
 @pytest.mark.parametrize("direction", [OUTGOING, BOTH])
-def test_extract_reads_walk_lists_on_demand(rng, monkeypatch, direction):
-    kg = make_kg(random_kg_lines(rng, n_vertices=150, n_triples=500, literal_fraction=0.1))
+def test_extract_equals_reference_walk_on_random_kgs(direction):
+    """Each slice is the induced subgraph of the reference walk's visits, row for row."""
+    for kg in pattern_oracle_kgs():
+        task = brw_task(kg, "T0")
+        for walks_per_seed in (1, 3):
+            for walk_length in (1, 3):
+                params = WalkParams(walk_length, 20000, walks_per_seed, 5, direction)
+                expected = kg.induced_subgraph(reference_random_walk(kg, task, params))
+                sg = extract_random_walk(kg, task, params)
+                assert sg.spo.tolist() == expected.spo.tolist()
+
+
+@pytest.mark.parametrize("direction", [OUTGOING, BOTH])
+def test_walk_leaves_nothing_on_the_graph(direction):
+    """Once the adjacency is built, a walk extraction whose slice is dropped keeps no memory."""
+    kg = random_kg(random.Random(8), n_vertices=3000, n_triples=20000, literal_fraction=0.1)
     task = brw_task(kg, "T0")
-    params = WalkParams(walk_length=3, batch_size=10, seed=5, direction=direction)
-
-    def no_bulk_build(self):
-        raise AssertionError("extract_random_walk built every walk list")
-
-    with monkeypatch.context() as m:
-        m.setattr(WalkAdjacency, "__iter__", no_bulk_build)
-        on_demand = extract_random_walk(kg, task, params)
-    dict(kg.walk_adjacency(direction))
-    bulk = extract_random_walk(kg, task, params)
-    assert on_demand.triples == bulk.triples
-    assert on_demand.vertices == bulk.vertices
-    assert len(on_demand.non_type_triples) > 10
+    params = WalkParams(walk_length=3, batch_size=1000, seed=2, direction=direction)
+    kg.walk_adjacency(direction)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        visited = len(extract_random_walk(kg, task, params).vertex_ids)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert visited > 1000
+    assert kept <= 4096
